@@ -233,6 +233,8 @@ def cmd_step(args, out: _Output) -> int:
         raise SystemExit2("state must be hexadecimal")
     if state >= 1 << 36:
         raise SystemExit2("state exceeds 36 bits")
+    if args.rounds < 0:
+        raise SystemExit2("--rounds must be >= 0")
     for _ in range(args.rounds):
         state = step(state, w, fun, args.f, args.k, args.l)
     out.emit({"kind": "step", "state": "%09x" % state},

@@ -7,26 +7,24 @@ from typing import List, Sequence, Tuple
 
 def rref(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [r for r in rows if r]
-    out: List[int] = []
-    pivots: List[int] = []
-    for col in range(ncols):
-        bit = 1 << col
-        pivot_row = None
-        for i, r in enumerate(work):
-            if r & bit:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        row = work.pop(pivot_row)
-        work = [r ^ row if r & bit else r for r in work]
-        out = [r ^ row if r & bit else r for r in out]
-        out.append(row)
-        pivots.append(col)
-        if not work:
-            break
-    return out, pivots
+    width = (1 << ncols) - 1
+    by_pivot = {}  # pivot (the lowest set bit, below ncols) -> reduced row
+    pivot_mask = 0
+    for r in rows:
+        m = r & pivot_mask
+        while m:  # a reduced row holds no other row's pivot
+            low = m & -m
+            r ^= by_pivot[low]
+            m ^= low
+        if r & width:
+            bit = r & -r
+            for b, row in by_pivot.items():
+                if row & bit:
+                    by_pivot[b] = row ^ r
+            by_pivot[bit] = r
+            pivot_mask |= bit
+    bits = sorted(by_pivot)
+    return [by_pivot[b] for b in bits], [b.bit_length() - 1 for b in bits]
 
 
 def rank(rows: Sequence[int], ncols: int) -> int:
@@ -90,14 +88,15 @@ def transpose(rows: Sequence[int], ncols: int) -> List[int]:
 
 
 def mat_mul(a: Sequence[int], b: Sequence[int], ncols: int) -> List[int]:
-    """Row-major product a @ b (rows of the result span ncols columns)."""
-    bt = transpose(b, ncols)
+    """Row-major product a @ b (rows of the result span ncols columns):
+    row i is the XOR of the rows of b picked by the bits of row i of a."""
     out = []
     for r in a:
         acc = 0
-        for j, col in enumerate(bt):
-            if (r & col).bit_count() & 1:
-                acc |= 1 << j
+        while r:
+            low = r & -r
+            acc ^= b[low.bit_length() - 1]
+            r ^= low
         out.append(acc)
     return out
 

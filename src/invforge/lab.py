@@ -372,9 +372,9 @@ def affine_divisors(p: Poly) -> frozenset:
     if sol is None:
         return frozenset()
     particular, basis = sol
-    out = set()
     if len(basis) > 14:
-        return frozenset()
+        raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
+    out = set()
     for combo in range(1 << len(basis)):
         v = particular
         c, i = combo, 0

@@ -112,12 +112,13 @@ def _prime_factors(k: int) -> List[int]:
     return out
 
 
-def _in_span(reduced_rows: Sequence[int], v: int) -> bool:
-    for row in reduced_rows:
-        pivot = row & -row
-        if v & pivot:
+def _residue(rows: Sequence[int], v: int) -> int:
+    """v reduced by rows with distinct top bits, none holding the top bit of
+    a row before it (as in any gf2.kernel_basis); zero iff v is in their span."""
+    for row in rows:
+        if v >> (row.bit_length() - 1) & 1:
             v ^= row
-    return v == 0
+    return v
 
 
 def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEntry]:
@@ -125,11 +126,12 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
     F/K/L sequences; reported at their minimal periods only.
 
     The invariance condition is exact: (M^T)^k ell = ell and ell . M^i v = 0
-    for every offset vector v and 0 <= i < k.  A period k is reported iff
-    some functional is invariant at k but at no proper divisor of k; the
-    spaces form a gcd-lattice, so existence comes from inclusion-exclusion
-    over the maximal proper divisors and a witness is found by a bounded
-    combination search over the period-k basis.
+    for every offset vector v and all i >= 0, as ell . M^(i+k) v equals
+    ((M^T)^k ell) . M^i v.  A period k is reported iff some functional is
+    invariant at k but at no proper divisor of k; the spaces form a
+    gcd-lattice, so existence comes from inclusion-exclusion over the maximal
+    proper divisors and a witness is found by a combination search over the
+    period-k basis.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -138,57 +140,54 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
                          % (max_period, MAX_PERIOD_GUARD))
     n = N_STATE
     m_t = gf2.transpose(ar.matrix, n)
-    ident = gf2.identity(n)
+    offset_span = _krylov_span(ar.matrix, (ar.offset_f, ar.offset_k, ar.offset_l))
 
-    cur = [ar.offset_f, ar.offset_k, ar.offset_l]
-    constraint_rows: List[int] = []
-    dims: Dict[int, int] = {}
-    rrefs: Dict[int, List[int]] = {}
+    bases: Dict[int, List[int]] = {}
     entries: List[PeriodEntry] = []
-    mt_pow = ident
+    mt_pow = gf2.identity(n)
     for k in range(1, max_period + 1):
-        mt_pow = gf2.mat_mul(mt_pow, m_t, n)
-        for v in cur:
-            if v:
-                constraint_rows.append(v)
-        cur = [gf2.mat_vec(ar.matrix, v) for v in cur]
-        rows = [mt_pow[i] ^ ident[i] for i in range(n)] + constraint_rows
-        basis = gf2.kernel_basis(rows, n)
-        dims[k] = len(basis)
-        rrefs[k] = gf2.rref(basis, n)[0]
+        mt_pow = gf2.mat_mul(m_t, mt_pow, n)  # sparse M^T picks rows of the power
+        rows = [mt_pow[i] ^ (1 << i) for i in range(n)] + offset_span
+        basis = bases[k] = gf2.kernel_basis(rows, n)
         if not basis:
             continue
         maximal = sorted({k // p for p in _prime_factors(k)})
         covered = 0
-        for pick in range(1, 1 << len(maximal)):
-            g = k
-            bits = 0
-            for i, d in enumerate(maximal):
-                if (pick >> i) & 1:
-                    g = math.gcd(g, d)
-                    bits += 1
-            covered += (1 if bits % 2 else -1) * (1 << dims[g])
-        if (1 << dims[k]) <= covered:
+        for size in range(1, len(maximal) + 1):
+            for chosen in itertools.combinations(maximal, size):
+                covered += (-1) ** (size + 1) * 2 ** len(bases[math.gcd(*chosen)])
+        if (1 << len(basis)) <= covered:
             continue  # every invariant functional already has a smaller period
-        witnesses = [b for b in basis
-                     if all(not _in_span(rrefs[d], b) for d in maximal)]
+        excluded = [bases[d] for d in maximal]
+        witnesses = [b for b in basis if all(_residue(ex, b) for ex in excluded)]
         if not witnesses:
-            witnesses = list(_witness_search(basis, [rrefs[d] for d in maximal]))
+            witnesses = [_witness_search(basis, excluded)]
         entries.append(PeriodEntry(k, len(basis), tuple(basis), tuple(witnesses)))
     return entries
 
 
-def _witness_search(basis: Sequence[int], excluded: Sequence[Sequence[int]],
-                    max_weight: int = 4):
-    """First basis combination lying outside every excluded subspace."""
-    for weight in range(2, min(len(basis), max_weight) + 1):
-        for combo in itertools.combinations(range(len(basis)), weight):
+def _krylov_span(matrix: Sequence[int], vectors: Sequence[int]) -> List[int]:
+    """Rows spanning M^i v for the given v and all i >= 0, in _residue's form."""
+    span: List[int] = []
+    todo = list(vectors)
+    while todo:
+        v = _residue(span, todo.pop())
+        if v:
+            span.append(v)
+            todo.append(gf2.mat_vec(matrix, v))
+    return span
+
+
+def _witness_search(basis: Sequence[int], excluded: Sequence[Sequence[int]]) -> int:
+    """First combination of two or more basis vectors outside every excluded span."""
+    for weight in range(2, len(basis) + 1):
+        for combo in itertools.combinations(basis, weight):
             v = 0
-            for i in combo:
-                v ^= basis[i]
-            if all(not _in_span(rr, v) for rr in excluded):
-                yield v
-                return
+            for b in combo:
+                v ^= b
+            if all(_residue(ex, v) for ex in excluded):
+                return v
+    raise RuntimeError("no witness, though inclusion-exclusion promised one")
 
 
 def orbit(ar: AffineRound, functional: int, length: int) -> List[int]:

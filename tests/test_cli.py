@@ -133,6 +133,13 @@ class TestFormatsAndInputs:
         r = run_cli("step", "--lzs", LZS, "--boolfun", ZREF, "--state", "zzz")
         assert r.returncode == 2
 
+    def test_step_negative_rounds(self):
+        r = run_cli("step", "--lzs", LZS, "--boolfun", ZREF,
+                    "--state", "000000001", "--rounds", "-3")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--rounds" in r.stderr
+
     def test_linear_cycle_output(self):
         r = run_cli("linear-cycle", "--lzs", LZS, "--max-period", "8")
         assert r.returncode == 0

@@ -183,6 +183,11 @@ class TestFactorExplorer:
         two = product(fa[:2])
         assert affine_divisors(two) == frozenset(fa)
 
+    def test_affine_divisors_refuse_a_span_too_large_to_enumerate(self):
+        # every variable divides the monomial, so an empty answer is wrong
+        with pytest.raises(ValueError, match="dimension 16"):
+            affine_divisors(parse("abcdefghijklmnop"))
+
     def test_division_by_printed_factor(self):
         from invforge.ring import factor_out
         mu = core_product_forms()

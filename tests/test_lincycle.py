@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,9 +8,85 @@ from invforge import gf2, lincycle
 from invforge.boolfun import ZERO_FUN
 from invforge.cipher import random_wiring, step
 from invforge.lincycle import (
-    ALL36_MASK, LOWERCASE26_MASK, AffineRound, affine_of,
+    ALL36_MASK, LOWERCASE26_MASK, AffineRound, PeriodEntry, affine_of,
     linear_invariant_periods, orbit, synthetic_permutation, weight_sequence,
 )
+
+
+# Reference implementations: the definitions the optimised code must match.
+
+def _mat_mul_by_parity(a, b, ncols):
+    bt = gf2.transpose(b, ncols)
+    return [sum(((r & col).bit_count() & 1) << j for j, col in enumerate(bt))
+            for r in a]
+
+
+def _rref_by_columns(rows, ncols):
+    work = [r for r in rows if r]
+    out, pivots = [], []
+    for col in range(ncols):
+        bit = 1 << col
+        pivot_row = next((i for i, r in enumerate(work) if r & bit), None)
+        if pivot_row is None:
+            continue
+        row = work.pop(pivot_row)
+        work = [r ^ row if r & bit else r for r in work]
+        out = [r ^ row if r & bit else r for r in out]
+        out.append(row)
+        pivots.append(col)
+    return out, pivots
+
+
+def _in_span(reduced_rows, v):
+    for row in reduced_rows:
+        if v & row & -row:
+            v ^= row
+    return v == 0
+
+
+def _periods_by_growing_constraints(ar, max_period):
+    """ell . M^i v = 0 imposed row by row for i < k, as first written."""
+    n = 36
+    m_t = gf2.transpose(ar.matrix, n)
+    ident = gf2.identity(n)
+    cur = [ar.offset_f, ar.offset_k, ar.offset_l]
+    constraint_rows = []
+    dims, rrefs, entries = {}, {}, []
+    mt_pow = ident
+    for k in range(1, max_period + 1):
+        mt_pow = _mat_mul_by_parity(mt_pow, m_t, n)
+        constraint_rows += [v for v in cur if v]
+        cur = [gf2.mat_vec(ar.matrix, v) for v in cur]
+        rows = [mt_pow[i] ^ ident[i] for i in range(n)] + constraint_rows
+        basis = gf2.kernel_basis(rows, n)
+        dims[k] = len(basis)
+        rrefs[k] = _rref_by_columns(basis, n)[0]
+        if not basis:
+            continue
+        maximal = sorted({k // p for p in range(2, k + 1)
+                          if k % p == 0 and all(p % q for q in range(2, p))})
+        covered = 0
+        for pick in range(1, 1 << len(maximal)):
+            chosen = [d for i, d in enumerate(maximal) if (pick >> i) & 1]
+            g = math.gcd(k, *chosen)
+            covered += (1 if len(chosen) % 2 else -1) * (1 << dims[g])
+        if (1 << dims[k]) <= covered:
+            continue
+        witnesses = [b for b in basis
+                     if all(not _in_span(rrefs[d], b) for d in maximal)]
+        if not witnesses:
+            for weight in range(2, len(basis) + 1):
+                for combo in itertools.combinations(basis, weight):
+                    v = 0
+                    for b in combo:
+                        v ^= b
+                    if all(not _in_span(rrefs[d], v) for d in maximal):
+                        witnesses = [v]
+                        break
+                if witnesses:
+                    break
+        entries.append(PeriodEntry(k, len(basis), tuple(basis), tuple(witnesses)))
+    return entries
 
 
 class TestAffineOf:
@@ -127,6 +204,65 @@ class TestPeriods:
             linear_invariant_periods(ident, 100000)
         with pytest.raises(ValueError):
             linear_invariant_periods(ident, 0)
+
+
+class TestAgainstGrowingConstraints:
+    """The offsets' span is computed once; the old per-period growth of
+    constraint rows is the reference."""
+
+    def test_shipped_wiring(self, wiring):
+        ar = affine_of(wiring)
+        assert linear_invariant_periods(ar, 96) == \
+            _periods_by_growing_constraints(ar, 96)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("conforming", (True, False))
+    def test_random_wirings(self, seed, conforming):
+        ar = affine_of(random_wiring(100 + seed, conforming=conforming))
+        assert ar.offset_f or ar.offset_k or ar.offset_l
+        assert linear_invariant_periods(ar, 96) == \
+            _periods_by_growing_constraints(ar, 96)
+
+    def test_synthetic_permutation_with_offsets(self):
+        perm = synthetic_permutation([(1, 2, 3), (4, 5, 6, 7, 8),
+                                      (9, 10, 11, 12, 13, 14, 15), (16, 17)])
+        # the offsets touch the 5-cycle, the 2-cycle and the fixed bit 21,
+        # so only the 3-cycle, the 7-cycle and the other fixed bits remain
+        ar = AffineRound(perm.matrix, 1 << 3, 1 << 15, (1 << 16) | (1 << 20))
+        entries = linear_invariant_periods(ar, 96)
+        assert [e.period for e in entries] == [1, 3, 7, 21]
+        assert entries == _periods_by_growing_constraints(ar, 96)
+
+
+class TestWitnessSearch:
+    def test_only_the_full_combination_escapes(self):
+        # e1..e5 against the five coordinate hyperplanes {v : v_i = 0}:
+        # only e1 + ... + e5, of weight 5, lies in none of them
+        basis = [1 << i for i in range(5)]
+        hyperplanes = [[1 << j for j in range(5) if j != i] for i in range(5)]
+        assert lincycle._witness_search(basis, hyperplanes) == 0b11111
+
+
+class TestGf2:
+    def test_mat_mul_matches_parity_definition(self):
+        rng = random.Random(64)
+        for rows_a, inner, ncols in ((36, 36, 36), (5, 36, 12), (40, 7, 3),
+                                     (1, 1, 1), (0, 4, 4)):
+            for _ in range(20):
+                a = [rng.getrandbits(inner) for _ in range(rows_a)]
+                b = [rng.getrandbits(ncols) for _ in range(inner)]
+                assert gf2.mat_mul(a, b, ncols) == _mat_mul_by_parity(a, b, ncols)
+
+    def test_rref_matches_column_sweep(self):
+        rng = random.Random(65)
+        for _ in range(500):
+            ncols = rng.randint(1, 40)
+            # rows may carry bits at and above ncols, which never pivot
+            width = ncols + rng.choice((0, 3))
+            rows = [rng.getrandbits(width) & rng.getrandbits(width)
+                    for _ in range(rng.randint(0, 50))]
+            rows += rows[:rng.randint(0, 3)]
+            assert gf2.rref(rows, ncols) == _rref_by_columns(rows, ncols)
 
 
 class TestWeights:
