@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from . import ring
+from . import gf2, ring
 from .ring import ONE, Poly, mul
 
 FORMAL_VARS = tuple(range(6))  # VarIds of a..f
@@ -68,17 +68,24 @@ def truth_table(p: Poly, variables: Sequence[int]) -> int:
     return mobius(anf, n)
 
 
+def monomial_masks(variables: Sequence[int]) -> List[int]:
+    """Monomial bitmask of every ANF index: entry idx is the product of the
+    variables[i] selected by the bits i of idx.
+
+    A variable listed twice yields equal masks (x*x = x); Poly() then
+    cancels them mod 2.
+    """
+    masks = [0]
+    for v in variables:
+        bit = 1 << v
+        masks += [m | bit for m in masks]
+    return masks
+
+
 def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
     """Polynomial over the given variables from an ANF coefficient vector."""
-    terms = []
-    for idx in range(1 << len(variables)):
-        if (anf >> idx) & 1:
-            mask = 0
-            for i, v in enumerate(variables):
-                if (idx >> i) & 1:
-                    mask |= 1 << v
-            terms.append(mask)
-    return Poly(terms)
+    return Poly(m for idx, m in enumerate(monomial_masks(variables))
+                if (anf >> idx) & 1)
 
 
 class BoolFun6:
@@ -106,10 +113,6 @@ class BoolFun6:
     def __repr__(self):
         return "BoolFun6(0x%016x)" % self.tt
 
-    @classmethod
-    def from_anf_bits(cls, anf: int) -> "BoolFun6":
-        return cls(mobius(anf & ((1 << 64) - 1), 6))
-
     def value(self, point: int) -> int:
         return (self.tt >> (point & 63)) & 1
 
@@ -118,9 +121,6 @@ class BoolFun6:
         for i, bit in enumerate(args):
             point |= (bit & 1) << i
         return self.value(point)
-
-    def is_balanced(self) -> bool:
-        return self.tt.bit_count() == 32
 
     def anf_poly(self) -> Poly:
         """ANF over the formal argument letters a..f."""
@@ -134,15 +134,7 @@ class BoolFun6:
         """
         if len(args) != 6:
             raise ValueError("exactly 6 arguments required")
-        terms = []
-        for idx in range(64):
-            if (self.anf >> idx) & 1:
-                mask = 0
-                for i in range(6):
-                    if (idx >> i) & 1:
-                        mask |= 1 << args[i]
-                terms.append(mask)
-        return Poly(terms)
+        return poly_from_anf_bits(self.anf, args)
 
 
 ZERO_FUN = BoolFun6(0)
@@ -155,20 +147,7 @@ def parse_anf(text: str) -> BoolFun6:
     if bad:
         raise ValueError("variable outside a..f: %s"
                          % ",".join(ring.var_name(v) for v in sorted(bad)))
-    return BoolFun6.from_anf_bits(_anf_bits(p))
-
-
-def _anf_bits(p: Poly) -> int:
-    anf = 0
-    for t in p.terms:
-        idx = 0
-        m = t
-        while m:
-            low = m & -m
-            idx |= 1 << (low.bit_length() - 1)
-            m ^= low
-        anf ^= 1 << idx
-    return anf
+    return BoolFun6(truth_table(p, FORMAL_VARS))
 
 
 def render_anf(f: BoolFun6) -> str:
@@ -247,21 +226,12 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
                 if m & x == m:
                     row |= 1 << j
             rows.append(row)
-    from . import gf2
     kernel = gf2.kernel_basis(rows, len(monomials))
     reduced, _ = gf2.rref(kernel, len(monomials))
-    basis = []
-    for vec in reduced:
-        terms = []
-        for j, m in enumerate(monomials):
-            if (vec >> j) & 1:
-                mask = 0
-                for i in range(n):
-                    if (m >> i) & 1:
-                        mask |= 1 << variables[i]
-                terms.append(mask)
-        basis.append(Poly(terms))
-    return AnnihilatorBasis(degree_bound, variables, tuple(basis))
+    masks = monomial_masks(variables)
+    basis = tuple(Poly(masks[m] for j, m in enumerate(monomials) if (vec >> j) & 1)
+                  for vec in reduced)
+    return AnnihilatorBasis(degree_bound, variables, basis)
 
 
 def is_absorber(f: Poly, g: Poly) -> bool:
@@ -287,7 +257,6 @@ def affine_factor_solutions(p: Poly, variables: Sequence[int]):
         return None
     tt = truth_table(p, variables)
     points = [x for x in range(1 << len(variables)) if (tt >> x) & 1]
-    from . import gf2
     return gf2.solve_affine_ones(points, len(variables))
 
 
@@ -301,6 +270,37 @@ def vector_to_affine(vec: int, variables: Sequence[int]) -> Poly:
     return Poly(terms)
 
 
+def affine_span(particular: int, basis: Sequence[int]) -> List[int]:
+    """Every vector particular + (a combination of basis), 2^len(basis) of them."""
+    span = [particular]
+    for b in basis:
+        span += [v ^ b for v in span]
+    return span
+
+
+def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int]]:
+    """(support, vectors) of the nonconstant affine factors of smallest support.
+
+    The affine ell dividing p are exactly those with ell = 1 wherever p = 1
+    (the set 1 + Ann_1(p)); the whole solution span, at most 2^16 vectors
+    within MAX_SPLIT_VARS variables, is searched.  Vectors are over the
+    sorted support of p as in vector_to_affine.  No vectors when p is zero
+    or constant, or has more than MAX_SPLIT_VARS variables.
+    """
+    sup = sorted(p.support())
+    if not sup or len(sup) > MAX_SPLIT_VARS:
+        return sup, []
+    best, out = len(sup) + 1, []
+    # p != 0 here, so the constant 1 makes the system solvable
+    for vec in affine_span(*affine_factor_solutions(p, sup)):
+        weight = (vec >> 1).bit_count()
+        if weight == best:
+            out.append(vec)
+        elif 0 < weight < best:
+            best, out = weight, [vec]
+    return sup, out
+
+
 def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
     """Greedy full split p = product(factors) * residual with affine factors.
 
@@ -310,44 +310,11 @@ def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
     """
     factors: List[Poly] = []
     q = p
-    while True:
-        sup = sorted(q.support())
-        if not sup or len(sup) > MAX_SPLIT_VARS:
-            return factors, q
-        sol = affine_factor_solutions(q, sup)
-        if sol is None:
-            return factors, q
-        particular, homo = sol
-        best = None
-        for vec in _affine_span(particular, homo):
-            if vec in (0, 1):
-                continue  # constants are not useful factors
-            key = ((vec >> 1).bit_count(), vec)
-            if best is None or key < best[0]:
-                best = (key, vec)
-        if best is None:
-            return factors, q
-        ell = vector_to_affine(best[1], sup)
+    while q != ONE:
+        sup, vectors = minimal_affine_factors(q)
+        if not vectors:
+            break
+        ell = vector_to_affine(min(vectors), sup)
         factors.append(ell)
         q = ring.factor_out(q, ell)
-        if q == ONE:
-            return factors, q
-
-
-def _affine_span(particular: int, basis: Sequence[int], limit: int = 1 << 14):
-    if 1 << len(basis) > limit:
-        # too large to enumerate: yield the particular shifted by each
-        # basis vector only
-        yield particular
-        for b in basis:
-            yield particular ^ b
-        return
-    for combo in range(1 << len(basis)):
-        v = particular
-        c, i = combo, 0
-        while c:
-            if c & 1:
-                v ^= basis[i]
-            c >>= 1
-            i += 1
-        yield v
+    return factors, q

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boolfun import BoolFun6
+from .boolfun import FORMAL_VARS, BoolFun6, monomial_masks
 from .ring import (
     F_BIT, K_BIT, L_BIT,
     PLACEHOLDER_W, PLACEHOLDER_X, PLACEHOLDER_Y, PLACEHOLDER_Z,
@@ -182,14 +182,7 @@ MODES = ("placeholder", "expanded", "symbolic")
 
 def _symbolic_instance(args: Sequence[int]) -> Poly:
     """Sum over j of Z_j * (product of the arguments selected by bits of j)."""
-    terms = []
-    for j in range(64):
-        mask = 1 << coef_var(j)
-        for i in range(6):
-            if (j >> i) & 1:
-                mask |= 1 << args[i]
-        terms.append(mask)
-    return Poly(terms)
+    return Poly((1 << coef_var(j)) | m for j, m in enumerate(monomial_masks(args)))
 
 
 @dataclass(frozen=True)
@@ -324,19 +317,10 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6,
         return k_lane if bit == 0 else lanes[bit - 1]
 
     p = w.p
-
-    anf = fun.anf
+    anf = fun.anf_poly()
 
     def z(vals: Sequence[int]) -> int:
-        acc = 0
-        for j in range(64):
-            if (anf >> j) & 1:
-                term = width_mask
-                for i in range(6):
-                    if (j >> i) & 1:
-                        term &= vals[i]
-                acc ^= term
-        return acc
+        return eval_poly_lanes(anf, dict(zip(FORMAL_VARS, vals)), width_mask)
 
     z1 = z([l_lane] + [x(b) for b in p[0:5]])
     z2 = z([x(b) for b in p[6:12]])

@@ -12,12 +12,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import fe as fe_mod
 from . import ring
 from .boolfun import (
-    BoolFun6, affine_factor_solutions, annihilators, random_boolfun,
-    vector_to_affine,
+    BoolFun6, affine_factor_solutions, affine_span, minimal_affine_factors,
+    random_boolfun, vector_to_affine,
 )
 from .cipher import Wiring, round_system
 from .ring import (
-    ONE, PLACEHOLDER_W, PLACEHOLDER_Y, ZERO,
+    ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
     Poly, add, add_many, factor_out, form_var, mul, product, state_var,
     substitute, var,
 )
@@ -280,45 +280,6 @@ class FactorizationTree:
         return frozenset(self.chain()[0])
 
 
-def _affine_candidates(p: Poly) -> List[Poly]:
-    """Nonconstant affine factors of p, from the degree-1 annihilator space.
-
-    Every annihilator ell' of p yields the factor ell'+1; the whole
-    annihilator span is enumerated (the reduced basis alone misses factors
-    that are sums of basis elements), capped at 2^12 elements.  Up to 12
-    variables the basis comes from the annihilator operation; 13..16
-    variables use the truth-table solver, whose homogeneous part is the
-    same space.
-    """
-    sup = sorted(p.support())
-    if not sup or len(sup) > 16:
-        return []
-    if len(sup) <= 12:
-        ann_basis = list(annihilators(p, sup, 1).basis)
-    else:
-        sol = affine_factor_solutions(p, sup)
-        if sol is None:
-            return []
-        ann_basis = [vector_to_affine(b, sup) for b in sol[1]]
-    ann_basis = [b for b in ann_basis if b]
-    out = set()
-    if len(ann_basis) <= 12:
-        for combo in range(1, 1 << len(ann_basis)):
-            acc = ZERO
-            c, i = combo, 0
-            while c:
-                if c & 1:
-                    acc = add(acc, ann_basis[i])
-                c >>= 1
-                i += 1
-            ell = add(acc, ONE)
-            if ell.degree() == 1:
-                out.add(ell)
-    else:
-        out.update(add(b, ONE) for b in ann_basis if add(b, ONE).degree() == 1)
-    return sorted(out, key=lambda q: (len(q.support()), ring.render(q)))
-
-
 def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[FactorizationTree]:
     """Randomized division chains; returns up to max_trees distinct trees.
 
@@ -338,17 +299,14 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         nodes: List[Poly] = []
         node = p
         while True:
-            cands = _affine_candidates(node)
-            if not cands:
+            sup, vectors = minimal_affine_factors(node)
+            if not vectors:
                 break
-            smallest = len(cands[0].support())
-            pool = [c for c in cands if len(c.support()) == smallest]
+            pool = sorted((vector_to_affine(v, sup) for v in vectors), key=ring.render)
             ell = pool[rng.randrange(len(pool))]
             chain.append(ell)
             node = factor_out(node, ell)
             nodes.append(node)
-            if node == ONE:
-                break
         key = (frozenset(chain), node)
         if key in seen:
             continue
@@ -368,25 +326,11 @@ def affine_divisors(p: Poly) -> frozenset:
     sup = sorted(p.support())
     if not sup:
         return frozenset()
-    sol = affine_factor_solutions(p, sup)
-    if sol is None:
-        return frozenset()
-    particular, basis = sol
+    particular, basis = affine_factor_solutions(p, sup)
     if len(basis) > 14:
         raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
-    out = set()
-    for combo in range(1 << len(basis)):
-        v = particular
-        c, i = combo, 0
-        while c:
-            if c & 1:
-                v ^= basis[i]
-            c >>= 1
-            i += 1
-        ell = vector_to_affine(v, sup)
-        if ell.degree() == 1:
-            out.add(ell)
-    return frozenset(out)
+    return frozenset(vector_to_affine(v, sup) for v in affine_span(particular, basis)
+                     if v >> 1)
 
 
 def matches_presentation(tree: FactorizationTree, factors: Sequence[Poly],

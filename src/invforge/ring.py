@@ -253,14 +253,6 @@ def product(ps: Sequence[Poly], budget: int | None = None) -> Poly:
     return acc
 
 
-def support(p: Poly) -> frozenset:
-    return p.support()
-
-
-def degree(p: Poly) -> int:
-    return p.degree()
-
-
 def evaluate(p: Poly, assignment: Mapping[int, int]) -> int:
     return p.evaluate(assignment)
 
@@ -457,8 +449,10 @@ def render(p: Poly) -> str:
     if not p.terms:
         return "0"
     sup = p.support()
-    if any(v >= FORM_BASE for v in sup) and F_BIT in sup:
-        raise ValueError("cannot render a mix of the round bit F and form letters")
+    if any(v >= FORM_BASE for v in sup) and any(
+            v < FORM_BASE and v not in PLACEHOLDERS for v in sup):
+        raise ValueError("cannot render form letters mixed with variables "
+                         "other than Z, Y, X, W: no dialect reads the text back")
     parts = []
     for t in sorted(p.terms, key=lambda t: (-t.bit_count(),) + _mono_key(t)[1:]):
         if t == 0:

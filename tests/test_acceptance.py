@@ -5,6 +5,7 @@ assertion is exact unless stated otherwise.  Stated time budgets are
 expectations; the tests only guard against pathological regressions (5x).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -244,12 +245,26 @@ CORPUS = [
     ("--format", "json-lines", "verify-thm", "--lzs", LZS, "--boolfun", ZREF),
 ]
 
+# sha256 of each CORPUS command's stdout, pinned so that a change to the
+# printed output of any of them fails here, not only a nondeterministic rerun
+CORPUS_STDOUT_SHA256 = [
+    "6e9d3d519888048be3ca03cf1a197f7ddcce9d5c9ff20e423a0a601e0e98691e",
+    "1dafbb99cc8ddf9f2f0aae78e4effba4e01897b15354ca73193cd00a0efc302f",
+    "8c2de81939164176ca79f18bb228b59a10b0df6b6b824bc7cf446d6feaaba2c1",
+    "1e14bcda5fa1251a04bf4784e471966dfff9ca367c769aea0d8a76d42c499801",
+    "94996362b5e9d980e6303cec6adb5acd325180aeba0421ff220821f343986f3b",
+    "3a9a7c462946015eb5656155d545d3c31942d5bb181fa9d119d44749c3ff7e3d",
+    "f37871f65259be9fdfa9930f38d628c00bdc0972ec9dd24577aab95ba1bbfc00",
+    "eecdcf9f059474f1cfe7a0cb5b06c0b77ac27646c9d158c7f8c2f823362fa045",
+]
+
 
 def test_criterion_10_determinism():
     with _Timer(10, "byte-identical reruns", 60):
-        for argv in CORPUS:
+        for argv, digest in zip(CORPUS, CORPUS_STDOUT_SHA256, strict=True):
             runs = [subprocess.run([sys.executable, "-m", "invforge", *argv],
                                    capture_output=True, text=True)
                     for _ in range(2)]
             assert runs[0].stdout == runs[1].stdout, argv
             assert runs[0].returncode == runs[1].returncode, argv
+            assert hashlib.sha256(runs[0].stdout.encode()).hexdigest() == digest, argv

@@ -6,9 +6,11 @@ import pytest
 from invforge import ring
 from invforge.boolfun import (
     BoolFun6, ZERO_FUN, annihilators, affine_split, DegreeBoundError,
-    TooManyVariablesError, is_absorber, load_boolfun, mobius, parse_anf,
-    poly_from_anf_bits, random_boolfun, render_anf, truth_table,
+    TooManyVariablesError, is_absorber, load_boolfun, minimal_affine_factors,
+    mobius, parse_anf, poly_from_anf_bits, random_boolfun, render_anf,
+    truth_table, vector_to_affine,
 )
+from invforge.lab import affine_divisors
 from invforge.ring import ONE, ZERO, add, mul, parse, product, var
 
 
@@ -237,6 +239,31 @@ class TestAffineSplit:
         p = parse("ab+1")
         factors, residual = affine_split(p)
         assert factors == [] and residual == p
+
+    def test_minimal_factors_and_divisors_match_brute_force(self):
+        # oracle: try every affine form over the support, divide by mul
+        rng = random.Random(33)
+        for _ in range(150):
+            variables = sorted(rng.sample(range(10), rng.randrange(1, 7)))
+            p = poly_from_anf_bits(rng.getrandbits(1 << len(variables)), variables)
+            for _ in range(rng.randrange(4)):
+                vec = rng.getrandbits(len(variables) + 1)
+                p = mul(p, vector_to_affine(vec, variables))
+            if not p:
+                continue
+            sup = sorted(p.support())
+            divisors = set()
+            for vec in range(2, 1 << (len(sup) + 1)):
+                ell = vector_to_affine(vec, sup)
+                if not mul(add(ell, ONE), p):
+                    divisors.add(ell)
+            assert affine_divisors(p) == divisors
+            got_sup, vectors = minimal_affine_factors(p)
+            assert got_sup == sup
+            smallest = min((len(d.support()) for d in divisors), default=None)
+            assert ({vector_to_affine(v, sup) for v in vectors}
+                    == {d for d in divisors if len(d.support()) == smallest})
+            assert len(vectors) == len(set(vectors))
 
     def test_truth_table_roundtrip(self):
         rng = random.Random(20)

@@ -5,7 +5,7 @@ import pytest
 from invforge import fe as fe_mod
 from invforge import lab, ring
 from invforge.boolfun import ZERO_FUN, parse_anf, random_boolfun
-from invforge.cipher import random_wiring, round_system
+from invforge.cipher import Wiring, random_wiring, round_system
 from invforge.fe import (
     DEFAULT_BUDGET, NonStateVariableError, build_fe, check_candidate,
     check_invariant_empirically, coefficient_system, substitute_coefficients,
@@ -105,6 +105,20 @@ class TestSymbolic:
         sym = symbolic_fe(p, rs_sym)
         exp = build_fe(p, rs_exp)
         assert substitute_coefficients(sym.fe, zref) == exp.fe
+        # seeded random wirings whose four instances each repeat an argument,
+        # so the expanded ANF merges x*x = x, with random functions
+        for seed in range(4):
+            w = random_wiring(500 + seed)
+            pe = list(w.p)
+            for k in (0, 6, 13, 20):
+                pe[k + 1] = pe[k]
+            w = Wiring(w.d, tuple(pe))
+            fun = random_boolfun(600 + seed)
+            rs_sym = round_system(w, "symbolic")
+            rs_exp = round_system(w, "expanded", fun)
+            for i in range(1, 37):
+                assert (substitute_coefficients(rs_sym.output(i), fun)
+                        == rs_exp.output(i)), (seed, i)
 
     def test_mode_consistency_theorem(self, wiring, zref, invariant_deg7):
         rs_sym = round_system(wiring, "symbolic")

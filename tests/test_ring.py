@@ -75,6 +75,15 @@ class TestParseRender:
         assert ring.F_BIT in parse("F+a", dialect="auto").support()
         assert ring.form_var("F") in parse("F+B", dialect="auto").support()
 
+    def test_render_rejects_unparseable_mix(self):
+        # form letters render back only beside the Z/Y/X/W placeholders
+        forms = parse("AB+Z+W", dialect="forms")
+        assert parse(render(forms), dialect="auto") == forms
+        for other in ("a", "K", "L", "F", "Z07"):
+            mixed = add(parse("A", dialect="forms"), parse(other))
+            with pytest.raises(ValueError):
+                render(mixed)
+
     def test_duplicate_letters_collapse(self):
         assert parse("aa") == parse("a")
         assert parse("a+a") == ZERO
