@@ -48,6 +48,17 @@ def mobius(table: int, n: int = 6) -> int:
     return t & ((1 << (1 << n)) - 1)
 
 
+def _ones(table: int) -> List[int]:
+    """Ascending indices of the 1 bits of a truth table, in one linear scan."""
+    s = bin(table)[::-1]  # s[i] is bit i; the "0b" prefix lands at the end
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
+
+
 def truth_table(p: Poly, variables: Sequence[int]) -> int:
     """Truth table of p over an explicit ordered variable list."""
     n = len(variables)
@@ -219,13 +230,12 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
     tt = truth_table(f, variables)
     monomials = _monomials_up_to(variables, degree_bound)
     rows = []
-    for x in range(1 << n):
-        if (tt >> x) & 1:
-            row = 0
-            for j, m in enumerate(monomials):
-                if m & x == m:
-                    row |= 1 << j
-            rows.append(row)
+    for x in _ones(tt):
+        row = 0
+        for j, m in enumerate(monomials):
+            if m & x == m:
+                row |= 1 << j
+        rows.append(row)
     kernel = gf2.kernel_basis(rows, len(monomials))
     reduced, _ = gf2.rref(kernel, len(monomials))
     masks = monomial_masks(variables)
@@ -245,18 +255,15 @@ def is_absorber(f: Poly, g: Poly) -> bool:
 MAX_SPLIT_VARS = 16
 
 
-def affine_factor_solutions(p: Poly, variables: Sequence[int]):
+def affine_factor_solutions(p: Poly, variables: Sequence[int]) -> Tuple[int, List[int]]:
     """(particular, homogeneous basis) of affine ell with ell = 1 on supp(p).
 
     Every such ell satisfies (ell+1)*p = 0, i.e. ell is an affine factor of
-    p.  Solution vectors use bit 0 for the constant term.  None when p = 0
-    or no affine form is 1 on the whole support.
+    p.  Solution vectors use bit 0 for the constant term.  The constant 1
+    always qualifies; for p = 0 every affine form does.
     """
     variables = tuple(sorted(variables))
-    if not p.terms:
-        return None
-    tt = truth_table(p, variables)
-    points = [x for x in range(1 << len(variables)) if (tt >> x) & 1]
+    points = _ones(truth_table(p, variables))
     return gf2.solve_affine_ones(points, len(variables))
 
 
@@ -291,7 +298,6 @@ def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int]]:
     if not sup or len(sup) > MAX_SPLIT_VARS:
         return sup, []
     best, out = len(sup) + 1, []
-    # p != 0 here, so the constant 1 makes the system solvable
     for vec in affine_span(*affine_factor_solutions(p, sup)):
         weight = (vec >> 1).bit_count()
         if weight == best:

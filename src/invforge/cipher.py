@@ -10,7 +10,7 @@ from .boolfun import FORMAL_VARS, BoolFun6, monomial_masks
 from .ring import (
     F_BIT, K_BIT, L_BIT,
     PLACEHOLDER_W, PLACEHOLDER_X, PLACEHOLDER_Y, PLACEHOLDER_Z,
-    Poly, add_many, coef_var, state_var, var,
+    ZERO, Poly, add, coef_var, state_var, var,
 )
 
 NONTRIVIAL = (33, 29, 25, 21, 17, 13, 9, 5, 1)
@@ -228,26 +228,17 @@ def round_system(w: Wiring, mode: str = "placeholder",
     def xin(bit: int) -> Poly:
         return var(K_BIT) if bit == 0 else var(state_var(bit))
 
-    F = var(F_BIT)
-    L = var(L_BIT)
     outputs: List[Poly] = [None] * 36  # type: ignore[list-item]
     for i in range(1, 36):
         if i % 4 != 0:
             outputs[i + 1 - 1] = var(state_var(i))
-    prefix = {
-        33: [F],
-        29: [F, inst[0]],
-        25: [F, inst[0], xin(w.P(6))],
-        21: [F, inst[0], xin(w.P(6)), inst[1]],
-        17: [F, inst[0], xin(w.P(6)), inst[1], xin(w.P(13))],
-        13: [F, inst[0], xin(w.P(6)), inst[1], xin(w.P(13)), L, inst[2]],
-        9: [F, inst[0], xin(w.P(6)), inst[1], xin(w.P(13)), L, inst[2], xin(w.P(20))],
-        5: [F, inst[0], xin(w.P(6)), inst[1], xin(w.P(13)), L, inst[2], xin(w.P(20)), inst[3]],
-        1: [F, inst[0], xin(w.P(6)), inst[1], xin(w.P(13)), L, inst[2], xin(w.P(20)), inst[3],
-            xin(w.P(27))],
-    }
-    for k, i in enumerate(NONTRIVIAL):
-        outputs[i - 1] = add_many(prefix[i] + [xin(w.D(9 - k))])
+    # y33, y29, ..., y1 as in step(): a running sum plus one D input each
+    added = (ZERO, inst[0], xin(w.P(6)), inst[1], xin(w.P(13)),
+             add(var(L_BIT), inst[2]), xin(w.P(20)), inst[3], xin(w.P(27)))
+    acc = var(F_BIT)
+    for k, (i, term) in enumerate(zip(NONTRIVIAL, added)):
+        acc = add(acc, term)
+        outputs[i - 1] = add(acc, xin(w.D(9 - k)))
     return RoundSystem(w, mode, tuple(outputs), fun)
 
 

@@ -61,7 +61,7 @@ def _fe_record(report: fe_mod.FeReport) -> dict:
         "mode": report.mode,
         "terms": len(report.fe),
         "degree": report.fe.degree(),
-        "fe": ring.render(report.fe) if len(report.fe) <= 512 else None,
+        "fe": ring.render(report.fe) if len(report.fe) <= fe_mod.MAX_RENDER_TERMS else None,
     }
 
 
@@ -173,8 +173,7 @@ def cmd_factor(args, out: _Output) -> int:
     lines = []
     seen_sets = set()
     for i, tree in enumerate(trees):
-        chain, _ = tree.chain()
-        fs = tuple(sorted(ring.render(f) for f in chain))
+        fs = tuple(sorted(ring.render(f) for f in tree.factors))
         seen_sets.add(fs)
         records.append({"factors": list(fs), "leaf": ring.render(tree.leaf),
                         "verified": tree.verify()})

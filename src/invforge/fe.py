@@ -12,6 +12,7 @@ from .cipher import RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
 from .ring import COEF_BASE, N_STATE, Poly, add, coef_var, substitute
 
 DEFAULT_BUDGET = 1 << 22
+MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
 
 
 class NonStateVariableError(ValueError):
@@ -33,7 +34,7 @@ class FeReport:
         out = []
         if self.is_zero:
             out.append("fe = 0")
-        elif len(self.fe) <= 512:
+        elif len(self.fe) <= MAX_RENDER_TERMS:
             out.append("fe = %s" % ring.render(self.fe))
         else:
             out.append("fe = <%d terms, degree %d>" % (len(self.fe), self.fe.degree()))
@@ -63,14 +64,14 @@ def _substituted(p: Poly, sub: Dict[int, Poly], budget: Optional[int]) -> Poly:
 
     Product-shaped candidates are split into affine factors first, so the
     image is a product of small factor images instead of one large
-    monomial-by-monomial expansion.
+    monomial-by-monomial expansion; affine_split leaves P whole when it
+    has more than MAX_SPLIT_VARS variables.
     """
-    if len(p) > 4 and len(p.support()) <= 16:
-        factors, residual = affine_split(p)
-        if factors:
-            parts = [substitute(f, sub, budget) for f in factors]
-            parts.append(substitute(residual, sub, budget))
-            return ring.product(parts, budget)
+    factors, residual = affine_split(p)
+    if factors:
+        parts = [substitute(f, sub, budget) for f in factors]
+        parts.append(substitute(residual, sub, budget))
+        return ring.product(parts, budget)
     return substitute(p, sub, budget)
 
 

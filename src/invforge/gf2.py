@@ -47,25 +47,15 @@ def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
     return basis
 
 
-def solve_affine_ones(points: Sequence[int], nvars: int):
+def solve_affine_ones(points: Sequence[int], nvars: int) -> Tuple[int, List[int]]:
     """Solutions c = (c0, c1..cn) of c0 + sum(c_i * x_i) = 1 on every point.
 
     Points are variable bitmasks; vectors use bit 0 for the constant and
-    bit i+1 for variable i.  Returns (particular, homogeneous_basis), or
-    None when the system is unsolvable.
+    bit i+1 for variable i.  The constant form 1 solves every such system,
+    so the solutions are 1 + the homogeneous kernel: returns
+    (1, homogeneous_basis).
     """
-    ncols = nvars + 1
-    rows = [((x << 1) | 1) for x in points]
-    # Append the all-ones target as an extra column; solutions of the
-    # augmented homogeneous system that use it give particular solutions.
-    aug = [r | (1 << ncols) for r in rows]
-    for v in kernel_basis(aug, ncols + 1):
-        if v & (1 << ncols):
-            particular = v & ((1 << ncols) - 1)
-            break
-    else:
-        return None
-    return particular, kernel_basis(rows, ncols)
+    return 1, kernel_basis([(x << 1) | 1 for x in points], nvars + 1)
 
 
 def mat_vec(rows: Sequence[int], v: int) -> int:

@@ -4,10 +4,9 @@ factorization explorer and random function search."""
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import fe as fe_mod
 from . import ring
@@ -242,83 +241,69 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
 # Non-unique factorization explorer.
 
 @dataclass(frozen=True)
-class FactorizationTree:
-    """One discovered factorization chain.
+class Factorization:
+    """One division chain: root = factors[0] * ... * factors[-1] * leaf.
 
-    branches holds at most one (affine factor, quotient subtree) pair;
-    distinct trees over the same root witness non-unique factorization.
+    nodes[k] is the quotient left after dividing out factors[:k+1];
+    distinct chains over the same root witness non-unique factorization.
     """
 
     root: Poly
-    branches: Tuple[Tuple[Poly, "FactorizationTree"], ...]
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.branches
-
-    def chain(self) -> Tuple[List[Poly], List[Poly]]:
-        """(recorded factors, quotient polynomial after each division)."""
-        factors, nodes = [], []
-        t = self
-        while t.branches:
-            ell, sub = t.branches[0]
-            factors.append(ell)
-            nodes.append(sub.root)
-            t = sub
-        return factors, nodes
+    factors: Tuple[Poly, ...]
+    nodes: Tuple[Poly, ...]
 
     @property
     def leaf(self) -> Poly:
-        factors, nodes = self.chain()
-        return nodes[-1] if nodes else self.root
+        return self.nodes[-1] if self.nodes else self.root
 
     def verify(self) -> bool:
-        factors, _ = self.chain()
-        return product(factors + [self.leaf]) == self.root
+        return product(self.factors + (self.leaf,)) == self.root
 
     def factor_set(self) -> frozenset:
-        return frozenset(self.chain()[0])
+        return frozenset(self.factors)
 
 
-def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[FactorizationTree]:
-    """Randomized division chains; returns up to max_trees distinct trees.
+def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factorization]:
+    """Randomized division chains; returns up to max_trees distinct chains.
 
     At each node one factor is drawn uniformly from the minimal-support
     affine candidates and divided out; a polynomial with no affine factor
-    yields a single-leaf tree.  Every tree re-verifies by multiplication.
+    yields a single chain with no factors.  Every chain re-verifies by
+    multiplication.  The candidates of each distinct node are computed once.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(seed)
+    pools: Dict[Poly, List[Poly]] = {}
     seen = set()
-    trees: List[FactorizationTree] = []
+    found: List[Factorization] = []
     for _ in range(max(8 * max_trees, 16)):
-        if len(trees) >= max_trees:
+        if len(found) >= max_trees:
             break
-        chain: List[Poly] = []
+        factors: List[Poly] = []
         nodes: List[Poly] = []
         node = p
         while True:
-            sup, vectors = minimal_affine_factors(node)
-            if not vectors:
+            if node not in pools:
+                sup, vectors = minimal_affine_factors(node)
+                pools[node] = sorted((vector_to_affine(v, sup) for v in vectors),
+                                     key=ring.render)
+            pool = pools[node]
+            if not pool:
                 break
-            pool = sorted((vector_to_affine(v, sup) for v in vectors), key=ring.render)
             ell = pool[rng.randrange(len(pool))]
-            chain.append(ell)
+            factors.append(ell)
             node = factor_out(node, ell)
             nodes.append(node)
-        key = (frozenset(chain), node)
+        key = (frozenset(factors), node)
         if key in seen:
             continue
         seen.add(key)
-        tree = FactorizationTree(node, ())
-        for ell, q in zip(reversed(chain), reversed([p] + nodes[:-1])):
-            tree = FactorizationTree(q, ((ell, tree),))
-        assert tree.root == p
-        if not tree.verify():  # pragma: no cover - factor_out re-checks
+        chain = Factorization(p, tuple(factors), tuple(nodes))
+        if not chain.verify():  # pragma: no cover - factor_out re-checks
             continue
-        trees.append(tree)
-    return trees
+        found.append(chain)
+    return found
 
 
 def affine_divisors(p: Poly) -> frozenset:
@@ -333,21 +318,20 @@ def affine_divisors(p: Poly) -> frozenset:
                      if v >> 1)
 
 
-def matches_presentation(tree: FactorizationTree, factors: Sequence[Poly],
+def matches_presentation(chain: Factorization, factors: Sequence[Poly],
                          bracket: Poly) -> bool:
-    """Does some division prefix of the tree realize a printed factorization?
+    """Does some division prefix of the chain realize a printed factorization?
 
     A prefix matches when its quotient equals the printed cofactor and the
     affine divisors of the prefix product are exactly the printed factor
     set (printed presentations list dependent factors, e.g. three pairwise
     sums whose product equals that of any two of them).
     """
-    chain, nodes = tree.chain()
     want = frozenset(factors)
-    for k in range(1, len(chain) + 1):
-        if nodes[k - 1] != bracket:
+    for k in range(1, len(chain.factors) + 1):
+        if chain.nodes[k - 1] != bracket:
             continue
-        if affine_divisors(product(chain[:k])) == want:
+        if affine_divisors(product(chain.factors[:k])) == want:
             return True
     return False
 
@@ -394,45 +378,19 @@ def is_hit(w: Wiring, P: Poly, fun: BoolFun6, screen_seed: int = 0) -> bool:
     return fe_mod.build_fe(P, round_system(w, "expanded", fun)).is_zero
 
 
-def _search_trial(args) -> Optional[Tuple[int, int]]:
-    w, P, seed, idx = args
-    fun = random_boolfun(seed + idx)
-    if is_hit(w, P, fun, screen_seed=seed ^ 0x5EED ^ idx):
-        return (idx, fun.tt)
-    return None
-
-
-def thread_count() -> int:
-    try:
-        n = int(os.environ.get("INVFORGE_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def search_random_functions(w: Wiring, P: Poly, trials: int, seed: int,
-                            threads: Optional[int] = None) -> SearchReport:
+def search_random_functions(w: Wiring, P: Poly, trials: int, seed: int) -> SearchReport:
     """Seeded stream of random functions; a hit is an exact FE = 0 verdict.
 
-    Trial i uses the function seeded by seed+i, so results are independent
-    of the worker count and byte-reproducible.
+    Trial i uses the function seeded by seed+i, so results are
+    byte-reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     fe_mod._check_state_only(P)
-    if threads is None:
-        threads = thread_count()
-    jobs = [(w, P, seed, i) for i in range(trials)]
-    results: List[Optional[Tuple[int, int]]] = []
-    if threads > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_search_trial, jobs, chunksize=64))
-        except OSError:
-            results = [_search_trial(j) for j in jobs]
-    else:
-        results = [_search_trial(j) for j in jobs]
-    hits = tuple(r for r in results if r is not None)
+    hits = []
+    for i in range(trials):
+        fun = random_boolfun(seed + i)
+        if is_hit(w, P, fun, screen_seed=seed ^ 0x5EED ^ i):
+            hits.append((i, fun.tt))
     lo, hi = wilson_interval(len(hits), trials)
-    return SearchReport(trials, hits, len(hits) / trials, lo, hi)
+    return SearchReport(trials, tuple(hits), len(hits) / trials, lo, hi)

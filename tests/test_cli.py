@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import invforge
 from invforge.data import fixture_path
 
 LZS = fixture_path("lzs-265-like.cfg")
@@ -14,12 +16,9 @@ MU = fixture_path("mu.poly")
 INV827 = fixture_path("invariant-827.poly")
 
 
-def run_cli(*args, stdin=None, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "invforge", *args],
-                          capture_output=True, text=True, input=stdin, env=env)
+                          capture_output=True, text=True, input=stdin)
 
 
 class TestVerdictsAndExitCodes:
@@ -166,17 +165,20 @@ class TestDeterminism:
         ("fe", "--lzs", LZS, "--invariant", INV827, "--symbolic"),
     ]
 
+    def test_package_reads_no_environment_variable(self):
+        # output depends on the flags and the input files alone
+        pkg = os.path.dirname(invforge.__file__)
+        sources = [os.path.join(base, f) for base, _dirs, files in os.walk(pkg)
+                   for f in files if f.endswith(".py")]
+        assert len(sources) >= 10
+        for path in sources:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert not re.search(r"\b(environ|getenv|putenv)\b", text), path
+
     @pytest.mark.parametrize("argv", CORPUS, ids=lambda a: a[0].lstrip("-"))
     def test_byte_identical_reruns(self, argv):
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
-
-    def test_thread_count_does_not_change_output(self):
-        argv = ("search", "--lzs", LZS, "--invariant", INV827,
-                "--trials", "8", "--seed", "2")
-        seq = run_cli(*argv, env_extra={"INVFORGE_THREADS": "1"})
-        par = run_cli(*argv, env_extra={"INVFORGE_THREADS": "2"})
-        assert seq.stdout == par.stdout
-        assert seq.returncode == par.returncode

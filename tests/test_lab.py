@@ -3,11 +3,11 @@ import random
 import pytest
 
 from invforge import lab, ring
-from invforge.boolfun import parse_anf, random_boolfun
+from invforge.boolfun import minimal_affine_factors, parse_anf, random_boolfun
 from invforge.cipher import Wiring, random_wiring, round_system
 from invforge.fe import build_fe
 from invforge.lab import (
-    FactorizationTree, HypothesisError, affine_divisors,
+    HypothesisError, affine_divisors,
     alternate_invariant, core_factorization_a, core_factorization_b,
     core_product_forms, expand_forms, explore_factorizations, final_bracket,
     form_bank, matches_presentation, product_invariant, search_random_functions,
@@ -144,8 +144,8 @@ class TestFactorExplorer:
     def test_affine_root(self):
         trees = explore_factorizations(parse("a+b"), 4, seed=0)
         assert len(trees) == 1
-        factors, _ = trees[0].chain()
-        assert factors == [parse("a+b")]
+        assert trees[0].factors == (parse("a+b"),)
+        assert trees[0].nodes == (ONE,)
         assert trees[0].leaf == ONE
 
     def test_no_affine_factor_single_leaf(self):
@@ -169,10 +169,36 @@ class TestFactorExplorer:
                     break
             trees = explore_factorizations(p, 4, seed=3)
             if has_affine:
-                assert all(t.branches for t in trees)
+                assert all(t.factors for t in trees)
             else:
-                assert len(trees) == 1 and trees[0].is_leaf
+                assert len(trees) == 1 and trees[0].factors == ()
+                assert trees[0].leaf == p
                 checked += 1
+
+    def test_each_node_is_the_previous_quotient(self):
+        mu = core_product_forms()
+        for t in explore_factorizations(mu, 8, seed=4):
+            assert len(t.nodes) == len(t.factors)
+            for prev, ell, node in zip((t.root,) + t.nodes, t.factors, t.nodes):
+                assert mul(ell, node) == prev
+
+    @pytest.mark.parametrize("text,trees", [("mu", 8), ("abcdefgh", 8), ("deg7", 2)])
+    def test_candidates_computed_once_per_node(self, monkeypatch, invariant_deg7,
+                                               text, trees):
+        named = {"mu": core_product_forms(), "deg7": invariant_deg7}
+        p = named[text] if text in named else parse(text)
+        calls = []
+
+        def counting(node):
+            calls.append(node)
+            return minimal_affine_factors(node)
+
+        monkeypatch.setattr(lab, "minimal_affine_factors", counting)
+        found = explore_factorizations(p, trees, seed=1)
+        assert found
+        visited = {n for t in found for n in (t.root,) + t.nodes}
+        assert visited <= set(calls)
+        assert len(calls) == len(set(calls))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -200,8 +226,7 @@ class TestFactorExplorer:
         trees = explore_factorizations(invariant_deg7, 3, seed=2)
         assert trees
         for t in trees:
-            factors, _ = t.chain()
-            assert len(factors) == 7
+            assert len(t.factors) == 7
             assert t.leaf == ONE
             assert t.verify()
         assert len({t.factor_set() for t in trees}) == len(trees)

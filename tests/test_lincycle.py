@@ -264,6 +264,23 @@ class TestGf2:
             rows += rows[:rng.randint(0, 3)]
             assert gf2.rref(rows, ncols) == _rref_by_columns(rows, ncols)
 
+    def test_solve_affine_ones_span_matches_brute_force(self):
+        rng = random.Random(71)
+        for trial in range(120):
+            nvars = rng.randrange(0, 6)
+            if trial == 0:
+                points = []
+            else:
+                points = rng.sample(range(1 << nvars), rng.randrange(0, (1 << nvars) + 1))
+            want = {c for c in range(1 << (nvars + 1))
+                    if all((c ^ ((c >> 1) & x).bit_count()) & 1 for x in points)}
+            particular, basis = gf2.solve_affine_ones(points, nvars)
+            span = {particular}
+            for b in basis:
+                span |= {v ^ b for v in span}
+            assert span == want
+            assert len(want) == 1 << len(basis)
+
 
 class TestWeights:
     def test_constant_orbit(self):
