@@ -8,20 +8,22 @@ are written a..f, reusing the first six state letters as ring variables.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from . import gf2, ring
-from .ring import ONE, Poly, mul
+from .ring import ONE, Poly, _ones, anf_bits, mobius, mul, poly_from_anf_bits
 
 FORMAL_VARS = tuple(range(6))  # VarIds of a..f
 
-MAX_ANNIHILATOR_VARS = 12
+# Entries (support points x monomials) of the largest annihilator system: the
+# largest one a 12-variable cap admitted, 2^12 points by 2^12 monomials.
+MAX_ANNIHILATOR_SYSTEM = 1 << 24
 
 
-class TooManyVariablesError(ValueError):
+class SystemTooLargeError(ValueError):
     pass
 
 
@@ -29,74 +31,9 @@ class DegreeBoundError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _zero_bit_mask(i: int, n: int) -> int:
-    """Bitmask of point indices whose i-th input bit is 0."""
-    step = 1 << i
-    block = (1 << step) - 1
-    out = 0
-    for start in range(0, 1 << n, 2 * step):
-        out |= block << start
-    return out
-
-
-def mobius(table: int, n: int = 6) -> int:
-    """Binary Moebius transform (truth table <-> ANF); an involution."""
-    t = table
-    for i in range(n):
-        t ^= (t & _zero_bit_mask(i, n)) << (1 << i)
-    return t & ((1 << (1 << n)) - 1)
-
-
-def _ones(table: int) -> List[int]:
-    """Ascending indices of the 1 bits of a truth table, in one linear scan."""
-    s = bin(table)[::-1]  # s[i] is bit i; the "0b" prefix lands at the end
-    out = []
-    i = s.find("1")
-    while i >= 0:
-        out.append(i)
-        i = s.find("1", i + 1)
-    return out
-
-
 def truth_table(p: Poly, variables: Sequence[int]) -> int:
     """Truth table of p over an explicit ordered variable list."""
-    n = len(variables)
-    pos = {v: i for i, v in enumerate(variables)}
-    anf = 0
-    for t in p.terms:
-        idx = 0
-        m = t
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if v not in pos:
-                raise ValueError("polynomial uses %s outside the declared variables"
-                                 % ring.var_name(v))
-            idx |= 1 << pos[v]
-            m ^= low
-        anf ^= 1 << idx
-    return mobius(anf, n)
-
-
-def monomial_masks(variables: Sequence[int]) -> List[int]:
-    """Monomial bitmask of every ANF index: entry idx is the product of the
-    variables[i] selected by the bits i of idx.
-
-    A variable listed twice yields equal masks (x*x = x); Poly() then
-    cancels them mod 2.
-    """
-    masks = [0]
-    for v in variables:
-        bit = 1 << v
-        masks += [m | bit for m in masks]
-    return masks
-
-
-def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
-    """Polynomial over the given variables from an ANF coefficient vector."""
-    return Poly(m for idx, m in enumerate(monomial_masks(variables))
-                if (anf >> idx) & 1)
+    return mobius(anf_bits(p, variables), len(variables))
 
 
 class BoolFun6:
@@ -199,15 +136,17 @@ class AnnihilatorBasis:
         return len(self.basis)
 
 
-def _monomials_up_to(variables: Sequence[int], bound: int) -> List[int]:
-    """Variable-index subsets of size <= bound in graded-lex order."""
+def _monomials_up_to(variables: Sequence[int], bound: int) -> List[Tuple[int, int]]:
+    """(ANF index, monomial mask) of each variable subset of size <= bound,
+    in graded-lex order."""
     out = []
     for d in range(bound + 1):
         for combo in itertools.combinations(range(len(variables)), d):
-            idx = 0
+            idx = mask = 0
             for i in combo:
                 idx |= 1 << i
-            out.append(idx)
+                mask |= 1 << variables[i]
+            out.append((idx, mask))
     return out
 
 
@@ -216,30 +155,38 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
 
     Works on the truth table of f over the declared (ordered-by-VarId)
     variable set: g annihilates f iff g vanishes on every point where
-    f is 1.  The basis is returned in reduced row echelon form over the
-    graded-lex monomial ordering.
+    f is 1, one row per support point and one column per monomial.  The
+    basis is returned in reduced row echelon form over the graded-lex
+    monomial ordering.  Raises SystemTooLargeError when that system has
+    more than MAX_ANNIHILATOR_SYSTEM entries, or the truth table it is read
+    from more than 2^MAX_DENSE_VARS points.
     """
     variables = tuple(sorted(variables))
     n = len(variables)
-    if n > MAX_ANNIHILATOR_VARS:
-        raise TooManyVariablesError("%d variables exceed the %d-variable limit"
-                                    % (n, MAX_ANNIHILATOR_VARS))
     if degree_bound > n:
         raise DegreeBoundError("degree bound %d exceeds %d variables"
                                % (degree_bound, n))
-    tt = truth_table(f, variables)
+    if n > ring.MAX_DENSE_VARS:
+        raise SystemTooLargeError("truth table of 2^%d points exceeds the 2^%d-point limit"
+                                  % (n, ring.MAX_DENSE_VARS))
+    points = _ones(truth_table(f, variables))
+    ncols = sum(math.comb(n, d) for d in range(degree_bound + 1))
+    if len(points) * ncols > MAX_ANNIHILATOR_SYSTEM:
+        raise SystemTooLargeError(
+            "linear system of %d support points x %d monomials = %d entries "
+            "exceeds the %d-entry limit"
+            % (len(points), ncols, len(points) * ncols, MAX_ANNIHILATOR_SYSTEM))
     monomials = _monomials_up_to(variables, degree_bound)
     rows = []
-    for x in _ones(tt):
+    for x in points:
         row = 0
-        for j, m in enumerate(monomials):
+        for j, (m, _) in enumerate(monomials):
             if m & x == m:
                 row |= 1 << j
         rows.append(row)
-    kernel = gf2.kernel_basis(rows, len(monomials))
-    reduced, _ = gf2.rref(kernel, len(monomials))
-    masks = monomial_masks(variables)
-    basis = tuple(Poly(masks[m] for j, m in enumerate(monomials) if (vec >> j) & 1)
+    kernel = gf2.kernel_basis(rows, ncols)
+    reduced, _ = gf2.rref(kernel, ncols)
+    basis = tuple(Poly(mask for j, (_, mask) in enumerate(monomials) if (vec >> j) & 1)
                   for vec in reduced)
     return AnnihilatorBasis(degree_bound, variables, basis)
 

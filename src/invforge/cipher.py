@@ -6,11 +6,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boolfun import FORMAL_VARS, BoolFun6, monomial_masks
+from .boolfun import FORMAL_VARS, BoolFun6
 from .ring import (
     F_BIT, K_BIT, L_BIT,
     PLACEHOLDER_W, PLACEHOLDER_X, PLACEHOLDER_Y, PLACEHOLDER_Z,
-    ZERO, Poly, add, coef_var, state_var, var,
+    ZERO, Poly, add, coef_var, monomial_masks, state_var, var,
 )
 
 NONTRIVIAL = (33, 29, 25, 21, 17, 13, 9, 5, 1)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, List, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
 # Variable universe.
@@ -180,12 +181,7 @@ class Poly:
         mask = 0
         for t in self.terms:
             mask |= t
-        out = set()
-        while mask:
-            low = mask & -mask
-            out.add(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(out)
+        return frozenset(_bits(mask))
 
     def evaluate(self, assignment: Mapping[int, int]) -> int:
         """GF(2) value under a total assignment of the support."""
@@ -244,13 +240,141 @@ def mul(p: Poly, q: Poly, budget: int | None = None) -> Poly:
 
 
 def product(ps: Sequence[Poly], budget: int | None = None) -> Poly:
-    """Product of several polynomials, smallest factors first."""
-    if not ps:
-        return ONE
+    """Product of several polynomials.
+
+    Over n <= MAX_DENSE_VARS variables, when the 2^n-bit table is smaller
+    than the number of term pairs a sparse fold could form, the factors'
+    truth tables are ANDed and transformed back to the ANF; otherwise the
+    factors are multiplied smallest first.  The ANF is unique, so both
+    give the same Poly.  The dense branch checks the budget against the
+    result only; the sparse fold also against each intermediate.
+    """
+    ps = ps or [ONE]  # the empty product, checked against the budget too
+    support, pairs = 0, 1
+    for p in ps:
+        pairs *= len(p.terms)
+        for t in p.terms:
+            support |= t
+    n = support.bit_count()
+    if n <= MAX_DENSE_VARS and 1 << n < pairs:
+        return _dense_product(ps, _bits(support), budget)
     acc = ONE
     for p in sorted(ps, key=len):
         acc = mul(acc, p, budget)
     return acc
+
+
+def _dense_product(ps: Sequence[Poly], variables: Sequence[int],
+                   budget: int | None = None) -> Poly:
+    """Product as the AND of truth tables over variables, which must hold
+    every factor's support."""
+    n = len(variables)
+    table = (1 << (1 << n)) - 1
+    for p in ps:
+        table &= mobius(anf_bits(p, variables), n)
+    anf = mobius(table, n)
+    if budget is not None and anf.bit_count() > budget:
+        raise TermBudgetError(budget)
+    return poly_from_anf_bits(anf, variables)
+
+
+# ---------------------------------------------------------------------------
+# Dense view.  Over an ordered list of n variables a polynomial is its
+# 2^n-bit ANF coefficient vector: bit idx stands for the monomial of the
+# variables[i] selected by the bits i of idx.  The Moebius transform maps
+# that vector to the truth table (bit x = value at the point whose input
+# i is bit i of x) and back.
+
+MAX_DENSE_VARS = 20
+
+
+def _bits(mask: int) -> List[int]:
+    """Ascending positions of the 1 bits of a (small) mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _zero_bit_mask(i: int, n: int) -> int:
+    """Bitmask of point indices whose i-th input bit is 0."""
+    step = 1 << i
+    out, width = (1 << step) - 1, 2 * step
+    while width < 1 << n:
+        out |= out << width
+        width *= 2
+    return out
+
+
+def mobius(table: int, n: int = 6) -> int:
+    """Binary Moebius transform (truth table <-> ANF); an involution."""
+    t = table
+    for i in range(n):
+        t ^= (t & _zero_bit_mask(i, n)) << (1 << i)
+    return t & ((1 << (1 << n)) - 1)
+
+
+def _ones(table: int) -> List[int]:
+    """Ascending indices of the 1 bits of a truth table, in one linear scan."""
+    s = bin(table)[::-1]  # s[i] is bit i; the "0b" prefix lands at the end
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
+
+
+def monomial_masks(variables: Sequence[int]) -> List[int]:
+    """Monomial bitmask of every ANF index: entry idx is the product of the
+    variables[i] selected by the bits i of idx.
+
+    A variable listed twice yields equal masks (x*x = x); Poly() then
+    cancels them mod 2.
+    """
+    masks = [0]
+    for v in variables:
+        bit = 1 << v
+        masks += [m | bit for m in masks]
+    return masks
+
+
+def anf_bits(p: Poly, variables: Sequence[int]) -> int:
+    """ANF coefficient vector of p over an ordered variable list."""
+    pos = {v: 1 << i for i, v in enumerate(variables)}
+    buf = bytearray(((1 << len(variables)) + 7) >> 3)
+    for t in p.terms:
+        idx = 0
+        while t:
+            low = t & -t
+            bit = pos.get(low.bit_length() - 1)
+            if bit is None:
+                raise ValueError("polynomial uses %s outside the declared variables"
+                                 % var_name(low.bit_length() - 1))
+            idx |= bit
+            t ^= low
+        buf[idx >> 3] |= 1 << (idx & 7)
+    return int.from_bytes(buf, "little")
+
+
+def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
+    """Polynomial over the given variables from an ANF coefficient vector.
+
+    The set indices come from one scan; each is decoded by two lookups in
+    tables over the low and the high half of the variables.
+    """
+    n = len(variables)
+    h = n // 2
+    low, high = monomial_masks(variables[:h]), monomial_masks(variables[h:])
+    low_mask = (1 << h) - 1
+    terms = [low[i & low_mask] | high[i >> h]
+             for i in _ones(anf & ((1 << (1 << n)) - 1))]
+    if len(set(variables)) == n:
+        return Poly._raw(frozenset(terms))
+    return Poly(terms)
 
 
 def evaluate(p: Poly, assignment: Mapping[int, int]) -> int:

@@ -6,7 +6,7 @@ import pytest
 from invforge import ring
 from invforge.boolfun import (
     BoolFun6, ZERO_FUN, annihilators, affine_split, DegreeBoundError,
-    TooManyVariablesError, is_absorber, load_boolfun, minimal_affine_factors,
+    SystemTooLargeError, is_absorber, load_boolfun, minimal_affine_factors,
     mobius, parse_anf, poly_from_anf_bits, random_boolfun, render_anf,
     truth_table, vector_to_affine,
 )
@@ -158,8 +158,12 @@ class TestAnnihilators:
             annihilators(parse("a"), [0], 2)
 
     def test_too_many_variables(self):
-        with pytest.raises(TooManyVariablesError):
-            annihilators(parse("a"), list(range(13)), 1)
+        # the limit is on the size of the system, not on the variable count
+        with pytest.raises(SystemTooLargeError, match=r"2\^25 points"):
+            annihilators(parse("a"), list(range(25)), 1)
+        with pytest.raises(SystemTooLargeError, match="32768 support points x 65536"):
+            annihilators(parse("a"), list(range(16)), 16)
+        assert annihilators(parse("a"), list(range(13)), 1).basis == (parse("a+1"),)
 
     def test_unused_variables_allowed(self):
         basis = annihilators(parse("a"), [0, 1, 2], 1)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import invforge
+from invforge.boolfun import affine_factor_solutions
 from invforge.data import fixture_path
 
 LZS = fixture_path("lzs-265-like.cfg")
@@ -85,6 +86,14 @@ class TestVerdictsAndExitCodes:
         r = run_cli("annihilators", "--poly", str(p), "--degree", "1")
         assert r.returncode == 0
         assert "dimension = 2" in r.stdout
+
+    def test_annihilators_of_the_sixteen_variable_invariant(self, invariant_deg7):
+        # the affine factors of P are 1 + Ann_1(P)
+        r = run_cli("annihilators", "--poly", INV7, "--degree", "1")
+        assert r.returncode == 0
+        _, basis = affine_factor_solutions(invariant_deg7, sorted(invariant_deg7.support()))
+        assert "dimension = %d" % len(basis) in r.stdout.splitlines()
+        assert len(basis) > 0
 
     def test_factor_finds_distinct_sets(self):
         r = run_cli("factor", "--poly", MU, "--trees", "8", "--seed", "1")

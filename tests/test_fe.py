@@ -1,17 +1,18 @@
+import functools
 import random
 
 import pytest
 
 from invforge import fe as fe_mod
 from invforge import lab, ring
-from invforge.boolfun import ZERO_FUN, parse_anf, random_boolfun
+from invforge.boolfun import ZERO_FUN, affine_split, parse_anf, random_boolfun
 from invforge.cipher import Wiring, random_wiring, round_system
 from invforge.fe import (
     DEFAULT_BUDGET, NonStateVariableError, build_fe, check_candidate,
     check_invariant_empirically, coefficient_system, substitute_coefficients,
     symbolic_fe,
 )
-from invforge.ring import TermBudgetError, add, mul, parse, substitute, var
+from invforge.ring import ONE, TermBudgetError, add, mul, parse, substitute, var
 
 
 class TestBuildFe:
@@ -53,6 +54,42 @@ class TestBuildFe:
             fast = fe_mod._substituted(p, sub, None)
             plain = substitute(p, sub)
             assert fast == plain
+
+    def test_matches_sparse_oracle_on_both_product_branches(
+            self, wiring, zref, invariant_deg7, monkeypatch):
+        # oracle: substitute each affine-split factor, fold the images with mul
+        dense_calls = []
+        real = ring._dense_product
+        monkeypatch.setattr(ring, "_dense_product",
+                            lambda *args: dense_calls.append(1) or real(*args))
+        factors, residual = affine_split(invariant_deg7)
+        wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(4)]
+                   + [random_wiring(s) for s in range(4)])
+        zeros = 0
+        for k, w in enumerate(wirings):
+            for fun in (zref, random_boolfun(70 + k)):
+                rs = round_system(w, "expanded", fun)
+                sub = rs.as_substitution()
+                images = [substitute(f, sub) for f in factors + [residual]]
+                oracle = add(invariant_deg7,
+                             functools.reduce(mul, sorted(images, key=len), ONE))
+                report = build_fe(invariant_deg7, rs)
+                assert report.fe == oracle
+                if report.is_zero:
+                    zeros += 1
+                    rep = check_invariant_empirically(invariant_deg7, w, fun, 2000)
+                    assert rep.mismatches == 0
+        assert zeros >= 5  # z-reference on the shipped and conforming wirings
+        # conforming images lie on 16 bits (dense); random ones on more than 20
+        assert 0 < len(dense_calls) < 2 * len(wirings)
+
+    def test_dense_budget_bounds_the_image_only(self, wiring, zref, invariant_deg7):
+        # the image of the 2080-term invariant has 2080 terms; the sparse fold's
+        # intermediates grew past 2500, the dense branch builds none
+        rs = round_system(wiring, "expanded", zref)
+        assert build_fe(invariant_deg7, rs, budget=2500).is_zero
+        with pytest.raises(TermBudgetError):
+            build_fe(invariant_deg7, rs, budget=2079)
 
 
 class TestEmpirical:

@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invforge import ring
 from invforge.ring import (
@@ -124,6 +127,103 @@ class TestRingLaws:
         dense = Poly([1 << i for i in range(30)])
         with pytest.raises(ring.TermBudgetError):
             mul(dense, Poly([1 << (30 + i) for i in range(30)]), budget=10)
+
+
+@st.composite
+def factor_lists(draw):
+    """Factor lists over 0-22 variables: random factors, ZERO, ONE and
+    repeats of earlier factors; the list may be empty."""
+    nvars = draw(st.integers(0, 22))
+    variables = draw(st.permutations(range(ring.N_VARS)))[:nvars]
+    ps = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "random", "random", "zero", "one", "repeat"]))
+        if kind == "zero":
+            ps.append(ZERO)
+        elif kind == "one":
+            ps.append(ONE)
+        elif kind == "repeat" and ps:
+            ps.append(draw(st.sampled_from(ps)))
+        else:
+            subsets = draw(st.lists(st.integers(0, (1 << nvars) - 1), max_size=6))
+            ps.append(Poly(sum(1 << variables[i] for i in range(nvars) if x >> i & 1)
+                           for x in subsets))
+    return ps
+
+
+def _support(ps):
+    return sorted(set().union(*(p.support() for p in ps)))
+
+
+class TestProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(factor_lists(), st.randoms(use_true_random=False))
+    def test_dense_and_sparse_agree_with_mul_fold(self, ps, rnd):
+        fold = functools.reduce(mul, ps, ONE)
+        assert ring.product(ps) == fold
+        shuffled = list(ps)
+        rnd.shuffle(shuffled)
+        assert ring.product(shuffled) == fold
+        sup = _support(ps)
+        if len(sup) <= ring.MAX_DENSE_VARS:
+            assert ring._dense_product(ps, sup) == fold
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_lists(), st.integers(0, 40))
+    def test_dense_budget_is_on_the_result(self, ps, budget):
+        fold = functools.reduce(mul, ps, ONE)
+        sup = _support(ps)
+        if len(sup) <= ring.MAX_DENSE_VARS:
+            if len(fold) > budget:
+                with pytest.raises(ring.TermBudgetError):
+                    ring._dense_product(ps, sup, budget)
+            else:
+                assert ring._dense_product(ps, sup, budget) == fold
+        if len(fold) > budget:  # both branches refuse an oversized result
+            with pytest.raises(ring.TermBudgetError):
+                ring.product(ps, budget)
+
+    def test_branch_choice_at_the_variable_limit(self, monkeypatch):
+        dense_calls = []
+        real = ring._dense_product
+
+        def spy(*args):
+            dense_calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ring, "_dense_product", spy)
+
+        def affine(lo, hi):
+            return add(ONE, Poly(1 << v for v in range(lo, hi)))
+
+        a = affine(0, 10)  # a*a = a keeps the mul fold small
+        # 20 variables and 11^6 pairs > 2^20: dense
+        ps = [a] * 5 + [affine(10, 20)]
+        assert ring.product(ps) == mul(a, affine(10, 20))
+        assert dense_calls == [list(range(20))]
+        # 21 variables: sparse, although 11^6 * 12 pairs > 2^21
+        ps = [a] * 6 + [affine(10, 21)]
+        assert ring.product(ps) == mul(a, affine(10, 21))
+        assert len(dense_calls) == 1
+        # 3 variables but only 2^3 pairs: sparse
+        assert ring.product([parse("a+b"), parse("b+c"), parse("a+c")]) == ZERO
+        assert len(dense_calls) == 1
+
+    def test_anf_roundtrip_and_decoder(self):
+        rng = random.Random(8)
+        for n in (0, 1, 5, 11, 14):
+            variables = sorted(rng.sample(range(ring.N_VARS), n))
+            anf = rng.getrandbits(1 << n)
+            p = ring.poly_from_anf_bits(anf, variables)
+            masks = ring.monomial_masks(variables)
+            assert p.terms == {masks[i] for i in range(1 << n) if anf >> i & 1}
+            assert ring.anf_bits(p, variables) == anf
+        # a repeated variable merges x*x = x, equal monomials cancel mod 2
+        assert ring.poly_from_anf_bits(0b1110, [0, 0]) == parse("a")
+        # bits past 2^n name no monomial
+        assert ring.poly_from_anf_bits(0b110, [0]) == parse("a")
+        with pytest.raises(ValueError):
+            ring.anf_bits(parse("ab"), [0])
 
 
 class TestEvaluate:
