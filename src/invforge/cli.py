@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
-3 term-budget overflow.  '-' reads any path flag from stdin.  Identical
-invocations (including --seed) produce byte-identical output.
+3 term-budget overflow, 4 internal error (traceback on stderr).  '-' reads
+any path flag from stdin.  Identical invocations (including --seed) produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class _Output:
@@ -133,14 +135,10 @@ def cmd_verify_thm(args, out: _Output) -> int:
 
 def cmd_annihilators(args, out: _Output) -> int:
     p = _load_poly(args.poly)
-    if args.vars:
-        table = ring._letter_table(ring.sniff_dialect(args.vars))
-        try:
-            variables = [table[c] for c in args.vars.replace(",", "")]
-        except KeyError as exc:
-            raise SystemExit2("unknown variable %s" % exc)
-    else:
-        variables = sorted(p.support())
+    names = ring.parse(args.vars.replace(",", "*"), "auto") if args.vars else p
+    if args.vars and (len(names) != 1 or names == ring.ONE):
+        raise SystemExit2("--vars must list variable names")
+    variables = sorted(names.support())
     basis = boolfun.annihilators(p, variables, args.degree)
     rec = {
         "kind": "annihilators",
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annihilators", help="degree-bounded annihilator basis")
     p.add_argument("--poly", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--vars", help="explicit variable letters (default: support)")
+    p.add_argument("--vars", help="comma-separated variable names (default: support)")
     p.set_defaults(func=cmd_annihilators)
 
     p = sub.add_parser("absorbers", help="test f*g = f")
@@ -338,9 +336,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except TermBudgetError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_BUDGET
-    except (SystemExit2, ParseError, OSError, ValueError, KeyError) as exc:
+    except (SystemExit2, ParseError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback an uncaught error prints
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

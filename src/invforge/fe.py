@@ -142,7 +142,7 @@ def coefficient_system(fe: Poly) -> CoefficientSystem:
     for t in fe.terms:
         groups.setdefault(t & ~_COEF_MASK, []).append(t & _COEF_MASK)
     eqs = []
-    for carrier in sorted(groups, key=lambda m: (-m.bit_count(),) + ring._mono_key(m)[1:]):
+    for carrier in sorted(groups, key=ring.graded_key):
         cond = Poly(groups[carrier])
         eqs.append((Poly((carrier,)), cond))
     return CoefficientSystem(True, tuple(eqs))

@@ -11,8 +11,8 @@ from typing import Dict, List, Sequence, Tuple
 from . import fe as fe_mod
 from . import ring
 from .boolfun import (
-    BoolFun6, affine_factor_solutions, affine_span, minimal_affine_factors,
-    random_boolfun, vector_to_affine,
+    MAX_SPLIT_VARS, BoolFun6, affine_factor_solutions, affine_span,
+    minimal_affine_factors, random_boolfun, vector_to_affine,
 )
 from .cipher import Wiring, round_system
 from .ring import (
@@ -270,9 +270,14 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
     affine candidates and divided out; a polynomial with no affine factor
     yields a single chain with no factors.  Every chain re-verifies by
     multiplication.  The candidates of each distinct node are computed once.
+    Raises ValueError for p = 0 or p over more than MAX_SPLIT_VARS variables.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
+    n = len(p.support())
+    if n > MAX_SPLIT_VARS:
+        raise ValueError("cannot factor a polynomial over %d variables: the affine "
+                         "factor search is limited to %d" % (n, MAX_SPLIT_VARS))
     rng = random.Random(seed)
     pools: Dict[Poly, List[Poly]] = {}
     seen = set()

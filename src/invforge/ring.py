@@ -41,13 +41,6 @@ NAMES = (
     + list(FORM_LETTERS)
 )
 
-_STATE_BY_LETTER = {c: i for i, c in enumerate(STATE_LETTERS)}
-_SPECIAL_BY_LETTER = {
-    "F": F_BIT, "K": K_BIT, "L": L_BIT,
-    "Z": PLACEHOLDER_Z, "Y": PLACEHOLDER_Y, "X": PLACEHOLDER_X, "W": PLACEHOLDER_W,
-}
-_FORM_BY_LETTER = {c: FORM_BASE + i for i, c in enumerate(FORM_LETTERS)}
-
 STATE_MASK = (1 << N_STATE) - 1
 NONSTATE_MASK = ((1 << N_VARS) - 1) ^ STATE_MASK
 
@@ -76,8 +69,8 @@ def coef_var(j: int) -> int:
 def form_var(letter: str) -> int:
     """VarId of an abstract linear-form letter A..H."""
     try:
-        return _FORM_BY_LETTER[letter]
-    except KeyError:
+        return NAMES.index(letter, FORM_BASE)
+    except ValueError:
         raise ValueError("not a form letter: %r" % letter) from None
 
 
@@ -110,15 +103,6 @@ class TermBudgetError(RuntimeError):
     def __init__(self, budget: int):
         super().__init__("term budget of %d monomials exceeded" % budget)
         self.budget = budget
-
-
-def _mono_key(mask: int):
-    vs = []
-    while mask:
-        low = mask & -mask
-        vs.append(low.bit_length() - 1)
-        mask ^= low
-    return (len(vs), tuple(vs))
 
 
 class Poly:
@@ -296,6 +280,13 @@ def _bits(mask: int) -> List[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def graded_key(mask: int):
+    """Sort key of the canonical term order: degree descending, then
+    lexicographic by VarId."""
+    vs = _bits(mask)
+    return (-len(vs), vs)
 
 
 @lru_cache(maxsize=None)
@@ -478,20 +469,14 @@ def factor_out(p: Poly, ell: Poly) -> Poly:
 # the abstract letters A-H plus the placeholders (capital F then means the
 # form, not the round bit).
 
-_COEF_RE = re.compile(r"Z[0-9][0-9]")
-
-
-def _letter_table(dialect: str) -> dict:
-    if dialect == "state":
-        table = dict(_STATE_BY_LETTER)
-        table.update(_SPECIAL_BY_LETTER)
-        return table
-    if dialect == "forms":
-        table = dict(_FORM_BY_LETTER)
-        for c in "ZYXW":
-            table[c] = _SPECIAL_BY_LETTER[c]
-        return table
-    raise ValueError("unknown dialect: %r" % dialect)
+# Name -> monomial bit per dialect.  A token is one non-space character, or
+# in the state dialect a Z followed by two digits.
+_NAME_BITS = {
+    "state": {name: 1 << v for v, name in enumerate(NAMES[:FORM_BASE])},
+    "forms": {name: 1 << v for v, name in enumerate(NAMES)
+              if v >= FORM_BASE or v in PLACEHOLDERS},
+}
+_TOKEN_RE = {"state": re.compile(r"Z[0-9][0-9]|\S"), "forms": re.compile(r"\S")}
 
 
 def sniff_dialect(text: str) -> str:
@@ -504,92 +489,70 @@ def parse(text: str, dialect: str = "state") -> Poly:
     """Parse polynomial text; inverse of render on canonical polynomials."""
     if dialect == "auto":
         dialect = sniff_dialect(text)
-    table = _letter_table(dialect)
-    terms: set[int] = set()
-    mask = 0
-    seen_var = False
-    seen_const = None  # None | '0' | '1'
-    term_start = 0
-    after_multichar = False
-
-    def close_term(pos: int):
-        nonlocal mask, seen_var, seen_const, after_multichar
-        if not seen_var and seen_const is None:
-            raise ParseError("empty term", term_start)
-        if seen_const == "0":
-            pass  # contributes nothing
-        elif mask in terms:
-            terms.discard(mask)
-        else:
-            terms.add(mask)
+    if dialect not in _NAME_BITS:
+        raise ValueError("unknown dialect: %r" % dialect)
+    names = _NAME_BITS[dialect]
+    terms = []
+    start = 0
+    for term in text.split("+"):
         mask = 0
-        seen_var = False
-        seen_const = None
-        after_multichar = False
+        try:  # the common term: a run of single-letter names
+            for c in term:
+                mask |= names[c]
+        except KeyError:
+            mask = 0
+        if not mask:  # any other term, the empty one included
+            mask = _term_mask(term, start, dialect)
+        if mask is not None:
+            terms.append(mask)
+        start += len(term) + 1
+    return Poly(terms)  # Poly() folds repeated terms mod 2
 
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "+":
-            close_term(i)
-            i += 1
-            term_start = i
-            continue
-        if c == "*":
-            after_multichar = False
-            i += 1
-            continue
-        if seen_const is not None:
-            raise ParseError("constant may not be multiplied implicitly", i)
-        if after_multichar:
-            raise ParseError("missing '*' after multi-character name", i)
-        if c in "01" and not seen_var:
-            seen_const = c
-            i += 1
-            continue
-        m = _COEF_RE.match(text, i)
-        if m and dialect == "state":
-            mask |= 1 << coef_var(int(m.group()[1:]))
-            seen_var = True
-            after_multichar = True
-            i = m.end()
-            continue
-        v = table.get(c)
-        if v is None:
-            raise ParseError("unknown variable %r" % c, i)
-        mask |= 1 << v
-        seen_var = True
-        i += 1
-    close_term(n)
-    return Poly(terms)  # Poly() folds duplicates mod 2 (already handled)
+
+def _term_mask(term: str, start: int, dialect: str) -> int | None:
+    """Monomial of one '+'-separated term at offset start of the text, or
+    None for the constant 0."""
+    tokens = [(start + m.start(), m.group())
+              for m in _TOKEN_RE[dialect].finditer(term)]
+    factors = [(pos, tok) for pos, tok in tokens if tok != "*"]
+    if not factors:
+        raise ParseError("empty term", start)
+    if factors[0][1] in ("0", "1"):
+        if len(factors) > 1:
+            raise ParseError("constant may not be multiplied implicitly", factors[1][0])
+        return None if factors[0][1] == "0" else 0
+    names = _NAME_BITS[dialect]
+    mask, prev = 0, "*"
+    for pos, tok in tokens:
+        if tok != "*":
+            if len(prev) > 1:
+                raise ParseError("missing '*' after multi-character name", pos)
+            if tok not in names:
+                raise ParseError("unknown variable %r" % tok, pos)
+            mask |= names[tok]
+        prev = tok
+    return mask
 
 
 def render(p: Poly) -> str:
     """Canonical text: terms in graded order (degree descending) then
-    lexicographic by VarId; '*' only around Z00..Z63 names."""
+    lexicographic by VarId; '*' only around Z00..Z63 names.  Refuses form
+    letters that auto-detection would not read back."""
     if not p.terms:
         return "0"
     sup = p.support()
-    if any(v >= FORM_BASE for v in sup) and any(
-            v < FORM_BASE and v not in PLACEHOLDERS for v in sup):
+    forms = {v for v in sup if v >= FORM_BASE}
+    if forms and not sup - forms <= set(PLACEHOLDERS):
         raise ValueError("cannot render form letters mixed with variables "
                          "other than Z, Y, X, W: no dialect reads the text back")
+    if forms == {form_var("F")}:
+        raise ValueError("cannot render form letter F without another of A-H: "
+                         "auto-detection would read it as the round bit")
     parts = []
-    for t in sorted(p.terms, key=lambda t: (-t.bit_count(),) + _mono_key(t)[1:]):
-        if t == 0:
-            parts.append("1")
-            continue
-        pieces = []
-        m = t
-        while m:
-            low = m & -m
-            pieces.append(var_name(low.bit_length() - 1))
-            m ^= low
-        out = pieces[0]
-        for prev, name in zip(pieces, pieces[1:]):
+    for _, vs in sorted(map(graded_key, p.terms)):
+        names = [NAMES[v] for v in vs] or ["1"]
+        out = names[0]
+        for prev, name in zip(names, names[1:]):
             out += ("*" + name) if (len(name) > 1 or len(prev) > 1) else name
         parts.append(out)
     return "+".join(parts)

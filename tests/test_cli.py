@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import invforge
+from invforge import cli
 from invforge.boolfun import affine_factor_solutions
 from invforge.data import fixture_path
 
@@ -94,6 +95,37 @@ class TestVerdictsAndExitCodes:
         _, basis = affine_factor_solutions(invariant_deg7, sorted(invariant_deg7.support()))
         assert "dimension = %d" % len(basis) in r.stdout.splitlines()
         assert len(basis) > 0
+
+    def test_annihilators_vars_list(self, tmp_path):
+        p = tmp_path / "p.poly"
+        p.write_text("ab\n")
+        r = run_cli("annihilators", "--poly", str(p), "--degree", "1",
+                    "--vars", "a,b,Z00")
+        assert r.returncode == 0
+        assert "variables = a,b,Z00" in r.stdout.splitlines()
+        assert "dimension = 2" in r.stdout.splitlines()
+        for bad in ("a,?", "1", "a+b"):
+            r = run_cli("annihilators", "--poly", str(p), "--degree", "1",
+                        "--vars", bad)
+            assert r.returncode == 2, bad
+            assert r.stderr.startswith("error:")
+
+    def test_factor_refuses_more_than_sixteen_variables(self):
+        # a..q and r+1 divide it, but the affine-factor search stops at 16
+        r = run_cli("factor", "--poly", "-",
+                    stdin="abcdefghijklmnopq+abcdefghijklmnopqr\n")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "18 variables" in r.stderr and "limited to 16" in r.stderr
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("boom")])
+    def test_internal_error_exit_four(self, monkeypatch, capsys, exc):
+        def broken(args, out):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        assert cli.main(["validate", "--lzs", LZS]) == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and type(exc).__name__ in err
 
     def test_factor_finds_distinct_sets(self):
         r = run_cli("factor", "--poly", MU, "--trees", "8", "--seed", "1")

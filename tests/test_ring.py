@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invforge import ring
@@ -86,6 +86,57 @@ class TestParseRender:
             mixed = add(parse("A", dialect="forms"), parse(other))
             with pytest.raises(ValueError):
                 render(mixed)
+
+    def test_render_refuses_form_f_alone(self):
+        # auto-detection would read a lone form F as the round bit F
+        for text in ("F+Z", "F", "FW+1"):
+            with pytest.raises(ValueError, match="round bit"):
+                render(parse(text, dialect="forms"))
+        p = parse("BF+Z", dialect="forms")
+        assert parse(render(p), dialect="auto") == p
+
+    @pytest.mark.parametrize("text,dialect,message,position", [
+        ("a+ +b", "state", "empty term", 2),
+        ("ab+", "state", "empty term", 3),
+        ("b+1 a", "state", "constant may not be multiplied implicitly", 4),
+        ("0*Z00", "state", "constant may not be multiplied implicitly", 2),
+        ("c+Z62 jh", "state", "missing '*' after multi-character name", 6),
+        ("ab+c?d", "state", "unknown variable '?'", 4),
+        ("aZ64", "state", "unknown variable 'Z64'", 1),
+        ("AZ07", "forms", "unknown variable '0'", 2),  # no Z00..Z63 in forms
+    ])
+    def test_parse_error_positions(self, text, dialect, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, dialect)
+        assert err.value.position == position
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+
+    @given(st.lists(st.lists(st.integers(0, ring.FORM_BASE - 1), max_size=6), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_state_roundtrip(self, terms):
+        # state bits, F/K/L, Z/Y/X/W and Z00..Z63
+        p = Poly(sum(1 << v for v in set(t)) for t in terms)
+        assert parse(render(p), dialect="auto") == p
+
+    @given(st.lists(st.lists(st.sampled_from(
+        [ring.form_var(c) for c in ring.FORM_LETTERS] + list(ring.PLACEHOLDERS)),
+        max_size=6), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_forms_roundtrip(self, terms):
+        p = Poly(sum(1 << v for v in set(t)) for t in terms)
+        assume(p.support() & {ring.form_var(c) for c in "ABCDEGH"})
+        assert parse(render(p), dialect="auto") == p
+
+    @given(st.sampled_from(["state", "forms"]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_letter_runs_read_like_spaced_names(self, dialect, data):
+        letters = (ring.STATE_LETTERS + "FKLZYXW" if dialect == "state"
+                   else ring.FORM_LETTERS + "ZYXW")
+        terms = data.draw(st.lists(st.text(letters, min_size=1, max_size=8),
+                                   min_size=1, max_size=6))
+        run = parse("+".join(terms), dialect)
+        assert parse("+".join(" * ".join(t) for t in terms), dialect) == run
+        assert parse("+".join(" ".join(t) for t in terms), dialect) == run
 
     def test_duplicate_letters_collapse(self):
         assert parse("aa") == parse("a")
