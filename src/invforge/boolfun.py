@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import gf2, ring
-from .ring import ONE, Poly, _ones, anf_bits, mobius, mul, poly_from_anf_bits
+from .ring import Poly, _ones, anf_bits, mobius, mul, poly_from_anf_bits
 
 FORMAL_VARS = tuple(range(6))  # VarIds of a..f
 
@@ -49,9 +49,6 @@ class BoolFun6:
     def __setattr__(self, *a):
         raise AttributeError("BoolFun6 is immutable")
 
-    def __reduce__(self):
-        return (BoolFun6, (self.tt,))
-
     def __eq__(self, other):
         return isinstance(other, BoolFun6) and self.tt == other.tt
 
@@ -63,12 +60,6 @@ class BoolFun6:
 
     def value(self, point: int) -> int:
         return (self.tt >> (point & 63)) & 1
-
-    def __call__(self, *args: int) -> int:
-        point = 0
-        for i, bit in enumerate(args):
-            point |= (bit & 1) << i
-        return self.value(point)
 
     def anf_poly(self) -> Poly:
         """ANF over the formal argument letters a..f."""
@@ -255,19 +246,26 @@ def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int]]:
 
 
 def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
-    """Greedy full split p = product(factors) * residual with affine factors.
+    """Full split p = product(factors) * residual with affine factors.
 
-    Deterministic: at each step the minimal-support, lowest-VarId affine
-    factor is divided out.  Polynomials over more than MAX_SPLIT_VARS
-    variables are returned unsplit.
+    One factor 1 + h per vector h of affine_factor_solutions' homogeneous
+    basis, so as many as the dimension of p's affine factor space.  Each h
+    holds a top variable no other h holds: x_top -> x_top + h sets 1 + h to
+    1 and leaves the other factors alone.  The residual is p after that
+    substitution for every h, one at a time; it has no nonconstant affine
+    factor.  Over more than MAX_SPLIT_VARS variables p is returned unsplit.
     """
+    sup = sorted(p.support())
+    if not sup or len(sup) > MAX_SPLIT_VARS:
+        return [], p
+    _, basis = affine_factor_solutions(p, sup)
     factors: List[Poly] = []
-    q = p
-    while q != ONE:
-        sup, vectors = minimal_affine_factors(q)
-        if not vectors:
-            break
-        ell = vector_to_affine(min(vectors), sup)
-        factors.append(ell)
-        q = ring.factor_out(q, ell)
-    return factors, q
+    residual = p
+    for h in basis:
+        top = h.bit_length() - 1  # the bit of variable sup[top - 1]
+        factors.append(vector_to_affine(h ^ 1, sup))
+        image = vector_to_affine(h ^ (1 << top), sup)  # x_top + h: h without x_top
+        residual = ring.substitute(residual, {sup[top - 1]: image})
+    if ring.product(factors + [residual]) != p:  # pragma: no cover - exact by construction
+        raise ArithmeticError("affine split does not re-multiply to the polynomial")
+    return factors, residual

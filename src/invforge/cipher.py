@@ -245,7 +245,6 @@ def round_system(w: Wiring, mode: str = "placeholder",
 # ---------------------------------------------------------------------------
 # Concrete stepping.  States are 36-bit ints, bit i-1 = x_i.
 
-STATE_MASK36 = (1 << 36) - 1
 _TRIVIAL_MASK = 0
 for _i in range(1, 36):
     if _i % 4 != 0:

@@ -62,17 +62,12 @@ def _check_state_only(p: Poly):
 def _substituted(p: Poly, sub: Dict[int, Poly], budget: Optional[int]) -> Poly:
     """Image of p under the round substitution.
 
-    Product-shaped candidates are split into affine factors first, so the
-    image is a product of small factor images instead of one large
-    monomial-by-monomial expansion; affine_split leaves P whole when it
-    has more than MAX_SPLIT_VARS variables.
+    p is split into affine factors first, so the image is a product of
+    small factor images instead of one large monomial-by-monomial
+    expansion; an unsplit p is its own residual.
     """
     factors, residual = affine_split(p)
-    if factors:
-        parts = [substitute(f, sub, budget) for f in factors]
-        parts.append(substitute(residual, sub, budget))
-        return ring.product(parts, budget)
-    return substitute(p, sub, budget)
+    return ring.product([substitute(f, sub, budget) for f in factors + [residual]], budget)
 
 
 def build_fe(P: Poly, rs: RoundSystem, budget: Optional[int] = None) -> FeReport:

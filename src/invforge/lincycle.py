@@ -4,7 +4,6 @@ is an affine map on the 36 state bits; study its cycle structure."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -128,10 +127,12 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
     The invariance condition is exact: (M^T)^k ell = ell and ell . M^i v = 0
     for every offset vector v and all i >= 0, as ell . M^(i+k) v equals
     ((M^T)^k ell) . M^i v.  A period k is reported iff some functional is
-    invariant at k but at no proper divisor of k; the spaces form a
-    gcd-lattice, so existence comes from inclusion-exclusion over the maximal
-    proper divisors and a witness is found by a combination search over the
-    period-k basis.
+    invariant at k but at no proper divisor of k, iff every V_(k/p), p a
+    prime dividing k, is smaller than V_k: with k = 2^a m, m odd, V_k is
+    the direct sum of its components ker f(M^T)^(2^a) over the irreducible
+    factors f of x^m + 1, each V_(k/p) the direct sum of kernels of powers
+    of f(M^T) in them, and those kernels form a chain in each component.
+    A witness is found by a combination search over the period-k basis.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -152,11 +153,7 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
         if not basis:
             continue
         maximal = sorted({k // p for p in _prime_factors(k)})
-        covered = 0
-        for size in range(1, len(maximal) + 1):
-            for chosen in itertools.combinations(maximal, size):
-                covered += (-1) ** (size + 1) * 2 ** len(bases[math.gcd(*chosen)])
-        if (1 << len(basis)) <= covered:
+        if any(len(bases[d]) == len(basis) for d in maximal):
             continue  # every invariant functional already has a smaller period
         excluded = [bases[d] for d in maximal]
         witnesses = [b for b in basis if all(_residue(ex, b) for ex in excluded)]
@@ -187,7 +184,7 @@ def _witness_search(basis: Sequence[int], excluded: Sequence[Sequence[int]]) -> 
                 v ^= b
             if all(_residue(ex, v) for ex in excluded):
                 return v
-    raise RuntimeError("no witness, though inclusion-exclusion promised one")
+    raise RuntimeError("no witness, though the dimensions promised one")
 
 
 def orbit(ar: AffineRound, functional: int, length: int) -> List[int]:

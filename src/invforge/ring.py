@@ -41,9 +41,6 @@ NAMES = (
     + list(FORM_LETTERS)
 )
 
-STATE_MASK = (1 << N_STATE) - 1
-NONSTATE_MASK = ((1 << N_VARS) - 1) ^ STATE_MASK
-
 
 def state_var(i: int) -> int:
     """VarId of the state bit x_i (1-based, backwards letter numbering)."""
@@ -132,9 +129,6 @@ class Poly:
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return (Poly, (tuple(self.terms),))
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms

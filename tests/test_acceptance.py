@@ -243,6 +243,7 @@ CORPUS = [
     ("linear-cycle", "--lzs", LZS, "--max-period", "10"),
     ("annihilators", "--poly", MU, "--degree", "1"),
     ("--format", "json-lines", "verify-thm", "--lzs", LZS, "--boolfun", ZREF),
+    ("fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -256,6 +257,7 @@ CORPUS_STDOUT_SHA256 = [
     "3a9a7c462946015eb5656155d545d3c31942d5bb181fa9d119d44749c3ff7e3d",
     "f37871f65259be9fdfa9930f38d628c00bdc0972ec9dd24577aab95ba1bbfc00",
     "eecdcf9f059474f1cfe7a0cb5b06c0b77ac27646c9d158c7f8c2f823362fa045",
+    "e6c4de6bb6f65c43afa4b7b6c2ef9fbdab8a35df3ba402bcbeb205b1ba891d5b",
 ]
 
 

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from invforge import ring
+from invforge import boolfun, ring
 from invforge.boolfun import (
-    BoolFun6, ZERO_FUN, annihilators, affine_split, DegreeBoundError,
-    SystemTooLargeError, is_absorber, load_boolfun, minimal_affine_factors,
-    mobius, parse_anf, poly_from_anf_bits, random_boolfun, render_anf,
-    truth_table, vector_to_affine,
+    BoolFun6, ZERO_FUN, affine_factor_solutions, annihilators, affine_split,
+    DegreeBoundError, SystemTooLargeError, is_absorber, load_boolfun,
+    minimal_affine_factors, mobius, parse_anf, poly_from_anf_bits,
+    random_boolfun, render_anf, truth_table, vector_to_affine,
 )
 from invforge.lab import affine_divisors
 from invforge.ring import ONE, ZERO, add, mul, parse, product, var
@@ -243,6 +243,44 @@ class TestAffineSplit:
         p = parse("ab+1")
         factors, residual = affine_split(p)
         assert factors == [] and residual == p
+
+    def test_split_divides_out_the_factor_space_basis(self):
+        rng = random.Random(34)
+        split = 0
+        for _ in range(150):
+            variables = sorted(rng.sample(range(10), rng.randrange(1, 11)))
+            p = poly_from_anf_bits(rng.getrandbits(1 << len(variables)), variables)
+            for _ in range(rng.randrange(5)):
+                vec = rng.getrandbits(len(variables) + 1)
+                p = mul(p, vector_to_affine(vec, variables))
+            factors, residual = affine_split(p)
+            assert product(factors + [residual]) == p
+            if not p or p == ONE:
+                assert factors == []
+                continue
+            _, basis = affine_factor_solutions(p, sorted(p.support()))
+            assert len(factors) == len(basis)
+            for ell in factors:
+                assert ell.degree() == 1 and mul(ell, p) == p
+            assert minimal_affine_factors(residual)[1] == []
+            split += bool(factors)
+        assert split > 50
+
+    def test_split_is_one_solve(self, invariant_deg7, monkeypatch):
+        calls = []
+        real = boolfun.affine_factor_solutions
+        monkeypatch.setattr(boolfun, "affine_factor_solutions",
+                            lambda *args: calls.append(1) or real(*args))
+
+        def forbidden(*args):
+            raise AssertionError("affine_split must not search spans or divide")
+
+        monkeypatch.setattr(boolfun, "minimal_affine_factors", forbidden)
+        monkeypatch.setattr(ring, "factor_out", forbidden)
+        factors, residual = affine_split(invariant_deg7)
+        assert calls == [1]
+        assert len(factors) == 7 and residual == ONE
+        assert product(factors) == invariant_deg7
 
     def test_minimal_factors_and_divisors_match_brute_force(self):
         # oracle: try every affine form over the support, divide by mul

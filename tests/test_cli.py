@@ -70,6 +70,23 @@ class TestVerdictsAndExitCodes:
                     "--symbolic", "--budget", "1000")
         assert r.returncode == 3
 
+    def test_symbolic_budget_above_the_largest_intermediate(self):
+        unbounded = run_cli("fe", "--lzs", LZS, "--invariant", INV7, "--symbolic")
+        r = run_cli("fe", "--lzs", LZS, "--invariant", INV7, "--symbolic",
+                    "--budget", "200000")
+        assert unbounded.returncode == r.returncode == 0
+        assert r.stdout == unbounded.stdout
+
+    def test_verify_thm_supplied_invariant_summary(self):
+        steps = run_cli("verify-thm", "--lzs", LZS, "--boolfun", ZREF,
+                        "--invariant", INV827)
+        assert steps.stdout == ("step fundamental-equation:  FAIL  (supplied invariant)\n"
+                                "STEP FAILURES: 1\n")
+        r = run_cli("verify-thm", "--lzs", LZS, "--boolfun", ZREF,
+                    "--invariant", INV827, "--report", "summary")
+        assert r.returncode == steps.returncode == 1
+        assert r.stdout == "STEP FAILURES: 1\n"
+
     def test_absorbers_verdicts(self, tmp_path):
         f = tmp_path / "f.poly"
         g = tmp_path / "g.poly"

@@ -167,6 +167,16 @@ class TestSymbolic:
                              round_system(wiring, "expanded", other))
         assert check_candidate(sym.fe, other) == exp_other.is_zero
 
+    def test_random_wiring_answers_within_the_default_budget(self, invariant_deg7):
+        # two of the basis factors' images carry a function instance, so the
+        # sparse intermediates stay within the default budget
+        w = random_wiring(0)
+        sym = symbolic_fe(invariant_deg7, round_system(w, "symbolic"))
+        for seed in (1, 2):
+            fun = random_boolfun(seed)
+            assert (substitute_coefficients(sym.fe, fun)
+                    == build_fe(invariant_deg7, round_system(w, "expanded", fun)).fe)
+
     def test_budget_overflow(self, wiring, invariant_deg7):
         rs = round_system(wiring, "symbolic")
         with pytest.raises(TermBudgetError):

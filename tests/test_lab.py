@@ -54,6 +54,10 @@ class TestInvariants:
         assert len(factors) == 7
         assert residual == ONE
         assert product(factors) == invariant_deg7
+        # a third factorization: every basis factor pairs A with one other form
+        third = {lab.expand_forms(parse(f, "forms"))
+                 for f in ("A+B", "A+C+1", "A+D", "A+E", "A+F+1", "A+G", "A+H+1")}
+        assert set(factors) == third
 
     def test_alternate_equals_primary(self, invariant_deg7):
         # computed regression fact: the two published degree-7 products are

@@ -207,21 +207,33 @@ class TestPeriods:
 
 
 class TestAgainstGrowingConstraints:
-    """The offsets' span is computed once; the old per-period growth of
-    constraint rows is the reference."""
+    """The offsets' span is computed once and a new minimal period is
+    decided by dimensions; the old per-period growth of constraint rows
+    with inclusion-exclusion over the gcd-lattice is the reference."""
 
     def test_shipped_wiring(self, wiring):
         ar = affine_of(wiring)
-        assert linear_invariant_periods(ar, 96) == \
-            _periods_by_growing_constraints(ar, 96)
+        assert linear_invariant_periods(ar, 420) == \
+            _periods_by_growing_constraints(ar, 420)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("conforming", (True, False))
     def test_random_wirings(self, seed, conforming):
         ar = affine_of(random_wiring(100 + seed, conforming=conforming))
         assert ar.offset_f or ar.offset_k or ar.offset_l
-        assert linear_invariant_periods(ar, 96) == \
-            _periods_by_growing_constraints(ar, 96)
+        assert linear_invariant_periods(ar, 420) == \
+            _periods_by_growing_constraints(ar, 420)
+
+    @pytest.mark.parametrize("cycles, longest", [
+        ([(1, 2), (3, 4, 5), (6, 7, 8, 9, 10)], 30),
+        ([(1, 2, 3, 4), (5, 6, 7), (8, 9, 10, 11, 12)], 60),
+        ([(1, 2, 3, 4), (5, 6, 7), (8, 9, 10, 11, 12), tuple(range(13, 20))], 420),
+    ])
+    def test_periods_with_three_primes(self, cycles, longest):
+        ar = synthetic_permutation(cycles)
+        entries = linear_invariant_periods(ar, 420)
+        assert entries == _periods_by_growing_constraints(ar, 420)
+        assert max(e.period for e in entries) == longest
 
     def test_synthetic_permutation_with_offsets(self):
         perm = synthetic_permutation([(1, 2, 3), (4, 5, 6, 7, 8),

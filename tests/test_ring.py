@@ -149,7 +149,27 @@ class TestParseRender:
             assert parse(render(p)) == p
 
 
+# Eight VarIds from across the universe: state bits, the round bit F, a
+# coefficient symbol and the last form letter.
+LAW_VARS = (0, 1, 2, 3, ring.N_STATE - 1, ring.F_BIT, ring.COEF_BASE, ring.N_VARS - 1)
+
+
+def law_polys(max_terms=12):
+    """Polynomials over LAW_VARS, zero and single monomials included."""
+    return st.lists(st.integers(0, 255), max_size=max_terms).map(
+        lambda xs: Poly(sum(1 << v for i, v in enumerate(LAW_VARS) if x >> i & 1)
+                        for x in xs))
+
+
 class TestRingLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(law_polys(), law_polys(), law_polys())
+    def test_mul_laws(self, p, q, r):
+        assert mul(p, q) == mul(q, p)
+        assert mul(mul(p, q), r) == mul(p, mul(q, r))
+        assert mul(p, p) == p
+        assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
+
     def test_add_examples(self):
         assert add(parse("a+b"), parse("b+c")) == parse("a+c")
         p = parse("abc+d")
@@ -300,6 +320,20 @@ class TestEvaluate:
 
 
 class TestSubstitute:
+    @settings(max_examples=200, deadline=None)
+    @given(law_polys(), law_polys(),
+           st.dictionaries(st.sampled_from(LAW_VARS), law_polys(4), max_size=4))
+    def test_is_a_ring_homomorphism(self, p, q, mapping):
+        sub_p, sub_q = substitute(p, mapping), substitute(q, mapping)
+        assert substitute(mul(p, q), mapping) == mul(sub_p, sub_q)
+        assert substitute(add(p, q), mapping) == add(sub_p, sub_q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(law_polys(), st.sampled_from(LAW_VARS), st.sampled_from(LAW_VARS))
+    def test_swap_twice_is_the_identity(self, p, a, b):
+        swap = {a: var(b), b: var(a)}
+        assert substitute(substitute(p, swap), swap) == p
+
     def test_simultaneous(self):
         assert substitute(parse("ab"), {0: parse("b"), 1: parse("c")}) == parse("bc")
         swap = {0: parse("b"), 1: parse("a")}
