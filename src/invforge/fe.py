@@ -162,7 +162,7 @@ class EmpiricalReport:
                 "mismatches = %d" % self.mismatches]
 
 
-_CHUNK = 1 << 13
+_CHUNK = 1 << 13  # fixes which states are drawn: changing it changes the output
 
 
 def check_invariant_empirically(P: Poly, w: Wiring, fun: BoolFun6,
@@ -170,8 +170,9 @@ def check_invariant_empirically(P: Poly, w: Wiring, fun: BoolFun6,
                                 rounds: int = 1) -> EmpiricalReport:
     """Sample random states and per-round random (F, K, L); count violations.
 
-    Bit-sliced: every trial gets its own trajectory and its own per-round
-    bits.  Must report 0 mismatches whenever build_fe says is_zero.
+    Bit-sliced: trial j has its own trajectory and per-round bits, and one
+    evaluation of P reads its start in lane j, its image in lane width + j.
+    Must report 0 mismatches whenever build_fe says is_zero.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -182,15 +183,13 @@ def check_invariant_empirically(P: Poly, w: Wiring, fun: BoolFun6,
     while remaining:
         width = min(remaining, _CHUNK)
         wmask = (1 << width) - 1
-        lanes = [rng.getrandbits(width) for _ in range(36)]
-        lane_map = {state_var(i): lanes[i - 1] for i in range(1, 37)}
-        before = eval_poly_lanes(P, lane_map, wmask)
+        start = lanes = [rng.getrandbits(width) for _ in range(36)]
         for _ in range(rounds):
             lanes = step_lanes(lanes, w, fun,
                                rng.getrandbits(width), rng.getrandbits(width),
                                rng.getrandbits(width), wmask)
-        lane_map = {state_var(i): lanes[i - 1] for i in range(1, 37)}
-        after = eval_poly_lanes(P, lane_map, wmask)
-        mism += (before ^ after).bit_count()
+        both = eval_poly_lanes(P, {state_var(i): start[i - 1] | lanes[i - 1] << width
+                                   for i in range(1, 37)}, (1 << 2 * width) - 1)
+        mism += ((both ^ both >> width) & wmask).bit_count()
         remaining -= width
     return EmpiricalReport(trials, rounds, mism)

@@ -50,11 +50,11 @@ def affine_of(w: Wiring) -> AffineRound:
     for i in range(1, 37):
         p = rs.output(i)
         if p.degree() > 1:
-            raise ValueError("round is not affine with the zero function")
+            raise ArithmeticError("round is not affine with the zero function")
         row = 0
         for t in p.terms:
             if t == 0:
-                raise ValueError("unexpected constant term in output %d" % i)
+                raise ArithmeticError("unexpected constant term in output %d" % i)
             v = (t & -t).bit_length() - 1
             if v < N_STATE:
                 row |= 1 << (N_STATE - 1 - v)  # VarId back to bit index x_j - 1
@@ -65,7 +65,7 @@ def affine_of(w: Wiring) -> AffineRound:
             elif v == L_BIT:
                 off_l |= 1 << (i - 1)
             else:
-                raise ValueError("non-affine symbol in output %d" % i)
+                raise ArithmeticError("non-affine symbol in output %d" % i)
         rows.append(row)
     return AffineRound(tuple(rows), off_f, off_k, off_l)
 

@@ -391,11 +391,10 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
     for v in wide:
         wide_mask |= 1 << v
 
-    groups: dict[int, set[int]] = {}
+    groups: dict[int, list[int]] = {}
     for t in p.terms:
         if t & zero_mask:
             continue
-        w = t & wide_mask
         rest = t & ~wide_mask
         new = 0
         while rest:
@@ -403,11 +402,7 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
             v = low.bit_length() - 1
             new |= simple[v] if v in simple else low
             rest ^= low
-        bucket = groups.setdefault(w, set())
-        if new in bucket:
-            bucket.discard(new)
-        else:
-            bucket.add(new)
+        groups.setdefault(t & wide_mask, []).append(new)
 
     img_cache: dict[int, Poly] = {0: ONE}
 
@@ -422,7 +417,7 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
 
     acc: frozenset = frozenset()
     for w, rest_masks in groups.items():
-        piece = mul(wide_product(w), Poly._raw(frozenset(rest_masks)), budget)
+        piece = mul(wide_product(w), Poly(rest_masks), budget)
         acc ^= piece.terms
         if budget is not None and len(acc) > budget:
             raise TermBudgetError(budget)

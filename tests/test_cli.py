@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import invforge
-from invforge import cli
+from invforge import cli, lincycle, ring
 from invforge.boolfun import affine_factor_solutions
 from invforge.data import fixture_path
 
@@ -143,6 +143,16 @@ class TestVerdictsAndExitCodes:
         assert cli.main(["validate", "--lzs", LZS]) == cli.EXIT_INTERNAL == 4
         err = capsys.readouterr().err
         assert err.startswith("Traceback") and type(exc).__name__ in err
+
+    def test_linear_cycle_inconsistency_is_internal(self, monkeypatch, capsys):
+        # affine_of's checks fire only if round_system is wrong: a bug, not usage
+        class Quadratic:
+            def output(self, i):
+                return ring.parse("ab")
+        monkeypatch.setattr(lincycle, "round_system", lambda *args: Quadratic())
+        assert cli.main(["linear-cycle", "--lzs", LZS, "--max-period", "8"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "round is not affine" in err
 
     def test_factor_finds_distinct_sets(self):
         r = run_cli("factor", "--poly", MU, "--trees", "8", "--seed", "1")

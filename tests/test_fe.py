@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from invforge import fe as fe_mod
 from invforge import lab, ring
 from invforge.boolfun import ZERO_FUN, affine_split, parse_anf, random_boolfun
-from invforge.cipher import Wiring, random_wiring, round_system
+from invforge.cipher import (
+    Wiring, eval_poly_lanes, random_wiring, round_system, state_var, step_lanes,
+)
 from invforge.fe import (
     DEFAULT_BUDGET, NonStateVariableError, build_fe, check_candidate,
     check_invariant_empirically, coefficient_system, substitute_coefficients,
@@ -92,7 +95,59 @@ class TestBuildFe:
             build_fe(invariant_deg7, rs, budget=2079)
 
 
+def two_evaluation_mismatches(P, w, fun, trials, seed, rounds):
+    """The empirical check as it was: P on the states, then P on their images."""
+    states = [state_var(i) for i in range(1, 37)]
+    rng = random.Random(seed)
+    mism = 0
+    remaining = trials
+    while remaining:
+        width = min(remaining, fe_mod._CHUNK)
+        wmask = (1 << width) - 1
+        lanes = [rng.getrandbits(width) for _ in range(36)]
+        before = eval_poly_lanes(P, dict(zip(states, lanes)), wmask)
+        for _ in range(rounds):
+            lanes = step_lanes(lanes, w, fun,
+                               rng.getrandbits(width), rng.getrandbits(width),
+                               rng.getrandbits(width), wmask)
+        after = eval_poly_lanes(P, dict(zip(states, lanes)), wmask)
+        mism += (before ^ after).bit_count()
+        remaining -= width
+    return mism
+
+
 class TestEmpirical:
+    def test_one_evaluation_matches_the_two_evaluation_loop(
+            self, wiring, zref, invariant_deg7):
+        rng = random.Random(43)
+        # the constant term sets both halves of the lane map; low degree keeps
+        # P(start) and P(image) apart often
+        monomials = [rng.sample(range(36), rng.randint(1, 3)) for _ in range(20)]
+        low = ring.Poly([0] + [sum(1 << v for v in m) for m in monomials])
+        wirings = [wiring, random_wiring(0, conforming=True), random_wiring(0)]
+        cases = itertools.product((1, 128, fe_mod._CHUNK, fe_mod._CHUNK + 1), (0, 1, 3),
+                                  enumerate(wirings), (invariant_deg7, parse("V"), low))
+        nonzero = 0
+        for trials, rounds, (k, w), P in cases:
+            for fun in (zref, random_boolfun(90 + k)):
+                seed = trials + rounds
+                got = check_invariant_empirically(P, w, fun, trials, seed, rounds)
+                want = two_evaluation_mismatches(P, w, fun, trials, seed, rounds)
+                assert got.mismatches == want
+                nonzero += want > 0
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("trials,calls", [(1, 1), (128, 1),
+                                              (fe_mod._CHUNK, 1),
+                                              (fe_mod._CHUNK + 1, 2)])
+    def test_one_evaluation_per_chunk(self, wiring, zref, invariant_deg7,
+                                      monkeypatch, trials, calls):
+        seen = []
+        monkeypatch.setattr(fe_mod, "eval_poly_lanes",
+                            lambda *args: seen.append(1) or eval_poly_lanes(*args))
+        check_invariant_empirically(invariant_deg7, wiring, zref, trials, rounds=3)
+        assert len(seen) == calls
+
     def test_theorem_invariant_clean(self, wiring, zref, invariant_deg7):
         rep = check_invariant_empirically(invariant_deg7, wiring, zref,
                                           trials=10**6, seed=5)
