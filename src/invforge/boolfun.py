@@ -101,16 +101,9 @@ def load_boolfun(text: str) -> BoolFun6:
     return parse_anf(text)
 
 
-def random_boolfun(seed: int, balanced: bool = False) -> BoolFun6:
-    """Uniform seeded random function; optionally balanced."""
-    rng = random.Random(seed)
-    if not balanced:
-        return BoolFun6(rng.getrandbits(64))
-    ones = rng.sample(range(64), 32)
-    tt = 0
-    for i in ones:
-        tt |= 1 << i
-    return BoolFun6(tt)
+def random_boolfun(seed: int) -> BoolFun6:
+    """Uniform seeded random function."""
+    return BoolFun6(random.Random(seed).getrandbits(64))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +186,13 @@ def is_absorber(f: Poly, g: Poly) -> bool:
 MAX_SPLIT_VARS = 16
 
 
-def affine_factor_solutions(p: Poly, variables: Sequence[int]) -> Tuple[int, List[int]]:
-    """(particular, homogeneous basis) of affine ell with ell = 1 on supp(p).
+def affine_factor_solutions(p: Poly, variables: Sequence[int]) -> List[int]:
+    """Homogeneous basis of the affine ell with ell = 1 on supp(p).
 
     Every such ell satisfies (ell+1)*p = 0, i.e. ell is an affine factor of
     p.  Solution vectors use bit 0 for the constant term.  The constant 1
-    always qualifies; for p = 0 every affine form does.
+    always qualifies, so the solutions are 1 + the span of the basis (see
+    affine_span); for p = 0 every affine form does.
     """
     variables = tuple(sorted(variables))
     points = _ones(truth_table(p, variables))
@@ -215,9 +209,10 @@ def vector_to_affine(vec: int, variables: Sequence[int]) -> Poly:
     return Poly(terms)
 
 
-def affine_span(particular: int, basis: Sequence[int]) -> List[int]:
-    """Every vector particular + (a combination of basis), 2^len(basis) of them."""
-    span = [particular]
+def affine_span(basis: Sequence[int]) -> List[int]:
+    """Every vector 1 + (a combination of basis), 2^len(basis) of them; over
+    the basis of affine_factor_solutions, every affine factor."""
+    span = [1]
     for b in basis:
         span += [v ^ b for v in span]
     return span
@@ -236,7 +231,7 @@ def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int]]:
     if not sup or len(sup) > MAX_SPLIT_VARS:
         return sup, []
     best, out = len(sup) + 1, []
-    for vec in affine_span(*affine_factor_solutions(p, sup)):
+    for vec in affine_span(affine_factor_solutions(p, sup)):
         weight = (vec >> 1).bit_count()
         if weight == best:
             out.append(vec)
@@ -258,7 +253,7 @@ def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
     sup = sorted(p.support())
     if not sup or len(sup) > MAX_SPLIT_VARS:
         return [], p
-    _, basis = affine_factor_solutions(p, sup)
+    basis = affine_factor_solutions(p, sup)
     factors: List[Poly] = []
     residual = p
     for h in basis:

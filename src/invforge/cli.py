@@ -161,16 +161,16 @@ def cmd_absorbers(args, out: _Output) -> int:
 def cmd_factor(args, out: _Output) -> int:
     p = _load_poly(args.poly)
     trees = lab.explore_factorizations(p, args.trees, args.seed)
+    dialect = "forms" if max(p.support(), default=0) >= ring.FORM_BASE else "auto"
     records = []
     lines = []
     seen_sets = set()
     for i, tree in enumerate(trees):
-        fs = tuple(sorted(ring.render(f) for f in tree.factors))
+        fs = tuple(sorted(ring.render(f, dialect) for f in tree.factors))
+        leaf = ring.render(tree.leaf, dialect)
         seen_sets.add(fs)
-        records.append({"factors": list(fs), "leaf": ring.render(tree.leaf),
-                        "verified": tree.verify()})
-        lines.append("tree %d: factors = {%s} leaf = %s" % (i, ", ".join(fs),
-                                                            ring.render(tree.leaf)))
+        records.append({"factors": list(fs), "leaf": leaf, "verified": tree.verify()})
+        lines.append("tree %d: factors = {%s} leaf = %s" % (i, ", ".join(fs), leaf))
     lines.append("distinct factor sets = %d" % len(seen_sets))
     out.emit({"kind": "factor", "trees": records,
               "distinct_factor_sets": len(seen_sets)}, lines)

@@ -47,15 +47,15 @@ def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
     return basis
 
 
-def solve_affine_ones(points: Sequence[int], nvars: int) -> Tuple[int, List[int]]:
-    """Solutions c = (c0, c1..cn) of c0 + sum(c_i * x_i) = 1 on every point.
+def solve_affine_ones(points: Sequence[int], nvars: int) -> List[int]:
+    """Homogeneous basis of the solutions c = (c0, c1..cn) of
+    c0 + sum(c_i * x_i) = 1 on every point.
 
     Points are variable bitmasks; vectors use bit 0 for the constant and
     bit i+1 for variable i.  The constant form 1 solves every such system,
-    so the solutions are 1 + the homogeneous kernel: returns
-    (1, homogeneous_basis).
+    so the solutions are 1 + the span of the returned basis.
     """
-    return 1, kernel_basis([(x << 1) | 1 for x in points], nvars + 1)
+    return kernel_basis([(x << 1) | 1 for x in points], nvars + 1)
 
 
 def mat_vec(rows: Sequence[int], v: int) -> int:

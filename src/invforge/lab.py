@@ -188,12 +188,12 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            and add(rs_ph.output(25), rs_ph.output(21)) == add(Yv, E_))
 
     P_state = product_invariant()
-    fe_ph = add(P_state, substitute(P_state, rs_ph.as_substitution()))
-    regrouped = mul(expand_forms(core_product_forms()),
-                    expand_forms(bracket_with_instances()))
+    mu_forms = core_product_forms()
+    bracket_yw = bracket_with_instances()
+    fe_ph = fe_mod.build_fe(P_state, rs_ph).fe
     record("regrouped-difference",
            "one-round difference = mu * bracket with opaque Y, W",
-           fe_ph == regrouped)
+           fe_ph == expand_forms(mul(mu_forms, bracket_yw)))
 
     args = w.z_args()
     Yex = fun.instantiate(args[1])
@@ -210,7 +210,6 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            "(C+1)(H+1)(F+1)*W and (B+1)(D+1)(G+1)*Y absorb too",
            mul(cCHF, Wex) == cCHF and mul(cBDG, Yex) == cBDG)
 
-    mu_forms = core_product_forms()
     ok = True
     for factors, bracket in (core_factorization_a(), core_factorization_b()):
         ok = ok and product(factors + [bracket]) == mu_forms
@@ -223,11 +222,11 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            "Y*mu = mu and W*mu = mu",
            mul(Yex, mu_state) == mu_state and mul(Wex, mu_state) == mu_state)
 
-    derived = substitute(bracket_with_instances(),
-                         {PLACEHOLDER_Y: ONE, PLACEHOLDER_W: ONE})
+    derived = substitute(bracket_yw, {PLACEHOLDER_Y: ONE, PLACEHOLDER_W: ONE})
+    final = final_bracket()
     record("final-bracket",
            "substituting Y = W = 1 annihilates: mu * bracket = 0",
-           derived == final_bracket() and not mul(mu_forms, final_bracket()))
+           derived == final and not mul(mu_forms, final))
 
     report = fe_mod.build_fe(P_state, round_system(w, "expanded", fun))
     record("fundamental-equation",
@@ -291,8 +290,9 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         while True:
             if node not in pools:
                 sup, vectors = minimal_affine_factors(node)
+                # the text only orders the pool; a forms chain may hold a lone F
                 pools[node] = sorted((vector_to_affine(v, sup) for v in vectors),
-                                     key=ring.render)
+                                     key=lambda f: ring.render(f, "forms"))
             pool = pools[node]
             if not pool:
                 break
@@ -316,11 +316,10 @@ def affine_divisors(p: Poly) -> frozenset:
     sup = sorted(p.support())
     if not sup:
         return frozenset()
-    particular, basis = affine_factor_solutions(p, sup)
+    basis = affine_factor_solutions(p, sup)
     if len(basis) > 14:
         raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
-    return frozenset(vector_to_affine(v, sup) for v in affine_span(particular, basis)
-                     if v >> 1)
+    return frozenset(vector_to_affine(v, sup) for v in affine_span(basis) if v >> 1)
 
 
 def matches_presentation(chain: Factorization, factors: Sequence[Poly],

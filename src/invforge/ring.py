@@ -523,10 +523,11 @@ def _term_mask(term: str, start: int, dialect: str) -> int | None:
     return mask
 
 
-def render(p: Poly) -> str:
+def render(p: Poly, dialect: str = "auto") -> str:
     """Canonical text: terms in graded order (degree descending) then
     lexicographic by VarId; '*' only around Z00..Z63 names.  Refuses form
-    letters that auto-detection would not read back."""
+    letters that the dialect would not read back: a lone F is read back
+    only by the forms dialect, never by auto-detection."""
     if not p.terms:
         return "0"
     sup = p.support()
@@ -534,7 +535,7 @@ def render(p: Poly) -> str:
     if forms and not sup - forms <= set(PLACEHOLDERS):
         raise ValueError("cannot render form letters mixed with variables "
                          "other than Z, Y, X, W: no dialect reads the text back")
-    if forms == {form_var("F")}:
+    if forms == {form_var("F")} and dialect != "forms":
         raise ValueError("cannot render form letter F without another of A-H: "
                          "auto-detection would read it as the round bit")
     parts = []

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import invforge
-from invforge import cli, lincycle, ring
+from invforge import cli, lab, lincycle, ring
 from invforge.boolfun import affine_factor_solutions
 from invforge.data import fixture_path
 
@@ -109,7 +109,7 @@ class TestVerdictsAndExitCodes:
         # the affine factors of P are 1 + Ann_1(P)
         r = run_cli("annihilators", "--poly", INV7, "--degree", "1")
         assert r.returncode == 0
-        _, basis = affine_factor_solutions(invariant_deg7, sorted(invariant_deg7.support()))
+        basis = affine_factor_solutions(invariant_deg7, sorted(invariant_deg7.support()))
         assert "dimension = %d" % len(basis) in r.stdout.splitlines()
         assert len(basis) > 0
 
@@ -160,6 +160,31 @@ class TestVerdictsAndExitCodes:
         last = r.stdout.strip().splitlines()[-1]
         assert last.startswith("distinct factor sets = ")
         assert int(last.rsplit("=", 1)[1]) >= 2
+
+    @pytest.mark.parametrize("text,want", [("BF+F", ["B+1", "F"]),
+                                           ("AF+F+A+1", ["A+1", "F+1"])])
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_factor_forms_chain_with_lone_f(self, text, want, fmt):
+        # a forms chain renders in the forms dialect, where F alone is the form
+        r = run_cli("--format", fmt, "factor", "--poly", "-", stdin=text + "\n")
+        assert r.returncode == 0, r.stderr
+        if fmt == "text":
+            assert "factors = {%s} leaf = 1" % ", ".join(want) in r.stdout
+        else:
+            assert json.loads(r.stdout)["trees"][0]["factors"] == want
+        (chain,) = lab.explore_factorizations(ring.parse(text, "auto"), 8, 0)
+        assert {ring.parse(f, "forms") for f in want} == chain.factor_set()
+
+    def test_factor_of_mu_renders_as_by_auto_detection(self, capsys):
+        mu = ring.parse(open(MU).read(), "auto")
+        for seed in range(4):
+            argv = ["factor", "--poly", MU, "--trees", "32", "--seed", str(seed)]
+            assert cli.main(argv) == 0
+            trees = lab.explore_factorizations(mu, 32, seed)
+            want = ["tree %d: factors = {%s} leaf = %s"
+                    % (i, ", ".join(sorted(ring.render(f) for f in t.factors)),
+                       ring.render(t.leaf)) for i, t in enumerate(trees)]
+            assert capsys.readouterr().out.splitlines()[:-1] == want
 
     def test_validate(self):
         r = run_cli("validate", "--lzs", LZS)

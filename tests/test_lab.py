@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from invforge import lab, ring
+from invforge import fe as fe_mod, lab, ring
 from invforge.boolfun import minimal_affine_factors, parse_anf, random_boolfun
-from invforge.cipher import Wiring, random_wiring, round_system
+from invforge.cipher import (
+    W_INPUT_BITS, Y_INPUT_BITS, Wiring, random_wiring, round_system,
+)
 from invforge.fe import build_fe
 from invforge.lab import (
-    HypothesisError, affine_divisors,
-    alternate_invariant, core_factorization_a, core_factorization_b,
-    core_product_forms, expand_forms, explore_factorizations, final_bracket,
-    form_bank, matches_presentation, product_invariant, search_random_functions,
-    verify_attack, wilson_interval,
+    HypothesisError, affine_divisors, alternate_invariant, bracket_with_instances,
+    core_factorization_a, core_factorization_b, core_product_forms, expand_forms,
+    explore_factorizations, final_bracket, form_bank, matches_presentation,
+    product_invariant, search_random_functions, verify_attack, wilson_interval,
 )
 from invforge.ring import ONE, ZERO, add, mul, parse, product, substitute
 
@@ -112,6 +113,69 @@ class TestVerifyAttack:
         for seed in range(3):
             w = random_wiring(seed, conforming=True)
             assert verify_attack(w, zref).passed
+
+    def test_steps_match_reference(self, wiring, zref):
+        forced = []
+        for seed in range(4):
+            r = random_wiring(seed + 30)
+            d, p = list(r.d), list(r.p)
+            d[1:3], d[5:7] = (24, 28), (8, 12)
+            p[6:12], p[20:26] = Y_INPUT_BITS, W_INPUT_BITS
+            forced.append(Wiring(tuple(d), tuple(p)))
+        conforming = [random_wiring(seed + 20, conforming=True) for seed in range(4)]
+        funs = [zref] + [random_boolfun(seed + 500) for seed in range(3)]
+        for w in [wiring] + conforming + forced:
+            assert all(w.hypotheses().values())
+            wiring_steps = _reference_wiring_steps(w)
+            for fun in funs:
+                got = {s.key: s.passed for s in verify_attack(w, fun).steps}
+                assert got == {**wiring_steps, **_reference_function_steps(w, fun)}
+
+    def test_both_fe_steps_call_build_fe(self, wiring, zref, monkeypatch):
+        modes = []
+        real = fe_mod.build_fe
+        monkeypatch.setattr(fe_mod, "build_fe",
+                            lambda P, rs, *a: modes.append(rs.mode) or real(P, rs, *a))
+        assert verify_attack(wiring, zref).passed
+        assert modes == ["placeholder", "expanded"]
+
+
+def _reference_wiring_steps(w):
+    """The function-free step verdicts, computed as verify_attack first did:
+    the one-round difference by substituting the whole of P, and mu times
+    the bracket multiplied over state bits."""
+    bank = form_bank()
+    Yv, Wv = ring.var(ring.PLACEHOLDER_Y), ring.var(ring.PLACEHOLDER_W)
+    rs = round_system(w, "placeholder")
+    P = product_invariant()
+    mu = core_product_forms()
+    derived = substitute(bracket_with_instances(),
+                         {ring.PLACEHOLDER_Y: ONE, ring.PLACEHOLDER_W: ONE})
+    return {
+        "output-differences": add(rs.output(9), rs.output(5)) == add(Wv, bank["A"])
+        and add(rs.output(25), rs.output(21)) == add(Yv, bank["E"]),
+        "regrouped-difference": add(P, substitute(P, rs.as_substitution()))
+        == mul(expand_forms(mu), expand_forms(bracket_with_instances())),
+        "core-factorizations": all(product(fs + [b]) == mu for fs, b in
+                                   (core_factorization_a(), core_factorization_b())),
+        "final-bracket": derived == final_bracket() and not mul(mu, final_bracket()),
+    }
+
+
+def _reference_function_steps(w, fun):
+    bank = form_bank()
+    args = w.z_args()
+    Y, W = fun.instantiate(args[1]), fun.instantiate(args[3])
+    CHF, BDG = (product([bank[n] for n in names]) for names in ("CHF", "BDG"))
+    cCHF, cBDG = (product([add(bank[n], ONE) for n in names]) for names in ("CHF", "BDG"))
+    mu = expand_forms(core_product_forms())
+    fe = build_fe(product_invariant(), round_system(w, "expanded", fun))
+    return {
+        "absorption": mul(CHF, W) == CHF and mul(BDG, Y) == BDG,
+        "complement-absorption": mul(cCHF, W) == cCHF and mul(cBDG, Y) == cBDG,
+        "core-absorption": mul(Y, mu) == mu and mul(W, mu) == mu,
+        "fundamental-equation": fe.is_zero and not fe.depends_on,
+    }
 
 
 class TestFactorExplorer:

@@ -95,6 +95,13 @@ class TestParseRender:
         p = parse("BF+Z", dialect="forms")
         assert parse(render(p), dialect="auto") == p
 
+    def test_render_forms_dialect_allows_form_f_alone(self):
+        for text in ("F+Z", "F", "FW+1"):
+            p = parse(text, dialect="forms")
+            assert parse(render(p, "forms"), dialect="forms") == p
+        with pytest.raises(ValueError, match="mixed"):
+            render(add(parse("F", dialect="forms"), parse("a")), "forms")
+
     @pytest.mark.parametrize("text,dialect,message,position", [
         ("a+ +b", "state", "empty term", 2),
         ("ab+", "state", "empty term", 3),
