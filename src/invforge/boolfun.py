@@ -141,14 +141,14 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
     variable set: g annihilates f iff g vanishes on every point where
     f is 1, one row per support point and one column per monomial.  The
     basis is returned in reduced row echelon form over the graded-lex
-    monomial ordering.  Raises SystemTooLargeError when that system has
-    more than MAX_ANNIHILATOR_SYSTEM entries, or the truth table it is read
-    from more than 2^MAX_DENSE_VARS points.
+    monomial ordering.  Raises DegreeBoundError unless 0 <= degree_bound <=
+    len(variables), SystemTooLargeError when that system has more than
+    MAX_ANNIHILATOR_SYSTEM entries or its truth table more than 2^MAX_DENSE_VARS points.
     """
     variables = tuple(sorted(variables))
     n = len(variables)
-    if degree_bound > n:
-        raise DegreeBoundError("degree bound %d exceeds %d variables"
+    if not 0 <= degree_bound <= n:
+        raise DegreeBoundError("degree bound %d is outside 0..%d (the number of variables)"
                                % (degree_bound, n))
     if n > ring.MAX_DENSE_VARS:
         raise SystemTooLargeError("truth table of 2^%d points exceeds the 2^%d-point limit"

@@ -70,10 +70,14 @@ def _fe_record(report: fe_mod.FeReport) -> dict:
 def cmd_fe(args, out: _Output) -> int:
     w = _load_wiring(args.lzs)
     P = _load_poly(args.invariant)
-    budget = args.budget
+    if args.budget is not None and args.budget < 1:
+        raise SystemExit2("--budget must be >= 1")
+    if not (args.symbolic or args.boolfun):
+        raise SystemExit2("fe requires --boolfun unless --symbolic is given")
+    P = fe_mod.PreparedInvariant(P)
     if args.symbolic:
         rs = round_system(w, "symbolic")
-        report = fe_mod.symbolic_fe(P, rs, budget if budget else fe_mod.DEFAULT_BUDGET)
+        report = fe_mod.symbolic_fe(P, rs, args.budget or fe_mod.DEFAULT_BUDGET)
         system = fe_mod.coefficient_system(report.fe)
         rec = _fe_record(report)
         rec["coefficient_system"] = (
@@ -82,11 +86,9 @@ def cmd_fe(args, out: _Output) -> int:
             if system.linear else {"linear": False})
         out.emit(rec, report.lines() + system.lines())
         return EXIT_OK
-    if not args.boolfun:
-        raise SystemExit2("fe requires --boolfun unless --symbolic is given")
     fun = _load_fun(args.boolfun)
     rs = round_system(w, "expanded", fun)
-    report = fe_mod.build_fe(P, rs, budget)
+    report = fe_mod.build_fe(P, rs, args.budget)
     rec = _fe_record(report)
     lines = report.lines()
     if args.empirical_trials:
@@ -112,7 +114,8 @@ def cmd_verify_thm(args, out: _Output) -> int:
             out.emit({"kind": "verify", "error": str(exc)}, ["error: %s" % exc])
             return EXIT_FALSE
     else:  # a supplied non-default invariant gets the end-to-end verdict only
-        report = fe_mod.build_fe(P, round_system(w, "expanded", fun))
+        rs = round_system(w, "expanded", fun)
+        report = fe_mod.build_fe(fe_mod.PreparedInvariant(P), rs)
         chain = lab.ChainReport((lab.StepResult(
             "fundamental-equation", "supplied invariant",
             report.is_zero and not report.depends_on),), report)
@@ -222,8 +225,8 @@ def cmd_step(args, out: _Output) -> int:
         state = int(args.state, 16)
     except ValueError:
         raise SystemExit2("state must be hexadecimal")
-    if state >= 1 << 36:
-        raise SystemExit2("state exceeds 36 bits")
+    if not 0 <= state < 1 << 36:
+        raise SystemExit2("state must be a nonnegative value of at most 36 bits")
     if args.rounds < 0:
         raise SystemExit2("--rounds must be >= 0")
     for _ in range(args.rounds):

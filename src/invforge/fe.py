@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import ring
@@ -44,44 +45,37 @@ class FeReport:
         return out
 
 
-def _dependence(fe: Poly) -> Tuple[str, ...]:
-    names = []
-    sup = fe.support()
-    for v in sorted(sup):
-        if v >= N_STATE:
-            names.append(ring.var_name(v))
-    return tuple(names)
+class PreparedInvariant:
+    """A candidate P over state bits only (checked here); parts, P's affine
+    factors then the residual, is split on first use and kept for every FE."""
+
+    def __init__(self, poly: Poly):
+        bad = [v for v in poly.support() if v >= N_STATE]
+        if bad:
+            raise NonStateVariableError(bad)
+        self.poly = poly
+
+    @cached_property
+    def parts(self) -> Tuple[Poly, ...]:
+        factors, residual = affine_split(self.poly)
+        return (*factors, residual)
 
 
-def _check_state_only(p: Poly):
-    bad = [v for v in p.support() if v >= N_STATE]
-    if bad:
-        raise NonStateVariableError(bad)
-
-
-def _substituted(p: Poly, sub: Dict[int, Poly], budget: Optional[int]) -> Poly:
-    """Image of p under the round substitution.
-
-    p is split into affine factors first, so the image is a product of
-    small factor images instead of one large monomial-by-monomial
-    expansion; an unsplit p is its own residual.
-    """
-    factors, residual = affine_split(p)
-    return ring.product([substitute(f, sub, budget) for f in factors + [residual]], budget)
-
-
-def build_fe(P: Poly, rs: RoundSystem, budget: Optional[int] = None) -> FeReport:
-    """FE = P + P(outputs-as-inputs), fully expanded and canonicalized.
+def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None) -> FeReport:
+    """FE = P + P(outputs-as-inputs), fully expanded and canonicalized; the
+    image of P is the product of its parts' images.
 
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
     """
-    _check_state_only(P)
-    fe = add(P, _substituted(P, rs.as_substitution(), budget))
-    return FeReport(fe, not fe, _dependence(fe), rs.mode)
+    sub = rs.as_substitution()
+    fe = add(P.poly, ring.product([substitute(f, sub, budget) for f in P.parts], budget))
+    depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
+    return FeReport(fe, not fe, depends_on, rs.mode)
 
 
-def symbolic_fe(P: Poly, rs: RoundSystem, budget: int = DEFAULT_BUDGET) -> FeReport:
+def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,
+                budget: int = DEFAULT_BUDGET) -> FeReport:
     """build_fe over the shared coefficient symbols Z00..Z63, budgeted."""
     if rs.mode != "symbolic":
         raise ValueError("symbolic_fe requires a symbolic-mode round system")
@@ -165,18 +159,18 @@ class EmpiricalReport:
 _CHUNK = 1 << 13  # fixes which states are drawn: changing it changes the output
 
 
-def check_invariant_empirically(P: Poly, w: Wiring, fun: BoolFun6,
+def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
                                 trials: int, seed: int = 0,
                                 rounds: int = 1) -> EmpiricalReport:
     """Sample random states and per-round random (F, K, L); count violations.
 
     Bit-sliced: trial j has its own trajectory and per-round bits, and one
     evaluation of P reads its start in lane j, its image in lane width + j.
-    Must report 0 mismatches whenever build_fe says is_zero.
+    It reads P.poly, not build_fe's P.parts, and must report 0 mismatches
+    whenever build_fe says is_zero.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_state_only(P)
     rng = random.Random(seed)
     mism = 0
     remaining = trials
@@ -188,7 +182,7 @@ def check_invariant_empirically(P: Poly, w: Wiring, fun: BoolFun6,
             lanes = step_lanes(lanes, w, fun,
                                rng.getrandbits(width), rng.getrandbits(width),
                                rng.getrandbits(width), wmask)
-        both = eval_poly_lanes(P, {state_var(i): start[i - 1] | lanes[i - 1] << width
+        both = eval_poly_lanes(P.poly, {state_var(i): start[i - 1] | lanes[i - 1] << width
                                    for i in range(1, 37)}, (1 << 2 * width) - 1)
         mism += ((both ^ both >> width) & wmask).bit_count()
         remaining -= width

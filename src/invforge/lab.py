@@ -187,7 +187,7 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            add(rs_ph.output(9), rs_ph.output(5)) == add(Wv, A_)
            and add(rs_ph.output(25), rs_ph.output(21)) == add(Yv, E_))
 
-    P_state = product_invariant()
+    P_state = fe_mod.PreparedInvariant(product_invariant())
     mu_forms = core_product_forms()
     bracket_yw = bracket_with_instances()
     fe_ph = fe_mod.build_fe(P_state, rs_ph).fe
@@ -267,10 +267,12 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
 
     At each node one factor is drawn uniformly from the minimal-support
     affine candidates and divided out; a polynomial with no affine factor
-    yields a single chain with no factors.  Every chain re-verifies by
-    multiplication.  The candidates of each distinct node are computed once.
-    Raises ValueError for p = 0 or p over more than MAX_SPLIT_VARS variables.
+    yields a single chain with no factors.  A chain that does not re-multiply
+    to p raises ArithmeticError.  The candidates of each node are computed once.
+    Raises ValueError for max_trees < 1, p = 0 or p over more than MAX_SPLIT_VARS.
     """
+    if max_trees < 1:
+        raise ValueError("trees must be >= 1")
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     n = len(p.support())
@@ -305,8 +307,8 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
             continue
         seen.add(key)
         chain = Factorization(p, tuple(factors), tuple(nodes))
-        if not chain.verify():  # pragma: no cover - factor_out re-checks
-            continue
+        if not chain.verify():
+            raise ArithmeticError("division chain does not re-multiply to the polynomial")
         found.append(chain)
     return found
 
@@ -370,7 +372,8 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> Tuple[float, flo
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def is_hit(w: Wiring, P: Poly, fun: BoolFun6, screen_seed: int = 0) -> bool:
+def is_hit(w: Wiring, P: fe_mod.PreparedInvariant, fun: BoolFun6,
+           screen_seed: int = 0) -> bool:
     """Exact invariant verdict for one candidate function.
 
     A cheap empirical screen rejects most functions (any observed mismatch
@@ -390,11 +393,11 @@ def search_random_functions(w: Wiring, P: Poly, trials: int, seed: int) -> Searc
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    fe_mod._check_state_only(P)
+    prepared = fe_mod.PreparedInvariant(P)
     hits = []
     for i in range(trials):
         fun = random_boolfun(seed + i)
-        if is_hit(w, P, fun, screen_seed=seed ^ 0x5EED ^ i):
+        if is_hit(w, prepared, fun, screen_seed=seed ^ 0x5EED ^ i):
             hits.append((i, fun.tt))
     lo, hi = wilson_interval(len(hits), trials)
     return SearchReport(trials, tuple(hits), len(hits) / trials, lo, hi)

@@ -19,8 +19,8 @@ from invforge.boolfun import annihilators, mobius, poly_from_anf_bits, random_bo
 from invforge.cipher import (
     random_wiring, round_system, states_to_lanes, step, eval_poly_lanes,
 )
-from invforge.data import fixture_path
-from invforge.fe import build_fe, check_invariant_empirically
+from invforge.data import fixture_path, fixture_text
+from invforge.fe import PreparedInvariant, build_fe, check_invariant_empirically
 from invforge.ring import ONE, add, mul, parse, product, state_var, var
 
 LZS = fixture_path("lzs-265-like.cfg")
@@ -59,7 +59,8 @@ def test_criterion_1_theorem_reproduction(wiring, zref, invariant_deg7):
     with _Timer(1, "theorem reproduction", 10):
         chain = lab.verify_attack(wiring, zref)
         assert chain.passed
-        report = build_fe(invariant_deg7, round_system(wiring, "expanded", zref))
+        report = build_fe(PreparedInvariant(invariant_deg7),
+                          round_system(wiring, "expanded", zref))
         assert report.is_zero
         assert report.depends_on == ()
         r = subprocess.run([sys.executable, "-m", "invforge", "verify-thm",
@@ -183,8 +184,8 @@ def test_criterion_6_cross_path_consistency():
 
 def test_criterion_7_multi_round_invariance(wiring, zref, invariant_deg7):
     with _Timer(7, "256-round invariance", 60):
-        rep = check_invariant_empirically(invariant_deg7, wiring, zref,
-                                          trials=10000, seed=7, rounds=256)
+        rep = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,
+                                          zref, trials=10000, seed=7, rounds=256)
         assert rep.mismatches == 0
 
 
@@ -223,8 +224,8 @@ def test_criterion_9_second_invariant_regression(wiring, zref, invariant_deg7):
         # the single published function satisfies FE = 0 for it
         alt = lab.alternate_invariant()
         assert alt == invariant_deg7
-        assert parse(open(INV7_ALT).read()) == alt
-        report = build_fe(alt, round_system(wiring, "expanded", zref))
+        assert parse(fixture_text("invariant-deg7-alt.poly")) == alt
+        report = build_fe(PreparedInvariant(alt), round_system(wiring, "expanded", zref))
         assert report.is_zero and report.depends_on == ()
         r = subprocess.run([sys.executable, "-m", "invforge", "verify-thm",
                             "--lzs", LZS, "--boolfun", ZREF,

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -7,9 +8,9 @@ import sys
 import pytest
 
 import invforge
-from invforge import cli, lab, lincycle, ring
+from invforge import cli, fe as fe_mod, lab, lincycle, ring
 from invforge.boolfun import affine_factor_solutions
-from invforge.data import fixture_path
+from invforge.data import fixture_path, fixture_text
 
 LZS = fixture_path("lzs-265-like.cfg")
 ZREF = fixture_path("z-reference.anf")
@@ -154,6 +155,40 @@ class TestVerdictsAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("Traceback") and "round is not affine" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic", "--budget", "0"],
+        ["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", ZREF, "--budget", "-1"],
+        ["annihilators", "--poly", MU, "--degree", "-1"],
+        ["factor", "--poly", MU, "--trees", "0"],
+        ["factor", "--poly", MU, "--trees", "-2"],
+        ["step", "--lzs", LZS, "--boolfun", ZREF, "--state", "-5"],
+    ], ids=["symbolic-budget", "expanded-budget", "degree", "trees-0", "trees-neg",
+            "state"])
+    def test_out_of_range_flag_exit_two(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    def test_unverified_factor_chain_is_internal(self, monkeypatch, capsys):
+        monkeypatch.setattr(lab.Factorization, "verify", lambda self: False)
+        assert cli.main(["factor", "--poly", MU]) == cli.EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and "does not re-multiply" in err
+
+    def test_fe_splits_the_invariant_once(self, monkeypatch, capsys):
+        splits = []
+        real = fe_mod.affine_split
+        monkeypatch.setattr(fe_mod, "affine_split", lambda p: splits.append(p) or real(p))
+        assert cli.main(["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", ZREF,
+                         "--empirical-trials", "100"]) == 0
+        assert "empirical mismatches = 0" in capsys.readouterr().out
+        assert len(splits) == 1
+
+    def test_fe_names_boolfun_before_the_invariant_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("a+F\n"))
+        assert cli.main(["fe", "--lzs", LZS, "--invariant", "-"]) == cli.EXIT_USAGE
+        assert "--boolfun" in capsys.readouterr().err
+
     def test_factor_finds_distinct_sets(self):
         r = run_cli("factor", "--poly", MU, "--trees", "8", "--seed", "1")
         assert r.returncode == 0
@@ -176,7 +211,7 @@ class TestVerdictsAndExitCodes:
         assert {ring.parse(f, "forms") for f in want} == chain.factor_set()
 
     def test_factor_of_mu_renders_as_by_auto_detection(self, capsys):
-        mu = ring.parse(open(MU).read(), "auto")
+        mu = ring.parse(fixture_text("mu.poly"), "auto")
         for seed in range(4):
             argv = ["factor", "--poly", MU, "--trees", "32", "--seed", str(seed)]
             assert cli.main(argv) == 0

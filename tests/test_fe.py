@@ -6,12 +6,14 @@ import pytest
 
 from invforge import fe as fe_mod
 from invforge import lab, ring
-from invforge.boolfun import ZERO_FUN, affine_split, parse_anf, random_boolfun
+from invforge.boolfun import (
+    MAX_SPLIT_VARS, ZERO_FUN, affine_split, parse_anf, random_boolfun,
+)
 from invforge.cipher import (
     Wiring, eval_poly_lanes, random_wiring, round_system, state_var, step_lanes,
 )
 from invforge.fe import (
-    DEFAULT_BUDGET, NonStateVariableError, build_fe, check_candidate,
+    DEFAULT_BUDGET, NonStateVariableError, PreparedInvariant, build_fe, check_candidate,
     check_invariant_empirically, coefficient_system, substitute_coefficients,
     symbolic_fe,
 )
@@ -21,42 +23,54 @@ from invforge.ring import ONE, TermBudgetError, add, mul, parse, substitute, var
 class TestBuildFe:
     def test_single_bit_not_invariant(self, wiring, zref):
         rs = round_system(wiring, "expanded", zref)
-        report = build_fe(parse("V"), rs)  # V = x1
+        report = build_fe(PreparedInvariant(parse("V")), rs)  # V = x1
         assert not report.is_zero
         assert report.mode == "expanded"
 
     def test_theorem_invariant(self, wiring, zref, invariant_deg7):
         rs = round_system(wiring, "expanded", zref)
-        report = build_fe(invariant_deg7, rs)
+        report = build_fe(PreparedInvariant(invariant_deg7), rs)
         assert report.is_zero
         assert report.depends_on == ()
 
     def test_827_invariant_does_not_transfer(self, wiring, zref):
         p = parse("a+b+c+ac+d+bd+e+ce+f+df+g+ag+eg+h+bh+fh")
-        report = build_fe(p, round_system(wiring, "expanded", zref))
+        report = build_fe(PreparedInvariant(p), round_system(wiring, "expanded", zref))
         assert not report.is_zero
 
     def test_rejects_non_state_variables(self, wiring, zref):
         rs = round_system(wiring, "expanded", zref)
         with pytest.raises(NonStateVariableError):
-            build_fe(parse("a+F"), rs)
+            build_fe(PreparedInvariant(parse("a+F")), rs)
 
     def test_dependence_fields(self, wiring):
         rs = round_system(wiring, "placeholder")
-        report = build_fe(parse("V"), rs)
+        report = build_fe(PreparedInvariant(parse("V")), rs)
         assert "F" in report.depends_on
 
     def test_factored_path_matches_plain_substitution(self, wiring, zref):
-        rs = round_system(wiring, "expanded", zref)
-        sub = rs.as_substitution()
         rng = random.Random(41)
         bank = lab.form_bank()
-        for _ in range(10):
-            names = rng.sample("ABCDEFGH", 3)
-            p = ring.product([bank[n] for n in names])
-            fast = fe_mod._substituted(p, sub, None)
-            plain = substitute(p, sub)
-            assert fast == plain
+        products = [ring.product([bank[n] for n in rng.sample("ABCDEFGH", 3)])
+                    for _ in range(4)]
+        # no affine factor: the residual is the whole of p, with or without a 1
+        plain = [parse("ab+cd"), parse("ab+cd+1"), parse("abc+de+f"), parse("abc+de+f+1")]
+        wide = ring.Poly([0] + [(1 << v) | (1 << (v + 1)) for v in range(0, 18, 2)])
+        assert len(wide.support()) > MAX_SPLIT_VARS
+        wirings = [wiring, random_wiring(2, conforming=True), random_wiring(2)]
+        for k, w in enumerate(wirings):
+            systems = [round_system(w, "placeholder"),
+                       round_system(w, "expanded", zref),
+                       round_system(w, "expanded", random_boolfun(80 + k))]
+            for p in products + plain + [wide]:
+                prepared = PreparedInvariant(p)
+                if p in products:
+                    assert len(prepared.parts) == 4 and prepared.parts[-1] == ONE
+                else:
+                    assert prepared.parts == (p,)
+                for rs in systems:
+                    want = add(p, substitute(p, rs.as_substitution()))
+                    assert build_fe(prepared, rs).fe == want
 
     def test_matches_sparse_oracle_on_both_product_branches(
             self, wiring, zref, invariant_deg7, monkeypatch):
@@ -76,11 +90,12 @@ class TestBuildFe:
                 images = [substitute(f, sub) for f in factors + [residual]]
                 oracle = add(invariant_deg7,
                              functools.reduce(mul, sorted(images, key=len), ONE))
-                report = build_fe(invariant_deg7, rs)
+                report = build_fe(PreparedInvariant(invariant_deg7), rs)
                 assert report.fe == oracle
                 if report.is_zero:
                     zeros += 1
-                    rep = check_invariant_empirically(invariant_deg7, w, fun, 2000)
+                    rep = check_invariant_empirically(
+                        PreparedInvariant(invariant_deg7), w, fun, 2000)
                     assert rep.mismatches == 0
         assert zeros >= 5  # z-reference on the shipped and conforming wirings
         # conforming images lie on 16 bits (dense); random ones on more than 20
@@ -90,9 +105,9 @@ class TestBuildFe:
         # the image of the 2080-term invariant has 2080 terms; the sparse fold's
         # intermediates grew past 2500, the dense branch builds none
         rs = round_system(wiring, "expanded", zref)
-        assert build_fe(invariant_deg7, rs, budget=2500).is_zero
+        assert build_fe(PreparedInvariant(invariant_deg7), rs, budget=2500).is_zero
         with pytest.raises(TermBudgetError):
-            build_fe(invariant_deg7, rs, budget=2079)
+            build_fe(PreparedInvariant(invariant_deg7), rs, budget=2079)
 
 
 def two_evaluation_mismatches(P, w, fun, trials, seed, rounds):
@@ -131,7 +146,8 @@ class TestEmpirical:
         for trials, rounds, (k, w), P in cases:
             for fun in (zref, random_boolfun(90 + k)):
                 seed = trials + rounds
-                got = check_invariant_empirically(P, w, fun, trials, seed, rounds)
+                got = check_invariant_empirically(PreparedInvariant(P), w, fun,
+                                                  trials, seed, rounds)
                 want = two_evaluation_mismatches(P, w, fun, trials, seed, rounds)
                 assert got.mismatches == want
                 nonzero += want > 0
@@ -145,34 +161,36 @@ class TestEmpirical:
         seen = []
         monkeypatch.setattr(fe_mod, "eval_poly_lanes",
                             lambda *args: seen.append(1) or eval_poly_lanes(*args))
-        check_invariant_empirically(invariant_deg7, wiring, zref, trials, rounds=3)
+        check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring, zref,
+                                    trials, rounds=3)
         assert len(seen) == calls
 
     def test_theorem_invariant_clean(self, wiring, zref, invariant_deg7):
-        rep = check_invariant_empirically(invariant_deg7, wiring, zref,
-                                          trials=10**6, seed=5)
+        rep = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,
+                                          zref, trials=10**6, seed=5)
         assert rep.mismatches == 0
 
     def test_single_bit_mismatches(self, wiring, zref):
-        rep = check_invariant_empirically(parse("V"), wiring, zref,
+        rep = check_invariant_empirically(PreparedInvariant(parse("V")), wiring, zref,
                                           trials=1000, seed=6)
         assert rep.mismatches > 0
 
     def test_zero_rounds_identity(self, wiring, zref):
         rng = random.Random(42)
         p = ring.Poly([rng.getrandbits(36) for _ in range(30)])
-        rep = check_invariant_empirically(p, wiring, zref, trials=5000,
+        rep = check_invariant_empirically(PreparedInvariant(p), wiring, zref, trials=5000,
                                           seed=7, rounds=0)
         assert rep.mismatches == 0
 
     def test_trials_validation(self, wiring, zref):
         with pytest.raises(ValueError):
-            check_invariant_empirically(parse("a"), wiring, zref, trials=0)
+            check_invariant_empirically(PreparedInvariant(parse("a")), wiring, zref,
+                                        trials=0)
 
     def test_multi_round_preservation(self, wiring, zref, invariant_deg7):
         for rounds in (2, 17, 64):
-            rep = check_invariant_empirically(invariant_deg7, wiring, zref,
-                                              trials=4000, seed=rounds,
+            rep = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,
+                                              zref, trials=4000, seed=rounds,
                                               rounds=rounds)
             assert rep.mismatches == 0
 
@@ -180,12 +198,13 @@ class TestEmpirical:
 class TestSymbolic:
     def test_requires_symbolic_mode(self, wiring, zref):
         with pytest.raises(ValueError):
-            symbolic_fe(parse("a"), round_system(wiring, "expanded", zref))
+            symbolic_fe(PreparedInvariant(parse("a")),
+                        round_system(wiring, "expanded", zref))
 
     def test_trivially_shifted_bits_are_coefficient_free(self, wiring):
         rs = round_system(wiring, "symbolic")
         # b + c touches only x35, x34, whose images are single variables
-        report = symbolic_fe(parse("b+c"), rs)
+        report = symbolic_fe(PreparedInvariant(parse("b+c")), rs)
         assert all(v < ring.COEF_BASE for v in report.fe.support())
 
     def test_mode_consistency_medium(self, wiring, zref):
@@ -194,8 +213,8 @@ class TestSymbolic:
                           add(bank["G"], bank["H"])])
         rs_sym = round_system(wiring, "symbolic")
         rs_exp = round_system(wiring, "expanded", zref)
-        sym = symbolic_fe(p, rs_sym)
-        exp = build_fe(p, rs_exp)
+        sym = symbolic_fe(PreparedInvariant(p), rs_sym)
+        exp = build_fe(PreparedInvariant(p), rs_exp)
         assert substitute_coefficients(sym.fe, zref) == exp.fe
         # seeded random wirings whose four instances each repeat an argument,
         # so the expanded ANF merges x*x = x, with random functions
@@ -214,11 +233,11 @@ class TestSymbolic:
 
     def test_mode_consistency_theorem(self, wiring, zref, invariant_deg7):
         rs_sym = round_system(wiring, "symbolic")
-        sym = symbolic_fe(invariant_deg7, rs_sym)
+        sym = symbolic_fe(PreparedInvariant(invariant_deg7), rs_sym)
         assert len(sym.fe) > 0
         assert check_candidate(sym.fe, zref)
         other = random_boolfun(4040)
-        exp_other = build_fe(invariant_deg7,
+        exp_other = build_fe(PreparedInvariant(invariant_deg7),
                              round_system(wiring, "expanded", other))
         assert check_candidate(sym.fe, other) == exp_other.is_zero
 
@@ -226,34 +245,37 @@ class TestSymbolic:
         # two of the basis factors' images carry a function instance, so the
         # sparse intermediates stay within the default budget
         w = random_wiring(0)
-        sym = symbolic_fe(invariant_deg7, round_system(w, "symbolic"))
+        sym = symbolic_fe(PreparedInvariant(invariant_deg7), round_system(w, "symbolic"))
         for seed in (1, 2):
             fun = random_boolfun(seed)
             assert (substitute_coefficients(sym.fe, fun)
-                    == build_fe(invariant_deg7, round_system(w, "expanded", fun)).fe)
+                    == build_fe(PreparedInvariant(invariant_deg7),
+                                round_system(w, "expanded", fun)).fe)
 
     def test_budget_overflow(self, wiring, invariant_deg7):
         rs = round_system(wiring, "symbolic")
         with pytest.raises(TermBudgetError):
-            symbolic_fe(invariant_deg7, rs, budget=500)
+            symbolic_fe(PreparedInvariant(invariant_deg7), rs, budget=500)
 
 
 class TestCoefficientSystem:
     def test_linear_extraction(self, wiring):
         rs = round_system(wiring, "symbolic")
         # a single non-trivial output bit: FE is affine in the coefficients
-        report = symbolic_fe(parse("d"), rs)  # d = x33, image y33 = F + x_{D(9)}
+        # d = x33, image y33 = F + x_{D(9)}
+        report = symbolic_fe(PreparedInvariant(parse("d")), rs)
         system = coefficient_system(report.fe)
         assert system.linear
 
     def test_nonlinear_detection(self, wiring, invariant_deg7):
         rs = round_system(wiring, "symbolic")
-        report = symbolic_fe(invariant_deg7, rs)
+        report = symbolic_fe(PreparedInvariant(invariant_deg7), rs)
         system = coefficient_system(report.fe)
         assert not system.linear  # distinct instances multiply: quadratic terms
 
     def test_single_instance_linear(self, wiring):
         rs = round_system(wiring, "symbolic")
-        report = symbolic_fe(parse("b"), rs)  # image x34: no instance at all
+        # image x34: no instance at all
+        report = symbolic_fe(PreparedInvariant(parse("b")), rs)
         system = coefficient_system(report.fe)
         assert system.linear

@@ -7,7 +7,7 @@ from invforge.boolfun import minimal_affine_factors, parse_anf, random_boolfun
 from invforge.cipher import (
     W_INPUT_BITS, Y_INPUT_BITS, Wiring, random_wiring, round_system,
 )
-from invforge.fe import build_fe
+from invforge.fe import PreparedInvariant, build_fe
 from invforge.lab import (
     HypothesisError, affine_divisors, alternate_invariant, bracket_with_instances,
     core_factorization_a, core_factorization_b, core_product_forms, expand_forms,
@@ -105,7 +105,7 @@ class TestVerifyAttack:
         for seed in (0, 1, 2, 77):
             fun = random_boolfun(seed)
             report = verify_attack(wiring, fun)
-            fe = build_fe(lab.product_invariant(),
+            fe = build_fe(PreparedInvariant(lab.product_invariant()),
                           round_system(wiring, "expanded", fun))
             assert report.passed == (fe.is_zero and not fe.depends_on)
 
@@ -139,6 +139,13 @@ class TestVerifyAttack:
         assert verify_attack(wiring, zref).passed
         assert modes == ["placeholder", "expanded"]
 
+    def test_both_fe_steps_share_one_split(self, wiring, zref, monkeypatch):
+        splits = []
+        real = fe_mod.affine_split
+        monkeypatch.setattr(fe_mod, "affine_split", lambda p: splits.append(p) or real(p))
+        assert verify_attack(wiring, zref).passed
+        assert splits == [product_invariant()]
+
 
 def _reference_wiring_steps(w):
     """The function-free step verdicts, computed as verify_attack first did:
@@ -169,7 +176,8 @@ def _reference_function_steps(w, fun):
     CHF, BDG = (product([bank[n] for n in names]) for names in ("CHF", "BDG"))
     cCHF, cBDG = (product([add(bank[n], ONE) for n in names]) for names in ("CHF", "BDG"))
     mu = expand_forms(core_product_forms())
-    fe = build_fe(product_invariant(), round_system(w, "expanded", fun))
+    fe = build_fe(PreparedInvariant(product_invariant()),
+                  round_system(w, "expanded", fun))
     return {
         "absorption": mul(CHF, W) == CHF and mul(BDG, Y) == BDG,
         "complement-absorption": mul(cCHF, W) == cCHF and mul(cBDG, Y) == cBDG,
@@ -302,10 +310,24 @@ class TestFactorExplorer:
 
 class TestSearch:
     def test_planted_reference_function_detected(self, wiring, zref, invariant_deg7):
-        assert lab.is_hit(wiring, invariant_deg7, zref)
+        assert lab.is_hit(wiring, PreparedInvariant(invariant_deg7), zref)
 
     def test_random_function_rejected_by_screen(self, wiring, invariant_deg7):
-        assert not lab.is_hit(wiring, invariant_deg7, random_boolfun(123))
+        assert not lab.is_hit(wiring, PreparedInvariant(invariant_deg7),
+                              random_boolfun(123))
+
+    @pytest.mark.parametrize("trials,seed,survivors,splits", [(3, 1, 2, 1), (2, 0, 0, 0)])
+    def test_search_splits_the_invariant_once(self, wiring, invariant_deg7, monkeypatch,
+                                              trials, seed, survivors, splits):
+        # trials 1 and 2 of seed 1 pass the screen; neither trial of seed 0 does
+        split_calls, exact = [], []
+        real_split, real_build = fe_mod.affine_split, fe_mod.build_fe
+        monkeypatch.setattr(fe_mod, "affine_split",
+                            lambda p: split_calls.append(p) or real_split(p))
+        monkeypatch.setattr(fe_mod, "build_fe",
+                            lambda *args: exact.append(1) or real_build(*args))
+        search_random_functions(wiring, invariant_deg7, trials, seed)
+        assert (len(exact), len(split_calls)) == (survivors, splits)
 
     def test_search_deterministic(self, wiring, invariant_deg7):
         a = search_random_functions(wiring, invariant_deg7, trials=12, seed=5)
@@ -315,7 +337,7 @@ class TestSearch:
 
     def test_zero_function_verdict_computed(self, wiring, invariant_deg7):
         from invforge.boolfun import ZERO_FUN
-        report = build_fe(invariant_deg7,
+        report = build_fe(PreparedInvariant(invariant_deg7),
                           round_system(wiring, "expanded", ZERO_FUN))
         assert not report.is_zero  # computed, frozen: the degenerate
         # function is not a hit for this invariant and wiring
