@@ -89,10 +89,6 @@ def parse_anf(text: str) -> BoolFun6:
     return BoolFun6(truth_table(p, FORMAL_VARS))
 
 
-def render_anf(f: BoolFun6) -> str:
-    return ring.render(f.anf_poly())
-
-
 def load_boolfun(text: str) -> BoolFun6:
     """Auto-detect a function file: 16 hex digits (truth table) or ANF text."""
     stripped = "".join(text.split())

@@ -138,15 +138,6 @@ def parse_wiring(text: str) -> Wiring:
     return Wiring(d, p)
 
 
-def load_wiring(path: str) -> Wiring:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_wiring(fh.read())
-
-
-def render_wiring(w: Wiring) -> str:
-    return "D = %s\nP = %s\n" % (",".join(map(str, w.d)), ",".join(map(str, w.p)))
-
-
 def random_wiring(seed: int, conforming: bool = False) -> Wiring:
     """Seeded random valid wiring.
 
@@ -189,10 +180,8 @@ def _symbolic_instance(args: Sequence[int]) -> Poly:
 class RoundSystem:
     """The 36 one-round output polynomials y1..y36 over the input variables."""
 
-    wiring: Wiring
     mode: str
     outputs: Tuple[Poly, ...]
-    fun: Optional[BoolFun6] = None
 
     def output(self, i: int) -> Poly:
         return self.outputs[i - 1]
@@ -239,7 +228,7 @@ def round_system(w: Wiring, mode: str = "placeholder",
     for k, (i, term) in enumerate(zip(NONTRIVIAL, added)):
         acc = add(acc, term)
         outputs[i - 1] = add(acc, xin(w.D(9 - k)))
-    return RoundSystem(w, mode, tuple(outputs), fun)
+    return RoundSystem(mode, tuple(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +329,6 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6,
     acc = acc ^ x(p[26])
     out[0] = acc ^ x(w.D(1))
     return out
-
-
-def states_to_lanes(states: Sequence[int]) -> List[int]:
-    lanes = [0] * 36
-    for j, s in enumerate(states):
-        for i in range(36):
-            if (s >> i) & 1:
-                lanes[i] |= 1 << j
-    return lanes
 
 
 def eval_poly_lanes(p: Poly, lanes: Dict[int, int], width_mask: int) -> int:

@@ -146,10 +146,6 @@ class EmpiricalReport:
     rounds: int
     mismatches: int
 
-    @property
-    def ok(self) -> bool:
-        return self.mismatches == 0
-
     def lines(self) -> List[str]:
         return ["trials = %d" % self.trials,
                 "rounds = %d" % self.rounds,

@@ -27,10 +27,6 @@ def rref(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
     return [by_pivot[b] for b in bits], [b.bit_length() - 1 for b in bits]
 
 
-def rank(rows: Sequence[int], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
-
-
 def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
     """Basis of {v : row . v = 0 for all rows}, one vector per free column."""
     reduced, pivots = rref(rows, ncols)
@@ -93,7 +89,3 @@ def mat_mul(a: Sequence[int], b: Sequence[int], ncols: int) -> List[int]:
 
 def identity(n: int) -> List[int]:
     return [1 << i for i in range(n)]
-
-
-def is_invertible(rows: Sequence[int], n: int) -> bool:
-    return rank(rows, n) == n

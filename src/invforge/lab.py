@@ -11,8 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import fe as fe_mod
 from . import ring
 from .boolfun import (
-    MAX_SPLIT_VARS, BoolFun6, affine_factor_solutions, affine_span,
-    minimal_affine_factors, random_boolfun, vector_to_affine,
+    MAX_SPLIT_VARS, BoolFun6, minimal_affine_factors, random_boolfun, vector_to_affine,
 )
 from .cipher import Wiring, round_system
 from .ring import (
@@ -63,22 +62,6 @@ def invariant_factors_forms() -> List[Poly]:
 def product_invariant() -> Poly:
     """The degree-7 product invariant, expanded over state bits."""
     return product([expand_forms(f) for f in invariant_factors_forms()])
-
-
-def alternate_invariant_factors_forms() -> List[Poly]:
-    return [_s(ONE, A, H), _s(B, H), _s(ONE, C, H), _s(D, H),
-            _s(E, H), _s(ONE, F, H), _s(G, H)]
-
-
-def alternate_invariant() -> Poly:
-    """The second published degree-7 product (regression target).
-
-    Computed fact: this product expands to the same canonical polynomial as
-    product_invariant() - the two factor lists are one more witness of
-    non-unique factorization, both describing the indicator of one pair of
-    antipodal form-assignments.
-    """
-    return product([expand_forms(f) for f in alternate_invariant_factors_forms()])
 
 
 def core_product_forms() -> Poly:
@@ -258,9 +241,6 @@ class Factorization:
     def verify(self) -> bool:
         return product(self.factors + (self.leaf,)) == self.root
 
-    def factor_set(self) -> frozenset:
-        return frozenset(self.factors)
-
 
 def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factorization]:
     """Randomized division chains; returns up to max_trees distinct chains.
@@ -311,35 +291,6 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
             raise ArithmeticError("division chain does not re-multiply to the polynomial")
         found.append(chain)
     return found
-
-
-def affine_divisors(p: Poly) -> frozenset:
-    """All nonconstant affine ell with (ell+1)*p = 0, by exhaustive span."""
-    sup = sorted(p.support())
-    if not sup:
-        return frozenset()
-    basis = affine_factor_solutions(p, sup)
-    if len(basis) > 14:
-        raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
-    return frozenset(vector_to_affine(v, sup) for v in affine_span(basis) if v >> 1)
-
-
-def matches_presentation(chain: Factorization, factors: Sequence[Poly],
-                         bracket: Poly) -> bool:
-    """Does some division prefix of the chain realize a printed factorization?
-
-    A prefix matches when its quotient equals the printed cofactor and the
-    affine divisors of the prefix product are exactly the printed factor
-    set (printed presentations list dependent factors, e.g. three pairwise
-    sums whose product equals that of any two of them).
-    """
-    want = frozenset(factors)
-    for k in range(1, len(chain.factors) + 1):
-        if chain.nodes[k - 1] != bracket:
-            continue
-        if affine_divisors(product(chain.factors[:k])) == want:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

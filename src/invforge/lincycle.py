@@ -31,16 +31,6 @@ class AffineRound:
     offset_k: int
     offset_l: int
 
-    def apply(self, state: int, f_bit: int, k_bit: int, l_bit: int) -> int:
-        out = gf2.mat_vec(self.matrix, state)
-        if f_bit:
-            out ^= self.offset_f
-        if k_bit:
-            out ^= self.offset_k
-        if l_bit:
-            out ^= self.offset_l
-        return out
-
 
 def affine_of(w: Wiring) -> AffineRound:
     """Extract the linear part and the F/K/L offsets of the zero-function round."""

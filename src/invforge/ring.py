@@ -49,13 +49,6 @@ def state_var(i: int) -> int:
     return N_STATE - i
 
 
-def state_index(v: int) -> int:
-    """Inverse of state_var."""
-    if not 0 <= v < N_STATE:
-        raise ValueError("not a state VarId: %d" % v)
-    return N_STATE - v
-
-
 def coef_var(j: int) -> int:
     """VarId of the ANF coefficient symbol Z00..Z63."""
     if not 0 <= j < 64:

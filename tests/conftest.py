@@ -4,8 +4,8 @@ import pytest
 
 import invforge
 from invforge.boolfun import parse_anf
-from invforge.cipher import load_wiring
-from invforge.data import fixture_path, fixture_text
+from invforge.cipher import parse_wiring
+from invforge.data import fixture_text
 
 # CLI tests run `python -m invforge` in a child process: hand it the package
 # these tests import, so both sides test the same source tree
@@ -16,7 +16,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(scope="session")
 def wiring():
-    return load_wiring(fixture_path("lzs-265-like.cfg"))
+    return parse_wiring(fixture_text("lzs-265-like.cfg"))
 
 
 @pytest.fixture(scope="session")

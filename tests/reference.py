@@ -1,0 +1,83 @@
+"""Reference implementations the tests compare the commands' code against.
+
+None of these is on a command's path, so they live with the tests.
+"""
+
+from typing import List, Sequence
+
+from invforge import gf2
+from invforge.boolfun import affine_factor_solutions, affine_span, vector_to_affine
+from invforge.cipher import Wiring
+from invforge.lab import A, B, C, D, E, F, G, H, Factorization, expand_forms
+from invforge.lincycle import AffineRound
+from invforge.ring import ONE, Poly, add_many, product
+
+
+def alternate_invariant_factors_forms() -> List[Poly]:
+    return [add_many((ONE, A, H)), add_many((B, H)), add_many((ONE, C, H)),
+            add_many((D, H)), add_many((E, H)), add_many((ONE, F, H)), add_many((G, H))]
+
+
+def alternate_invariant() -> Poly:
+    """The second published degree-7 product (regression target).
+
+    Computed fact: this product expands to the same canonical polynomial as
+    lab.product_invariant() - the two factor lists are one more witness of
+    non-unique factorization, both describing the indicator of one pair of
+    antipodal form-assignments.
+    """
+    return product([expand_forms(f) for f in alternate_invariant_factors_forms()])
+
+
+def affine_divisors(p: Poly) -> frozenset:
+    """All nonconstant affine ell with (ell+1)*p = 0, by exhaustive span."""
+    sup = sorted(p.support())
+    if not sup:
+        return frozenset()
+    basis = affine_factor_solutions(p, sup)
+    if len(basis) > 14:
+        raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
+    return frozenset(vector_to_affine(v, sup) for v in affine_span(basis) if v >> 1)
+
+
+def matches_presentation(chain: Factorization, factors: Sequence[Poly],
+                         bracket: Poly) -> bool:
+    """Does some division prefix of the chain realize a printed factorization?
+
+    A prefix matches when its quotient equals the printed cofactor and the
+    affine divisors of the prefix product are exactly the printed factor
+    set (printed presentations list dependent factors, e.g. three pairwise
+    sums whose product equals that of any two of them).
+    """
+    want = frozenset(factors)
+    for k in range(1, len(chain.factors) + 1):
+        if chain.nodes[k - 1] != bracket:
+            continue
+        if affine_divisors(product(chain.factors[:k])) == want:
+            return True
+    return False
+
+
+def render_wiring(w: Wiring) -> str:
+    return "D = %s\nP = %s\n" % (",".join(map(str, w.d)), ",".join(map(str, w.p)))
+
+
+def states_to_lanes(states: Sequence[int]) -> List[int]:
+    lanes = [0] * 36
+    for j, s in enumerate(states):
+        for i in range(36):
+            if (s >> i) & 1:
+                lanes[i] |= 1 << j
+    return lanes
+
+
+def affine_apply(ar: AffineRound, state: int, f_bit: int, k_bit: int, l_bit: int) -> int:
+    """One zero-function round through the extracted affine map."""
+    out = gf2.mat_vec(ar.matrix, state)
+    if f_bit:
+        out ^= ar.offset_f
+    if k_bit:
+        out ^= ar.offset_k
+    if l_bit:
+        out ^= ar.offset_l
+    return out

@@ -122,7 +122,7 @@ class TestVerdictsAndExitCodes:
         assert r.returncode == 0
         assert "variables = a,b,Z00" in r.stdout.splitlines()
         assert "dimension = 2" in r.stdout.splitlines()
-        for bad in ("a,?", "1", "a+b"):
+        for bad in ("a,?", "1", "a+b", ""):
             r = run_cli("annihilators", "--poly", str(p), "--degree", "1",
                         "--vars", bad)
             assert r.returncode == 2, bad
@@ -184,6 +184,23 @@ class TestVerdictsAndExitCodes:
         assert "empirical mismatches = 0" in capsys.readouterr().out
         assert len(splits) == 1
 
+    def test_fe_refuses_empirical_trials_with_symbolic(self, capsys):
+        argv = ["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic",
+                "--empirical-trials", "100"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--empirical-trials" in err and "--symbolic" in err
+
+    def test_factor_verifies_each_chain_once(self, monkeypatch, capsys):
+        calls = []
+        real = lab.Factorization.verify
+        monkeypatch.setattr(lab.Factorization, "verify",
+                            lambda self: calls.append(self) or real(self))
+        assert cli.main(["factor", "--poly", MU, "--trees", "8", "--seed", "1"]) == 0
+        chains = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("tree ")]
+        assert len(chains) >= 2 and len(calls) == len(chains)
+
     def test_fe_names_boolfun_before_the_invariant_check(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("a+F\n"))
         assert cli.main(["fe", "--lzs", LZS, "--invariant", "-"]) == cli.EXIT_USAGE
@@ -208,7 +225,7 @@ class TestVerdictsAndExitCodes:
         else:
             assert json.loads(r.stdout)["trees"][0]["factors"] == want
         (chain,) = lab.explore_factorizations(ring.parse(text, "auto"), 8, 0)
-        assert {ring.parse(f, "forms") for f in want} == chain.factor_set()
+        assert {ring.parse(f, "forms") for f in want} == frozenset(chain.factors)
 
     def test_factor_of_mu_renders_as_by_auto_detection(self, capsys):
         mu = ring.parse(fixture_text("mu.poly"), "auto")

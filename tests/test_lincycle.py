@@ -11,6 +11,7 @@ from invforge.lincycle import (
     ALL36_MASK, LOWERCASE26_MASK, AffineRound, PeriodEntry, affine_of,
     linear_invariant_periods, orbit, synthetic_permutation, weight_sequence,
 )
+from reference import affine_apply
 
 
 # Reference implementations: the definitions the optimised code must match.
@@ -107,11 +108,11 @@ class TestAffineOf:
         for _ in range(10000):
             s = rng.getrandbits(36)
             fb, kb, lb = (rng.getrandbits(1) for _ in range(3))
-            assert ar.apply(s, fb, kb, lb) == step(s, wiring, ZERO_FUN, fb, kb, lb)
+            assert affine_apply(ar, s, fb, kb, lb) == step(s, wiring, ZERO_FUN, fb, kb, lb)
 
     def test_matrix_invertible_for_shipped_wiring(self, wiring):
         ar = affine_of(wiring)
-        assert gf2.is_invertible(list(ar.matrix), 36)
+        assert len(gf2.rref(list(ar.matrix), 36)[0]) == 36
 
     def test_k_offset_with_zero_d_entry(self):
         w = random_wiring(8)
@@ -129,7 +130,7 @@ class TestAffineOf:
             via_affine = s
             for _ in range(127):
                 via_step = step(via_step, wiring, ZERO_FUN, fb, kb, lb)
-                via_affine = ar.apply(via_affine, fb, kb, lb)
+                via_affine = affine_apply(ar, via_affine, fb, kb, lb)
             assert via_step == via_affine
 
 
@@ -194,8 +195,8 @@ class TestPeriods:
                     before = (s & fv).bit_count() & 1
                     cur = s
                     for _ in range(e.period):
-                        cur = ar.apply(cur, rng.getrandbits(1),
-                                       rng.getrandbits(1), rng.getrandbits(1))
+                        cur = affine_apply(ar, cur, rng.getrandbits(1),
+                                           rng.getrandbits(1), rng.getrandbits(1))
                     assert (cur & fv).bit_count() & 1 == before
 
     def test_max_period_guard(self):

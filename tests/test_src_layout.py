@@ -1,0 +1,93 @@
+"""src/ holds only what a command runs.
+
+Every public module-level function and class method under src/invforge
+must be named somewhere in src/ outside its own definition.  A reference
+from inside a kept or an unreferenced name does not count, since neither
+serves a command.  The exceptions are KEEP, one reason each.  A test-only
+reference implementation belongs in tests/reference.py instead.
+"""
+
+import ast
+import os
+
+import invforge
+
+SRC = os.path.dirname(invforge.__file__)
+
+KEEP = {
+    "ring.Poly.evaluate": "the tests' pointwise oracle for every evaluator",
+    "ring.evaluate": "the tests' pointwise oracle, as a ring function",
+    "fe.check_candidate": "the planned exact FE solver checks its solutions with it",
+    "fe.substitute_coefficients": "check_candidate's substitution, for the same solver",
+    "cipher.random_wiring": "the planned solve, invariants and degree-d searches "
+                            "sample wirings with it",
+    "lincycle.synthetic_permutation": "the planned minimal-polynomial period reader "
+                                      "is checked on synthetic permutations",
+    "data.fixture_path": "the public path of a shipped data file",
+    "data.fixture_text": "the public text of a shipped data file",
+}
+
+
+def _modules():
+    for base, _dirs, files in os.walk(SRC):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(base, f)
+                rel = os.path.relpath(path, SRC)[:-3].replace(os.sep, ".")
+                name = rel[:-len(".__init__")] if rel.endswith(".__init__") else rel
+                with open(path, encoding="utf-8") as fh:
+                    yield name, ast.parse(fh.read(), path)
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions(module, tree):
+    """(qualified name, bare name, node) of each public function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _public(node.name):
+            yield "%s.%s" % (module, node.name), node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    yield "%s.%s.%s" % (module, node.name, item.name), item.name, item
+
+
+def _unreferenced():
+    """Qualified names of the definitions that no live code names.
+
+    Code is live unless it lies inside a kept definition or one found
+    unreferenced, so a name reached only from dead or kept code is dead too.
+    """
+    trees = list(_modules())
+    defs = [d for module, tree in trees for d in _definitions(module, tree)]
+    holder = {id(n): qual for qual, _, node in defs for n in ast.walk(node)}
+    holders = {}  # bare name -> the definition around each reference (None: none)
+    for _module, tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                holders.setdefault(n.id, []).append(holder.get(id(n)))
+            elif isinstance(n, ast.Attribute):
+                holders.setdefault(n.attr, []).append(holder.get(id(n)))
+    dead = set()
+    while True:
+        silent = set(KEEP) | dead
+        found = {qual for qual, name, _ in defs
+                 if all(q == qual or q in silent for q in holders.get(name, ()))}
+        if found == dead:
+            return dead
+        dead = found
+
+
+def test_every_public_name_serves_a_command():
+    unused = _unreferenced() - set(KEEP)
+    assert not unused, ("public names in src/ that no code in src/ reaches; delete "
+                        "them or move them into tests/reference.py: %s"
+                        % ", ".join(sorted(unused)))
+
+
+def test_keep_list_holds_only_unreferenced_names():
+    # a kept name that a command starts to use leaves the list
+    assert set(KEEP) <= _unreferenced(), sorted(set(KEEP) - _unreferenced())
+    assert all(reason.strip() for reason in KEEP.values())
