@@ -332,14 +332,46 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6,
 
 
 def eval_poly_lanes(p: Poly, lanes: Dict[int, int], width_mask: int) -> int:
-    """Bit-sliced evaluation of a polynomial given one lane per variable."""
-    acc = 0
+    """Bit-sliced evaluation of a polynomial given one lane per variable.
+
+    The terms are grouped by their part outside the lowest min(n // 2, 8) of
+    the n support variables.  Each distinct low part's lane product is formed
+    once, from the product of that part without its lowest variable; each
+    group XORs its low products, then ANDs its high lanes once.  That is
+    never more ANDs than one AND chain per term.
+    """
+    support = 0
     for t in p.terms:
-        term = width_mask
-        m = t
-        while m:
-            low = m & -m
-            term &= lanes[low.bit_length() - 1]
-            m ^= low
-        acc ^= term
+        support |= t
+    low_mask = 0
+    for _ in range(min(support.bit_count() // 2, 8)):
+        rest = support ^ low_mask
+        low_mask |= rest & -rest
+    products = {0: width_mask}
+    groups: Dict[int, int] = {}
+    for t in p.terms:
+        low = t & low_mask
+        prod = products.get(low)
+        if prod is None:
+            prod = _low_product(low, lanes, products)
+        high = t ^ low
+        value = groups.get(high)
+        groups[high] = prod if value is None else value ^ prod
+    acc = 0
+    for high, value in groups.items():
+        while high:
+            bit = high & -high
+            value &= lanes[bit.bit_length() - 1]
+            high ^= bit
+        acc ^= value
     return acc
+
+
+def _low_product(low: int, lanes: Dict[int, int], products: Dict[int, int]) -> int:
+    """AND of the lanes of low's variables, memoised in products (0 -> width mask)."""
+    prod = products.get(low)
+    if prod is None:
+        bit = low & -low
+        prod = _low_product(low ^ bit, lanes, products) & lanes[bit.bit_length() - 1]
+        products[low] = prod
+    return prod

@@ -76,6 +76,8 @@ def cmd_fe(args, out: _Output) -> int:
         raise SystemExit2("fe requires --boolfun unless --symbolic is given")
     if args.symbolic and args.empirical_trials:
         raise SystemExit2("--empirical-trials needs --boolfun, not --symbolic")
+    if args.symbolic and args.boolfun:
+        raise SystemExit2("--symbolic solves for the function: drop --boolfun or --symbolic")
     P = fe_mod.PreparedInvariant(P)
     if args.symbolic:
         rs = round_system(w, "symbolic")
@@ -134,9 +136,13 @@ def cmd_verify_thm(args, out: _Output) -> int:
 
 def cmd_annihilators(args, out: _Output) -> int:
     p = _load_poly(args.poly)
-    names = p if args.vars is None else ring.parse(args.vars.replace(",", "*"), "auto")
-    if args.vars is not None and (len(names) != 1 or names == ring.ONE):
-        raise SystemExit2("--vars must list variable names")
+    names = p
+    if args.vars is not None:
+        # a blank or comma-only list is the empty product, ONE
+        names = (ring.parse(args.vars.replace(",", "*"), "auto")
+                 if args.vars.replace(",", "").strip() else ring.ONE)
+        if len(names) != 1 or names == ring.ONE:
+            raise SystemExit2("--vars must list variable names")
     variables = sorted(names.support())
     basis = boolfun.annihilators(p, variables, args.degree)
     rec = {

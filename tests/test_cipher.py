@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from invforge.cipher import (
     Wiring, WiringError, eval_poly_lanes, parse_wiring, random_wiring,
     round_system, step, step_lanes, validate,
 )
+from invforge.data import fixture_text
+from invforge.lab import expand_forms, product_invariant
 from invforge.ring import (
     F_BIT, K_BIT, L_BIT, PLACEHOLDER_W, PLACEHOLDER_Y,
     add, mul, parse, state_var, substitute, var,
@@ -186,3 +189,54 @@ class TestStep:
             for j in range(8):
                 assign = {v: (vals[v] >> j) & 1 for v in vals}
                 assert ((got >> j) & 1) == p.evaluate(assign)
+
+
+def evaluator_cases():
+    """Polynomials the lane evaluator must agree with Poly.evaluate on."""
+    rng = random.Random(61)
+    state_fkl = list(range(ring.N_STATE)) + [F_BIT, K_BIT, L_BIT]
+
+    def random_poly(variables, terms, degree):
+        return ring.Poly(sum(1 << v for v in rng.sample(variables, rng.randint(0, degree)))
+                         for _ in range(terms))
+
+    cases = {
+        "zero": ring.ZERO,
+        "one": ring.ONE,
+        "constant-term": parse("1+a+bc+dFK"),
+        "deg7-invariant": product_invariant(),
+        "mu-expanded": expand_forms(parse(fixture_text("mu.poly"), "auto")),
+        "invariant-827": parse(fixture_text("invariant-827.poly"), "auto"),
+        "random-39-sparse": random_poly(state_fkl, 40, 3),
+        "random-39-dense": random_poly(state_fkl, 600, 7),
+        "random-5-vars": random_poly(state_fkl[:5], 20, 5),
+    }
+    for seed in (0, 1, 2):
+        cases["function-anf-%d" % seed] = random_boolfun(70 + seed).anf_poly()
+    return [pytest.param(p, id=name) for name, p in cases.items()]
+
+
+class TestEvalPolyLanes:
+    @pytest.mark.parametrize("p", evaluator_cases())
+    def test_every_lane_matches_pointwise_evaluation(self, p):
+        rng = random.Random(len(p))
+        support = sorted(p.support())
+        for width in (1, 8, 257, 8193):
+            mask = (1 << width) - 1
+            # every lane carries bits above the mask, which must not leak out
+            lanes = {v: rng.getrandbits(width + 9) | (1 << width) for v in support}
+            got = eval_poly_lanes(p, lanes, mask)
+            assert got & ~mask == 0, width
+            for j in range(width):
+                bits = {v: lane >> j & 1 for v, lane in lanes.items()}
+                assert got >> j & 1 == p.evaluate(bits), (width, j)
+
+    def test_leaves_no_garbage_cycles(self, invariant_deg7):
+        # a memo that refers to itself outlives the call until the cyclic GC
+        # runs, which raises the empirical check's peak memory
+        rng = random.Random(62)
+        width = 1 << 14
+        lanes = {v: rng.getrandbits(width) for v in range(ring.N_STATE)}
+        gc.collect()
+        eval_poly_lanes(invariant_deg7, lanes, (1 << width) - 1)
+        assert gc.collect() == 0

@@ -122,11 +122,13 @@ class TestVerdictsAndExitCodes:
         assert r.returncode == 0
         assert "variables = a,b,Z00" in r.stdout.splitlines()
         assert "dimension = 2" in r.stdout.splitlines()
-        for bad in ("a,?", "1", "a+b", ""):
+        for bad in ("a,?", "1", "a+b", "", ",", " , "):
             r = run_cli("annihilators", "--poly", str(p), "--degree", "1",
                         "--vars", bad)
             assert r.returncode == 2, bad
             assert r.stderr.startswith("error:")
+            if not bad.strip(" ,"):  # blank lists name the flag, not a parse position
+                assert "--vars must list variable names" in r.stderr, bad
 
     def test_factor_refuses_more_than_sixteen_variables(self):
         # a..q and r+1 divide it, but the affine-factor search stops at 16
@@ -190,6 +192,13 @@ class TestVerdictsAndExitCodes:
         assert cli.main(argv) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "--empirical-trials" in err and "--symbolic" in err
+
+    def test_fe_refuses_boolfun_with_symbolic(self, capsys):
+        argv = ["fe", "--lzs", LZS, "--invariant", INV827, "--symbolic",
+                "--boolfun", ZREF]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--boolfun" in err and "--symbolic" in err
 
     def test_factor_verifies_each_chain_once(self, monkeypatch, capsys):
         calls = []
