@@ -239,24 +239,27 @@ def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int]]:
 def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
     """Full split p = product(factors) * residual with affine factors.
 
-    One factor 1 + h per vector h of affine_factor_solutions' homogeneous
-    basis, so as many as the dimension of p's affine factor space.  Each h
-    holds a top variable no other h holds: x_top -> x_top + h sets 1 + h to
-    1 and leaves the other factors alone.  The residual is p after that
-    substitution for every h, one at a time; it has no nonconstant affine
-    factor.  Over more than MAX_SPLIT_VARS variables p is returned unsplit.
+    One factor 1 + h per vector h of the homogeneous basis of p's affine
+    factor space (see affine_factor_solutions), solved once from p's truth
+    table.  Each h holds a top variable no other h holds: restricting the
+    table to x_top = x_top + h sets 1 + h to 1 and leaves the other factors
+    alone.  The residual is the table after that restriction for every h,
+    one at a time; it has no nonconstant affine factor.  Over more than
+    MAX_SPLIT_VARS variables p is returned unsplit.
     """
     sup = sorted(p.support())
-    if not sup or len(sup) > MAX_SPLIT_VARS:
+    n = len(sup)
+    if not sup or n > MAX_SPLIT_VARS:
         return [], p
-    basis = affine_factor_solutions(p, sup)
+    table = truth_table(p, sup)
+    basis = gf2.solve_affine_ones(_ones(table), n)
     factors: List[Poly] = []
-    residual = p
     for h in basis:
         top = h.bit_length() - 1  # the bit of variable sup[top - 1]
         factors.append(vector_to_affine(h ^ 1, sup))
-        image = vector_to_affine(h ^ (1 << top), sup)  # x_top + h: h without x_top
-        residual = ring.substitute(residual, {sup[top - 1]: image})
+        image = ring.affine_table(h ^ (1 << top), n)  # x_top + h: h without x_top
+        table = ring.restrict(table, n, top - 1, image)
+    residual = poly_from_anf_bits(mobius(table, n), sup)
     if ring.product(factors + [residual]) != p:  # pragma: no cover - exact by construction
         raise ArithmeticError("affine split does not re-multiply to the polynomial")
     return factors, residual

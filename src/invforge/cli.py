@@ -78,6 +78,8 @@ def cmd_fe(args, out: _Output) -> int:
         raise SystemExit2("--empirical-trials needs --boolfun, not --symbolic")
     if args.symbolic and args.boolfun:
         raise SystemExit2("--symbolic solves for the function: drop --boolfun or --symbolic")
+    if args.seed is not None and not args.empirical_trials:
+        raise SystemExit2("--seed seeds the empirical check: it needs --empirical-trials")
     P = fe_mod.PreparedInvariant(P)
     if args.symbolic:
         rs = round_system(w, "symbolic")
@@ -98,7 +100,7 @@ def cmd_fe(args, out: _Output) -> int:
     if args.empirical_trials:
         emp = fe_mod.check_invariant_empirically(P, w, fun,
                                                  args.empirical_trials,
-                                                 seed=args.seed)
+                                                 seed=args.seed or 0)
         rec["empirical"] = {"trials": emp.trials, "rounds": emp.rounds,
                             "mismatches": emp.mismatches}
         lines += ["empirical " + ln for ln in emp.lines()]
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--empirical-trials", type=int, default=0,
                    help="also run the independent empirical checker")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the empirical check (default 0)")
     p.set_defaults(func=cmd_fe)
 
     p = sub.add_parser("verify-thm", help="step-by-step attack verification")

@@ -295,6 +295,30 @@ def mobius(table: int, n: int = 6) -> int:
     return t & ((1 << (1 << n)) - 1)
 
 
+def restrict(table: int, n: int, i: int, image: int) -> int:
+    """Truth table of x -> table(x with input i set to image(x)).
+
+    image is the table of a function of the other n - 1 inputs; only its
+    points with input i = 0 are read.  The result does not depend on
+    input i: over polynomials, it is the substitution x_i -> image.
+    """
+    step, low = 1 << i, _zero_bit_mask(i, n)
+    at0, at1 = table & low, table >> step & low
+    out = at0 ^ (at0 ^ at1) & image
+    return out | out << step
+
+
+def affine_table(vec: int, n: int) -> int:
+    """Truth table of the affine form whose bit 0 is the constant term and
+    whose bit i + 1 is the coefficient of input i."""
+    full = (1 << (1 << n)) - 1
+    out = full if vec & 1 else 0
+    for i in range(n):
+        if vec >> (i + 1) & 1:
+            out ^= full ^ _zero_bit_mask(i, n)
+    return out
+
+
 def _ones(table: int) -> List[int]:
     """Ascending indices of the 1 bits of a truth table, in one linear scan."""
     s = bin(table)[::-1]  # s[i] is bit i; the "0b" prefix lands at the end
@@ -321,20 +345,40 @@ def monomial_masks(variables: Sequence[int]) -> List[int]:
 
 
 def anf_bits(p: Poly, variables: Sequence[int]) -> int:
-    """ANF coefficient vector of p over an ordered variable list."""
+    """ANF coefficient vector of p over an ordered variable list.
+
+    Each monomial is read a chunk of VarIds at a time.  A chunk starts at a
+    declared variable and spans at most 8 VarIds, fewer when p has few
+    terms, so that no chunk's table outgrows 2 * len(p).  The table, built
+    per call by doubling, maps the chunk's bits to their ANF index bits.
+    """
     pos = {v: 1 << i for i, v in enumerate(variables)}
+    span = min(8, len(p.terms).bit_length())
+    declared, chunks, base = 0, [], -span
+    for v in sorted(pos):
+        declared |= 1 << v
+        bit = pos[v]
+        if v >= base + span:
+            base, table = v, [0, bit]
+            chunks.append((base, table))
+        else:
+            table *= 1 << (v - prev - 1)  # the undeclared VarIds in between
+            table += [idx | bit for idx in table]
+        prev = v
+    lookups = [(base, len(table) - 1, table) for base, table in chunks]
     buf = bytearray(((1 << len(variables)) + 7) >> 3)
+    support = 0
     for t in p.terms:
+        support |= t
         idx = 0
-        while t:
-            low = t & -t
-            bit = pos.get(low.bit_length() - 1)
-            if bit is None:
-                raise ValueError("polynomial uses %s outside the declared variables"
-                                 % var_name(low.bit_length() - 1))
-            idx |= bit
-            t ^= low
+        for shift, mask, table in lookups:
+            idx |= table[t >> shift & mask]
         buf[idx >> 3] |= 1 << (idx & 7)
+    outside = support & ~declared
+    if outside:
+        low = outside & -outside
+        raise ValueError("polynomial uses %s outside the declared variables"
+                         % var_name(low.bit_length() - 1))
     return int.from_bytes(buf, "little")
 
 
@@ -420,24 +464,35 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
 def factor_out(p: Poly, ell: Poly) -> Poly:
     """Quotient q with ell*q = p, for a verified affine factor ell.
 
-    Requires (ell+1)*p = 0.  The pivot is the lowest VarId with linear
-    coefficient 1 in ell; substituting pivot -> pivot + ell + 1 forces
-    ell to 1 and eliminates the pivot from the quotient.  The identity
-    ell*q = p is re-checked exactly.
+    Works on truth tables over the variables of p and ell, at most
+    MAX_DENSE_VARS of them.  Requires (ell+1)*p = 0, that is p = 0 wherever
+    ell = 0.  The pivot is the lowest VarId with linear coefficient 1 in
+    ell; restricting p to pivot = pivot + ell + 1 forces ell to 1 and
+    eliminates the pivot from the quotient.  The identity ell*q = p is
+    re-checked on the tables.
     """
     if ell.degree() > 1:
-        raise NotAFactorError("factor is not affine: %s" % render(ell))
-    if mul(add(ell, ONE), p):
-        raise NotAFactorError("%s does not divide the polynomial" % render(ell))
-    linear = [t for t in ell.terms if t]
+        raise NotAFactorError("factor is not affine: %s" % render(ell, "forms"))
+    variables = sorted(p.support() | ell.support())
+    n = len(variables)
+    if n > MAX_DENSE_VARS:
+        raise ValueError("cannot divide over %d variables: the truth tables are "
+                         "limited to %d" % (n, MAX_DENSE_VARS))
+    index = {v: i for i, v in enumerate(variables)}
+    vec = 0  # ell over the variables, as affine_table reads it
+    for t in ell.terms:
+        vec ^= 2 << index[t.bit_length() - 1] if t else 1
+    tp, tl = mobius(anf_bits(p, variables), n), affine_table(vec, n)
+    if tp & ~tl:
+        raise NotAFactorError("%s does not divide the polynomial" % render(ell, "forms"))
+    linear = vec >> 1
     if not linear:
         return p  # ell == 1
-    pivot = min(t.bit_length() - 1 for t in linear)
-    image = add(add(var(pivot), ell), ONE)
-    q = substitute(p, {pivot: image})
-    if mul(ell, q) != p:  # pragma: no cover - guaranteed by the precondition
-        raise NotAFactorError("division check failed for %s" % render(ell))
-    return q
+    i = (linear & -linear).bit_length() - 1  # the pivot's input
+    tq = restrict(tp, n, i, tl ^ affine_table(1 | 2 << i, n))  # pivot + ell + 1
+    if tl & tq != tp:  # pragma: no cover - guaranteed by the precondition
+        raise NotAFactorError("division check failed for %s" % render(ell, "forms"))
+    return poly_from_anf_bits(mobius(tq, n), variables)
 
 
 # ---------------------------------------------------------------------------

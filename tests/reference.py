@@ -3,14 +3,18 @@
 None of these is on a command's path, so they live with the tests.
 """
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from invforge import gf2
-from invforge.boolfun import affine_factor_solutions, affine_span, vector_to_affine
+from invforge.boolfun import (
+    MAX_SPLIT_VARS, affine_factor_solutions, affine_span, vector_to_affine,
+)
 from invforge.cipher import Wiring
 from invforge.lab import A, B, C, D, E, F, G, H, Factorization, expand_forms
 from invforge.lincycle import AffineRound
-from invforge.ring import ONE, Poly, add_many, product
+from invforge.ring import (
+    ONE, NotAFactorError, Poly, add, add_many, mul, product, substitute, var, var_name,
+)
 
 
 def alternate_invariant_factors_forms() -> List[Poly]:
@@ -38,6 +42,54 @@ def affine_divisors(p: Poly) -> frozenset:
     if len(basis) > 14:
         raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
     return frozenset(vector_to_affine(v, sup) for v in affine_span(basis) if v >> 1)
+
+
+def anf_bits_per_bit(p: Poly, variables: Sequence[int]) -> int:
+    """ANF coefficient vector of p, one loop step per set bit of a monomial."""
+    pos = {v: 1 << i for i, v in enumerate(variables)}
+    anf = 0
+    for t in p.terms:
+        idx = 0
+        while t:
+            low = t & -t
+            bit = pos.get(low.bit_length() - 1)
+            if bit is None:
+                raise ValueError("polynomial uses %s outside the declared variables"
+                                 % var_name(low.bit_length() - 1))
+            idx |= bit
+            t ^= low
+        anf |= 1 << idx
+    return anf
+
+
+def factor_out_by_substitution(p: Poly, ell: Poly) -> Poly:
+    """Sparse division: check (ell+1)*p = 0 by mul, substitute the pivot (the
+    lowest VarId of ell) by pivot + ell + 1, check ell*q = p by mul."""
+    if ell.degree() > 1:
+        raise NotAFactorError("factor is not affine")
+    if mul(add(ell, ONE), p):
+        raise NotAFactorError("does not divide")
+    linear = [t for t in ell.terms if t]
+    if not linear:
+        return p
+    pivot = min(t.bit_length() - 1 for t in linear)
+    q = substitute(p, {pivot: add(add(var(pivot), ell), ONE)})
+    assert mul(ell, q) == p
+    return q
+
+
+def split_by_substitution(p: Poly) -> Tuple[List[Poly], Poly]:
+    """affine_split by sparse substitution: x_top -> x_top + h, one basis
+    vector h at a time, on the shrinking residual."""
+    sup = sorted(p.support())
+    if not sup or len(sup) > MAX_SPLIT_VARS:
+        return [], p
+    factors, residual = [], p
+    for h in affine_factor_solutions(p, sup):
+        top = h.bit_length() - 1
+        factors.append(vector_to_affine(h ^ 1, sup))
+        residual = substitute(residual, {sup[top - 1]: vector_to_affine(h ^ (1 << top), sup)})
+    return factors, residual
 
 
 def matches_presentation(chain: Factorization, factors: Sequence[Poly],

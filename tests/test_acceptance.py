@@ -247,6 +247,8 @@ CORPUS = [
     ("--format", "json-lines", "verify-thm", "--lzs", LZS, "--boolfun", ZREF),
     ("fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"),
     ("--format", "json-lines", "factor", "--poly", MU, "--trees", "8", "--seed", "1"),
+    ("factor", "--poly", INV7, "--trees", "4", "--seed", "2"),
+    ("--format", "json-lines", "factor", "--poly", INV7, "--trees", "4", "--seed", "2"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -262,6 +264,8 @@ CORPUS_STDOUT_SHA256 = [
     "eecdcf9f059474f1cfe7a0cb5b06c0b77ac27646c9d158c7f8c2f823362fa045",
     "e6c4de6bb6f65c43afa4b7b6c2ef9fbdab8a35df3ba402bcbeb205b1ba891d5b",
     "c271dca81cb04b4fb4a74de3c1e2f07f21092c9db84fa9c15e4cca09e038c180",
+    "b7f76e4cd627702f7f580dbbccf379336736d09341e622f004edc7011359b235",
+    "aaeb9f03fcc5c4189ed6d337854784190888b37bb32a9c4bc0e7c88224dc0c27",
 ]
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from invforge import boolfun, ring
+from invforge import boolfun, gf2, ring
 from invforge.boolfun import (
     BoolFun6, ZERO_FUN, affine_factor_solutions, annihilators, affine_split,
     DegreeBoundError, SystemTooLargeError, is_absorber, load_boolfun,
@@ -11,7 +11,7 @@ from invforge.boolfun import (
     random_boolfun, truth_table, vector_to_affine,
 )
 from invforge.ring import ONE, ZERO, add, mul, parse, product, var
-from reference import affine_divisors
+from reference import affine_divisors, split_by_substitution
 
 
 class TestMobius:
@@ -262,19 +262,37 @@ class TestAffineSplit:
             split += bool(factors)
         assert split > 50
 
+    def test_split_matches_sequential_substitution_in_both_dialects(self):
+        rng = random.Random(35)
+        forms = [*range(ring.FORM_BASE, ring.N_VARS), *ring.PLACEHOLDERS]
+        split = 0
+        for pool in (range(ring.FORM_BASE), forms):
+            for _ in range(100):
+                variables = sorted(rng.sample(pool, rng.randrange(1, 11)))
+                p = poly_from_anf_bits(rng.getrandbits(1 << len(variables)), variables)
+                for _ in range(rng.randrange(5)):
+                    p = mul(p, vector_to_affine(rng.getrandbits(len(variables) + 1), variables))
+                got = affine_split(p)
+                assert got == split_by_substitution(p)
+                split += bool(got[0])
+        assert split > 50
+
     def test_split_is_one_solve(self, invariant_deg7, monkeypatch):
-        calls = []
-        real = boolfun.affine_factor_solutions
-        monkeypatch.setattr(boolfun, "affine_factor_solutions",
-                            lambda *args: calls.append(1) or real(*args))
+        solves, tables = [], []
+        real_solve, real_table = gf2.solve_affine_ones, boolfun.truth_table
+        monkeypatch.setattr(gf2, "solve_affine_ones",
+                            lambda *args: solves.append(1) or real_solve(*args))
+        monkeypatch.setattr(boolfun, "truth_table",
+                            lambda *args: tables.append(1) or real_table(*args))
 
         def forbidden(*args):
-            raise AssertionError("affine_split must not search spans or divide")
+            raise AssertionError("affine_split must not search spans, divide or substitute")
 
         monkeypatch.setattr(boolfun, "minimal_affine_factors", forbidden)
         monkeypatch.setattr(ring, "factor_out", forbidden)
+        monkeypatch.setattr(ring, "substitute", forbidden)
         factors, residual = affine_split(invariant_deg7)
-        assert calls == [1]
+        assert solves == [1] and tables == [1]
         assert len(factors) == 7 and residual == ONE
         assert product(factors) == invariant_deg7
 

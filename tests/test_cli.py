@@ -193,6 +193,16 @@ class TestVerdictsAndExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "--empirical-trials" in err and "--symbolic" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--boolfun", ZREF, "--seed", "5"],
+        ["--boolfun", ZREF, "--empirical-trials", "0", "--seed", "0"],
+        ["--symbolic", "--seed", "0"],
+    ], ids=["expanded", "zero-trials", "symbolic"])
+    def test_fe_refuses_seed_without_empirical_trials(self, capsys, argv):
+        assert cli.main(["fe", "--lzs", LZS, "--invariant", INV827, *argv]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed" in err and "--empirical-trials" in err
+
     def test_fe_refuses_boolfun_with_symbolic(self, capsys):
         argv = ["fe", "--lzs", LZS, "--invariant", INV827, "--symbolic",
                 "--boolfun", ZREF]

@@ -6,10 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invforge import ring
+from invforge.boolfun import vector_to_affine
 from invforge.ring import (
     ONE, ZERO, NotAFactorError, ParseError, Poly, UnassignedVariableError,
     add, evaluate, factor_out, mul, parse, render, state_var, substitute, var,
 )
+from reference import anf_bits_per_bit, factor_out_by_substitution
+
+# VarId pools of the two text dialects: the state dialect's variables span
+# the monomial bytes of the state bits, F/K/L, the placeholders and Z00..Z63;
+# the forms dialect's are A..H and the placeholders
+STATE_DIALECT_VARS = range(ring.FORM_BASE)
+FORMS_DIALECT_VARS = [*range(ring.FORM_BASE, ring.N_VARS), *ring.PLACEHOLDERS]
 
 
 def rand_poly(rng, nvars=8, max_terms=50):
@@ -418,3 +426,88 @@ class TestFactorOut:
         p = mul(parse("a+b"), parse("c+d"))
         q = factor_out(p, parse("a+b"))
         assert 0 not in q.support()  # lowest VarId of the factor is gone
+
+    def test_matches_substitution_in_both_dialects(self):
+        rng = random.Random(61)
+        divided = refused = 0
+        for pool in (STATE_DIALECT_VARS, FORMS_DIALECT_VARS):
+            for _ in range(200):
+                variables = sorted(rng.sample(pool, rng.randrange(1, 11)))
+                n = len(variables)
+                ell = vector_to_affine(rng.getrandbits(n + 1), variables)
+                p = ring.poly_from_anf_bits(rng.getrandbits(1 << n), variables)
+                if rng.random() < 0.7:
+                    p = mul(ell, p)
+                try:
+                    want = factor_out_by_substitution(p, ell)
+                except NotAFactorError:
+                    with pytest.raises(NotAFactorError):
+                        factor_out(p, ell)
+                    refused += 1
+                    continue
+                assert factor_out(p, ell) == want
+                divided += 1
+        assert divided > 250 and refused > 50
+
+    def test_refuses_more_than_max_dense_vars(self):
+        n = ring.MAX_DENSE_VARS + 1
+        p = mul(parse("a+1"), Poly([(1 << n) - 2]))  # b...u, times a + 1
+        with pytest.raises(ValueError, match="over %d variables" % n) as err:
+            factor_out(p, parse("a+1"))
+        assert not isinstance(err.value, NotAFactorError)
+
+
+class TestTruthTableDivision:
+    def test_anf_bits_matches_per_bit_reading(self):
+        # variables in any order, from every monomial byte
+        rng = random.Random(62)
+        groups = [range(ring.N_STATE), (ring.F_BIT, ring.K_BIT, ring.L_BIT),
+                  range(ring.COEF_BASE, ring.FORM_BASE), range(ring.FORM_BASE, ring.N_VARS)]
+        for _ in range(200):
+            variables = [v for g in groups for v in rng.sample(g, rng.randrange(4))]
+            rng.shuffle(variables)
+            n = len(variables)
+            dense = rng.getrandbits(1 << n)
+            sparse = 0
+            for _ in range(rng.randrange(6)):
+                sparse |= 1 << rng.randrange(1 << n)
+            for anf in (dense, sparse):
+                p = ring.poly_from_anf_bits(anf, variables)
+                assert ring.anf_bits(p, variables) == anf_bits_per_bit(p, variables) == anf
+
+    def test_anf_bits_names_the_undeclared_variable(self):
+        p = parse("ab+Z05*c")
+        for read in (ring.anf_bits, anf_bits_per_bit):
+            with pytest.raises(ValueError, match="^polynomial uses Z05 outside the "
+                                                 "declared variables$"):
+                read(p, [0, 1, 2])
+
+    def test_restrict_is_substitution_pointwise(self):
+        rng = random.Random(63)
+        for n in range(1, 9):
+            variables = sorted(rng.sample(range(ring.N_VARS), n))
+            for i in range(n):
+                table = rng.getrandbits(1 << n)
+                low = ring._zero_bit_mask(i, n)
+                image = rng.getrandbits(1 << n) & low
+                image |= image << (1 << i)  # a function of the other inputs
+                out = ring.restrict(table, n, i, image)
+                p = ring.poly_from_anf_bits(ring.mobius(table, n), variables)
+                g = ring.poly_from_anf_bits(ring.mobius(image, n), variables)
+                assert variables[i] not in g.support()
+                for x in range(1 << n):
+                    point = {v: x >> j & 1 for j, v in enumerate(variables)}
+                    point[variables[i]] = g.evaluate(point)
+                    assert out >> x & 1 == p.evaluate(point), (n, i, x)
+
+    def test_affine_table_pointwise(self):
+        rng = random.Random(64)
+        for n in range(9):
+            variables = sorted(rng.sample(range(ring.N_VARS), n))
+            vecs = {0, 1, *(2 << i for i in range(n)), *(rng.getrandbits(n + 1) for _ in range(8))}
+            for vec in vecs:
+                table = ring.affine_table(vec, n)
+                ell = vector_to_affine(vec, variables)
+                for x in range(1 << n):
+                    point = {v: x >> j & 1 for j, v in enumerate(variables)}
+                    assert table >> x & 1 == ell.evaluate(point), (n, vec, x)
