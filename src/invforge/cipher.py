@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import or_, xor
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .boolfun import FORMAL_VARS, BoolFun6
 from .ring import (
@@ -282,7 +284,7 @@ def step(state: int, w: Wiring, fun: BoolFun6,
     return out
 
 
-def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6,
+def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6 | LanePlan,
                f_lane: int, k_lane: int, l_lane: int,
                width_mask: int) -> List[int]:
     """Bit-sliced round over many states at once.
@@ -290,13 +292,14 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6,
     lanes[i] holds bit x_{i+1} of every state; the per-round bits are lanes
     too, so each trajectory can see its own F/K/L.  The function instances
     are evaluated through their ANF, which keeps this path independent of
-    the truth-table lookups in step().
+    the truth-table lookups in step(); fun may be the LanePlan of that ANF,
+    so that many rounds share one plan.
     """
     def x(bit: int) -> int:
         return k_lane if bit == 0 else lanes[bit - 1]
 
     p = w.p
-    anf = fun.anf_poly()
+    anf = fun if isinstance(fun, LanePlan) else LanePlan(fun.anf_poly())
 
     def z(vals: Sequence[int]) -> int:
         return eval_poly_lanes(anf, dict(zip(FORMAL_VARS, vals)), width_mask)
@@ -331,47 +334,59 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6,
     return out
 
 
-def eval_poly_lanes(p: Poly, lanes: Dict[int, int], width_mask: int) -> int:
-    """Bit-sliced evaluation of a polynomial given one lane per variable.
+class LanePlan:
+    """How to evaluate one polynomial bit-sliced, built once per polynomial.
 
-    The terms are grouped by their part outside the lowest min(n // 2, 8) of
-    the n support variables.  Each distinct low part's lane product is formed
-    once, from the product of that part without its lowest variable; each
-    group XORs its low products, then ANDs its high lanes once.  That is
-    never more ANDs than one AND chain per term.
+    A term is split into its low part, over the lowest min(n // 2, 8) of the
+    n support variables, and its high part.  High parts that occur with the
+    same set of low parts form one group, whose value is the XOR of those
+    low parts' lane products ANDed with the XOR of its high parts' ones:
+    the degree-7 product invariant's 2,080 terms make 3 groups.  chain
+    lists every sub-monomial the groups need, and the ones they are built
+    from, in increasing order as (mask, mask less its lowest variable, that
+    variable), so each lane product is one AND.
     """
-    support = 0
-    for t in p.terms:
-        support |= t
-    low_mask = 0
-    for _ in range(min(support.bit_count() // 2, 8)):
-        rest = support ^ low_mask
-        low_mask |= rest & -rest
-    products = {0: width_mask}
-    groups: Dict[int, int] = {}
-    for t in p.terms:
-        low = t & low_mask
-        prod = products.get(low)
-        if prod is None:
-            prod = _low_product(low, lanes, products)
-        high = t ^ low
-        value = groups.get(high)
-        groups[high] = prod if value is None else value ^ prod
-    acc = 0
-    for high, value in groups.items():
-        while high:
-            bit = high & -high
-            value &= lanes[bit.bit_length() - 1]
-            high ^= bit
-        acc ^= value
-    return acc
+
+    __slots__ = ("chain", "groups")
+
+    def __init__(self, p: Poly):
+        terms = p.terms
+        support = reduce(or_, terms, 0)
+        low_mask = 0
+        for _ in range(min(support.bit_count() // 2, 8)):
+            rest = support ^ low_mask
+            low_mask |= rest & -rest
+        lows_of: Dict[int, List[int]] = {}
+        for t in terms:
+            low = t & low_mask
+            lows_of.setdefault(t ^ low, []).append(low)
+        highs_of: Dict[FrozenSet[int], List[int]] = {}
+        needed = set(lows_of)
+        for high, lows in lows_of.items():
+            needed.update(lows)
+            highs_of.setdefault(frozenset(lows), []).append(high)
+        for m in list(needed):
+            m &= m - 1
+            while m not in needed:
+                needed.add(m)
+                m &= m - 1
+        needed.discard(0)
+        self.chain = [(m, m & (m - 1), (m & -m).bit_length() - 1) for m in sorted(needed)]
+        self.groups = list(highs_of.items())
+
+    def run(self, lanes: Dict[int, int], width_mask: int) -> int:
+        """The polynomial's value in every lane; lanes[v] is variable v's lane."""
+        products = {0: width_mask}
+        for m, parent, v in self.chain:
+            products[m] = products[parent] & lanes[v]
+        get = products.__getitem__
+        acc = 0
+        for lows, highs in self.groups:
+            acc ^= reduce(xor, map(get, lows)) & reduce(xor, map(get, highs))
+        return acc
 
 
-def _low_product(low: int, lanes: Dict[int, int], products: Dict[int, int]) -> int:
-    """AND of the lanes of low's variables, memoised in products (0 -> width mask)."""
-    prod = products.get(low)
-    if prod is None:
-        bit = low & -low
-        prod = _low_product(low ^ bit, lanes, products) & lanes[bit.bit_length() - 1]
-        products[low] = prod
-    return prod
+def eval_poly_lanes(p: Poly | LanePlan, lanes: Dict[int, int], width_mask: int) -> int:
+    """Bit-sliced evaluation of a polynomial, given as a Poly or its LanePlan,
+    with one lane per variable; only the lanes under width_mask are set."""
+    return (p if isinstance(p, LanePlan) else LanePlan(p)).run(lanes, width_mask)

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import ring
 from .boolfun import BoolFun6, affine_split
-from .cipher import RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
+from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
 from .ring import COEF_BASE, N_STATE, Poly, add, coef_var, substitute
 
 DEFAULT_BUDGET = 1 << 22
@@ -46,8 +46,10 @@ class FeReport:
 
 
 class PreparedInvariant:
-    """A candidate P over state bits only (checked here); parts, P's affine
-    factors then the residual, is split on first use and kept for every FE."""
+    """A candidate P over state bits only (checked here).  parts, P's affine
+    factors then the residual, is split on first use and kept for every FE;
+    lane_plan, P's bit-sliced evaluation plan, is kept the same way for every
+    empirical check."""
 
     def __init__(self, poly: Poly):
         bad = [v for v in poly.support() if v >= N_STATE]
@@ -59,6 +61,10 @@ class PreparedInvariant:
     def parts(self) -> Tuple[Poly, ...]:
         factors, residual = affine_split(self.poly)
         return (*factors, residual)
+
+    @cached_property
+    def lane_plan(self) -> LanePlan:
+        return LanePlan(self.poly)
 
 
 def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None) -> FeReport:
@@ -162,11 +168,13 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
 
     Bit-sliced: trial j has its own trajectory and per-round bits, and one
     evaluation of P reads its start in lane j, its image in lane width + j.
-    It reads P.poly, not build_fe's P.parts, and must report 0 mismatches
-    whenever build_fe says is_zero.
+    It reads P.poly (through P.lane_plan), not build_fe's P.parts, and must
+    report 0 mismatches whenever build_fe says is_zero.  The function's ANF
+    is planned once for every round of every batch.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    anf = LanePlan(fun.anf_poly())
     rng = random.Random(seed)
     mism = 0
     remaining = trials
@@ -175,11 +183,11 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
         wmask = (1 << width) - 1
         start = lanes = [rng.getrandbits(width) for _ in range(36)]
         for _ in range(rounds):
-            lanes = step_lanes(lanes, w, fun,
+            lanes = step_lanes(lanes, w, anf,
                                rng.getrandbits(width), rng.getrandbits(width),
                                rng.getrandbits(width), wmask)
-        both = eval_poly_lanes(P.poly, {state_var(i): start[i - 1] | lanes[i - 1] << width
-                                   for i in range(1, 37)}, (1 << 2 * width) - 1)
+        both = eval_poly_lanes(P.lane_plan, {state_var(i): start[i - 1] | lanes[i - 1] << width
+                                             for i in range(1, 37)}, (1 << 2 * width) - 1)
         mism += ((both ^ both >> width) & wmask).bit_count()
         remaining -= width
     return EmpiricalReport(trials, rounds, mism)

@@ -249,6 +249,10 @@ CORPUS = [
     ("--format", "json-lines", "factor", "--poly", MU, "--trees", "8", "--seed", "1"),
     ("factor", "--poly", INV7, "--trees", "4", "--seed", "2"),
     ("--format", "json-lines", "factor", "--poly", INV7, "--trees", "4", "--seed", "2"),
+    ("search", "--lzs", LZS, "--invariant", INV7, "--trials", "200", "--seed", "0"),
+    # two batches of the empirical check, with a nonzero mismatch count
+    ("fe", "--lzs", LZS, "--invariant", INV827, "--boolfun", ZREF,
+     "--empirical-trials", "20000", "--seed", "3"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -266,6 +270,8 @@ CORPUS_STDOUT_SHA256 = [
     "c271dca81cb04b4fb4a74de3c1e2f07f21092c9db84fa9c15e4cca09e038c180",
     "b7f76e4cd627702f7f580dbbccf379336736d09341e622f004edc7011359b235",
     "aaeb9f03fcc5c4189ed6d337854784190888b37bb32a9c4bc0e7c88224dc0c27",
+    "e51fbd3b74c846a3948697470b0e17c1df5ff675332ccd39592597cf4ec6aa86",
+    "5490669ecf1d44501d22cb784963efb4b486f460daec46f173b8c0f3fff94a6e",
 ]
 
 

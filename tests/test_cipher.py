@@ -6,7 +6,7 @@ import pytest
 from invforge import ring
 from invforge.boolfun import ZERO_FUN, parse_anf, random_boolfun
 from invforge.cipher import (
-    Wiring, WiringError, eval_poly_lanes, parse_wiring, random_wiring,
+    LanePlan, Wiring, WiringError, eval_poly_lanes, parse_wiring, random_wiring,
     round_system, step, step_lanes, validate,
 )
 from invforge.data import fixture_text
@@ -221,15 +221,18 @@ class TestEvalPolyLanes:
     def test_every_lane_matches_pointwise_evaluation(self, p):
         rng = random.Random(len(p))
         support = sorted(p.support())
-        for width in (1, 8, 257, 8193):
+        plan = LanePlan(p)  # one plan serves every width and lane map
+        for width, maps in ((1, 3), (8, 3), (257, 3), (8193, 1)):
             mask = (1 << width) - 1
-            # every lane carries bits above the mask, which must not leak out
-            lanes = {v: rng.getrandbits(width + 9) | (1 << width) for v in support}
-            got = eval_poly_lanes(p, lanes, mask)
-            assert got & ~mask == 0, width
-            for j in range(width):
-                bits = {v: lane >> j & 1 for v, lane in lanes.items()}
-                assert got >> j & 1 == p.evaluate(bits), (width, j)
+            for _ in range(maps):
+                # every lane carries bits above the mask, which must not leak out
+                lanes = {v: rng.getrandbits(width + 9) | (1 << width) for v in support}
+                got = eval_poly_lanes(plan, lanes, mask)
+                assert got & ~mask == 0, width
+                assert eval_poly_lanes(p, lanes, mask) == got, width
+                for j in range(width):
+                    bits = {v: lane >> j & 1 for v, lane in lanes.items()}
+                    assert got >> j & 1 == p.evaluate(bits), (width, j)
 
     def test_leaves_no_garbage_cycles(self, invariant_deg7):
         # a memo that refers to itself outlives the call until the cyclic GC

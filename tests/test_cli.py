@@ -186,6 +186,14 @@ class TestVerdictsAndExitCodes:
         assert "empirical mismatches = 0" in capsys.readouterr().out
         assert len(splits) == 1
 
+    def test_verify_thm_builds_the_invariant_once(self, monkeypatch, capsys):
+        built = []
+        real = lab.product_invariant
+        monkeypatch.setattr(lab, "product_invariant", lambda: built.append(1) or real())
+        assert cli.main(["verify-thm", "--lzs", LZS, "--boolfun", ZREF]) == 0
+        assert capsys.readouterr().out.endswith("ALL STEPS PASS\n")
+        assert len(built) == 1
+
     def test_fe_refuses_empirical_trials_with_symbolic(self, capsys):
         argv = ["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic",
                 "--empirical-trials", "100"]

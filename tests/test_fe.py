@@ -10,7 +10,7 @@ from invforge.boolfun import (
     MAX_SPLIT_VARS, ZERO_FUN, affine_split, parse_anf, random_boolfun,
 )
 from invforge.cipher import (
-    Wiring, eval_poly_lanes, random_wiring, round_system, state_var, step_lanes,
+    LanePlan, Wiring, eval_poly_lanes, random_wiring, round_system, state_var, step_lanes,
 )
 from invforge.fe import (
     DEFAULT_BUDGET, NonStateVariableError, PreparedInvariant, build_fe, check_candidate,
@@ -158,12 +158,17 @@ class TestEmpirical:
                                               (fe_mod._CHUNK + 1, 2)])
     def test_one_evaluation_per_chunk(self, wiring, zref, invariant_deg7,
                                       monkeypatch, trials, calls):
-        seen = []
-        monkeypatch.setattr(fe_mod, "eval_poly_lanes",
-                            lambda *args: seen.append(1) or eval_poly_lanes(*args))
-        check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring, zref,
-                                    trials, rounds=3)
-        assert len(seen) == calls
+        P = PreparedInvariant(invariant_deg7)
+        runs, plans = [], []
+        real_run, real_init = LanePlan.run, LanePlan.__init__
+        monkeypatch.setattr(LanePlan, "run",
+                            lambda plan, *args: runs.append(plan) or real_run(plan, *args))
+        monkeypatch.setattr(LanePlan, "__init__",
+                            lambda plan, p: plans.append(p) or real_init(plan, p))
+        check_invariant_empirically(P, wiring, zref, trials, rounds=3)
+        assert sum(plan is P.lane_plan for plan in runs) == calls
+        # P's plan and the function's, each built once for every chunk and round
+        assert sorted(plans, key=len) == [zref.anf_poly(), invariant_deg7]
 
     def test_theorem_invariant_clean(self, wiring, zref, invariant_deg7):
         rep = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,

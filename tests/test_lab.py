@@ -317,10 +317,30 @@ class TestSearch:
         assert not lab.is_hit(wiring, PreparedInvariant(invariant_deg7),
                               random_boolfun(123))
 
-    @pytest.mark.parametrize("trials,seed,survivors,splits", [(3, 1, 2, 1), (2, 0, 0, 0)])
+    @pytest.mark.parametrize("wiring_seed", [None, 0])
+    def test_screen_never_changes_the_verdict(self, wiring, zref, invariant_deg7,
+                                              wiring_seed):
+        w = wiring if wiring_seed is None else random_wiring(wiring_seed, conforming=True)
+        P = PreparedInvariant(invariant_deg7)
+        for fun in [zref] + [random_boolfun(seed) for seed in range(200)]:
+            exact = build_fe(P, round_system(w, "expanded", fun)).is_zero
+            assert lab.is_hit(w, P, fun) == exact
+        assert lab.is_hit(w, P, zref)
+
+    def test_screen_pass_count(self, wiring, invariant_deg7, monkeypatch):
+        # 16 of the first 400 functions pass the 256-sample screen, and each
+        # of them pays one build_fe
+        exact = []
+        real_build = fe_mod.build_fe
+        monkeypatch.setattr(fe_mod, "build_fe",
+                            lambda *args: exact.append(1) or real_build(*args))
+        report = search_random_functions(wiring, invariant_deg7, 400, 0)
+        assert (len(exact), report.hits) == (16, ())
+
+    @pytest.mark.parametrize("trials,seed,survivors,splits", [(5, 5, 2, 1), (3, 6, 0, 0)])
     def test_search_splits_the_invariant_once(self, wiring, invariant_deg7, monkeypatch,
                                               trials, seed, survivors, splits):
-        # trials 1 and 2 of seed 1 pass the screen; neither trial of seed 0 does
+        # trials 0 and 4 of seed 5 pass the screen; no trial of seed 6 does
         split_calls, exact = [], []
         real_split, real_build = fe_mod.affine_split, fe_mod.build_fe
         monkeypatch.setattr(fe_mod, "affine_split",
