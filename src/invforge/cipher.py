@@ -8,14 +8,11 @@ from functools import reduce
 from operator import or_, xor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .boolfun import FORMAL_VARS, BoolFun6
+from .boolfun import BoolFun6
 from .ring import (
-    F_BIT, K_BIT, L_BIT,
-    PLACEHOLDER_W, PLACEHOLDER_X, PLACEHOLDER_Y, PLACEHOLDER_Z,
-    ZERO, Poly, add, coef_var, monomial_masks, state_var, var,
+    F_BIT, K_BIT, L_BIT, PLACEHOLDERS,
+    Poly, coef_var, monomial_masks, state_var, var,
 )
-
-NONTRIVIAL = (33, 29, 25, 21, 17, 13, 9, 5, 1)
 
 # wiring constraints under which the degree-7 product attack applies
 HYPOTHESES = {
@@ -193,9 +190,25 @@ class RoundSystem:
         return {state_var(i): self.outputs[i - 1] for i in range(1, 37)}
 
 
+def _outputs(w: Wiring, x, f, l, inst):
+    """y1..y36 of one round, for values that add with ^ (Polys or lanes): x(bit)
+    is input x_bit, K for bit 0; f, l are F, L; inst are the instances Z, Y, X, W."""
+    out = list(map(x, range(36)))  # y_{i+1} = x_i, except y1, y5, ..., y33 set below
+    # y33, y29, ..., y1 as in step(): a running sum plus one D input each
+    added = (inst[0], x(w.P(6)), inst[1], x(w.P(13)), l ^ inst[2],
+             x(w.P(20)), inst[3], x(w.P(27)))
+    acc = f
+    out[32] = acc ^ x(w.D(9))
+    for k, term in enumerate(added, 1):
+        acc = acc ^ term
+        out[32 - 4 * k] = acc ^ x(w.D(9 - k))
+    return out
+
+
 def round_system(w: Wiring, mode: str = "placeholder",
                  fun: Optional[BoolFun6] = None) -> RoundSystem:
-    """Build the 36 output polynomials; only 9 are non-trivial.
+    """Build the 36 output polynomials; only 9 are non-trivial.  The schedule
+    is _outputs(), shared with step_lanes() and checked by tests against step().
 
     placeholder: the four function instances stay opaque as Z, Y, X, W.
     expanded:    each instance is the supplied function composed with its
@@ -209,27 +222,13 @@ def round_system(w: Wiring, mode: str = "placeholder",
         raise ValueError("expanded mode requires a Boolean function")
     args = w.z_args()
     if mode == "placeholder":
-        inst = [var(PLACEHOLDER_Z), var(PLACEHOLDER_Y),
-                var(PLACEHOLDER_X), var(PLACEHOLDER_W)]
+        inst = [var(v) for v in PLACEHOLDERS]  # Z, Y, X, W
     elif mode == "expanded":
         inst = [fun.instantiate(a) for a in args]
     else:
         inst = [_symbolic_instance(a) for a in args]
-
-    def xin(bit: int) -> Poly:
-        return var(K_BIT) if bit == 0 else var(state_var(bit))
-
-    outputs: List[Poly] = [None] * 36  # type: ignore[list-item]
-    for i in range(1, 36):
-        if i % 4 != 0:
-            outputs[i + 1 - 1] = var(state_var(i))
-    # y33, y29, ..., y1 as in step(): a running sum plus one D input each
-    added = (ZERO, inst[0], xin(w.P(6)), inst[1], xin(w.P(13)),
-             add(var(L_BIT), inst[2]), xin(w.P(20)), inst[3], xin(w.P(27)))
-    acc = var(F_BIT)
-    for k, (i, term) in enumerate(zip(NONTRIVIAL, added)):
-        acc = add(acc, term)
-        outputs[i - 1] = add(acc, xin(w.D(9 - k)))
+    outputs = _outputs(w, lambda bit: var(state_var(bit) if bit else K_BIT),
+                       var(F_BIT), var(L_BIT), inst)
     return RoundSystem(mode, tuple(outputs))
 
 
@@ -293,45 +292,15 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6 | LanePlan,
     too, so each trajectory can see its own F/K/L.  The function instances
     are evaluated through their ANF, which keeps this path independent of
     the truth-table lookups in step(); fun may be the LanePlan of that ANF,
-    so that many rounds share one plan.
+    so that many rounds share one plan.  The schedule is _outputs(), shared
+    with round_system(); tests check it against step().
     """
-    def x(bit: int) -> int:
-        return k_lane if bit == 0 else lanes[bit - 1]
-
-    p = w.p
     anf = fun if isinstance(fun, LanePlan) else LanePlan(fun.anf_poly())
-
-    def z(vals: Sequence[int]) -> int:
-        return eval_poly_lanes(anf, dict(zip(FORMAL_VARS, vals)), width_mask)
-
-    z1 = z([l_lane] + [x(b) for b in p[0:5]])
-    z2 = z([x(b) for b in p[6:12]])
-    z3 = z([x(b) for b in p[13:19]])
-    z4 = z([x(b) for b in p[20:26]])
-
-    out = [0] * 36
-    for i in range(1, 36):
-        if i % 4 != 0:
-            out[i + 1 - 1] = lanes[i - 1]
-    acc = f_lane
-    out[32] = acc ^ x(w.D(9))
-    acc = acc ^ z1
-    out[28] = acc ^ x(w.D(8))
-    acc = acc ^ x(p[5])
-    out[24] = acc ^ x(w.D(7))
-    acc = acc ^ z2
-    out[20] = acc ^ x(w.D(6))
-    acc = acc ^ x(p[12])
-    out[16] = acc ^ x(w.D(5))
-    acc = acc ^ l_lane ^ z3
-    out[12] = acc ^ x(w.D(4))
-    acc = acc ^ x(p[19])
-    out[8] = acc ^ x(w.D(3))
-    acc = acc ^ z4
-    out[4] = acc ^ x(w.D(2))
-    acc = acc ^ x(p[26])
-    out[0] = acc ^ x(w.D(1))
-    return out
+    by_var = lanes[::-1] + [f_lane, k_lane, l_lane]  # indexed by VarId
+    # the formal inputs a..f are VarIds 0..5: a list of argument lanes is indexed by VarId
+    inst = [eval_poly_lanes(anf, [by_var[v] for v in args], width_mask)
+            for args in w.z_args()]
+    return _outputs(w, (k_lane, *lanes).__getitem__, f_lane, l_lane, inst)
 
 
 class LanePlan:
@@ -374,7 +343,7 @@ class LanePlan:
         self.chain = [(m, m & (m - 1), (m & -m).bit_length() - 1) for m in sorted(needed)]
         self.groups = list(highs_of.items())
 
-    def run(self, lanes: Dict[int, int], width_mask: int) -> int:
+    def run(self, lanes: Dict[int, int] | Sequence[int], width_mask: int) -> int:
         """The polynomial's value in every lane; lanes[v] is variable v's lane."""
         products = {0: width_mask}
         for m, parent, v in self.chain:
@@ -386,7 +355,8 @@ class LanePlan:
         return acc
 
 
-def eval_poly_lanes(p: Poly | LanePlan, lanes: Dict[int, int], width_mask: int) -> int:
+def eval_poly_lanes(p: Poly | LanePlan, lanes: Dict[int, int] | Sequence[int],
+                    width_mask: int) -> int:
     """Bit-sliced evaluation of a polynomial, given as a Poly or its LanePlan,
-    with one lane per variable; only the lanes under width_mask are set."""
+    with lanes[v] the lane of variable v; only lanes under width_mask are set."""
     return (p if isinstance(p, LanePlan) else LanePlan(p)).run(lanes, width_mask)

@@ -51,6 +51,11 @@ def _load_poly(path: str) -> Poly:
     return ring.parse(_read(path), dialect="auto")
 
 
+def _dialect(p: Poly) -> str:
+    """Forms over the form letters, where auto would read a lone F as the round bit."""
+    return "forms" if max(p.support(), default=0) >= ring.FORM_BASE else "auto"
+
+
 def _load_fun(path: str) -> boolfun.BoolFun6:
     return boolfun.load_boolfun(_read(path))
 
@@ -151,12 +156,12 @@ def cmd_annihilators(args, out: _Output) -> int:
         "degree_bound": basis.degree_bound,
         "variables": [ring.var_name(v) for v in basis.variables],
         "dimension": basis.dimension,
-        "basis": [ring.render(g) for g in basis.basis],
+        "basis": [ring.render(g, _dialect(names)) for g in basis.basis],
     }
     lines = ["degree_bound = %d" % basis.degree_bound,
              "variables = %s" % ",".join(ring.var_name(v) for v in basis.variables),
              "dimension = %d" % basis.dimension]
-    lines += ["basis: %s" % ring.render(g) for g in basis.basis]
+    lines += ["basis: %s" % g for g in rec["basis"]]
     out.emit(rec, lines)
     return EXIT_OK if basis.dimension > 0 else EXIT_FALSE
 
@@ -173,7 +178,7 @@ def cmd_absorbers(args, out: _Output) -> int:
 def cmd_factor(args, out: _Output) -> int:
     p = _load_poly(args.poly)
     trees = lab.explore_factorizations(p, args.trees, args.seed)
-    dialect = "forms" if max(p.support(), default=0) >= ring.FORM_BASE else "auto"
+    dialect = _dialect(p)
     records = []
     lines = []
     seen_sets = set()

@@ -168,9 +168,11 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
 
     Bit-sliced: trial j has its own trajectory and per-round bits, and one
     evaluation of P reads its start in lane j, its image in lane width + j.
-    It reads P.poly (through P.lane_plan), not build_fe's P.parts, and must
-    report 0 mismatches whenever build_fe says is_zero.  The function's ANF
-    is planned once for every round of every batch.
+    Independent of build_fe: it reads P.poly (through P.lane_plan), not P.parts,
+    and evaluates the instances through one LanePlan of the function's ANF for
+    every round of every batch.  Shared with build_fe: the round's schedule,
+    which tests check against step().  It must report 0 mismatches whenever
+    build_fe says is_zero.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

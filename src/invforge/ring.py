@@ -137,6 +137,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly._raw(self.terms ^ other.terms)
+    __xor__ = __add__  # so code written for lane ints also adds Polys
 
     def __mul__(self, other: "Poly") -> "Poly":
         return mul(self, other)

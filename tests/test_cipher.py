@@ -75,6 +75,41 @@ class TestRoundSystem:
                        add(var(state_var(wiring.D(3))), var(state_var(wiring.D(2)))))
         assert d == expected
 
+    # The round's displayed equations, y_i = F + ... + x_D((i + 3) / 4), with
+    # Z, Y, X, W the four instances and Pn, Dn the input x_P(n), x_D(n)
+    DISPLAYED = {
+        33: "F D9",
+        29: "F Z D8",
+        25: "F Z P6 D7",
+        21: "F Z P6 Y D6",
+        17: "F Z P6 Y P13 D5",
+        13: "F Z P6 Y P13 L X D4",
+        9: "F Z P6 Y P13 L X P20 D3",
+        5: "F Z P6 Y P13 L X P20 W D2",
+        1: "F Z P6 Y P13 L X P20 W P27 D1",
+    }
+
+    def test_nontrivial_outputs_match_displayed_equations(self, wiring):
+        wirings = [wiring, random_wiring(3), random_wiring(104)]
+        assert wirings[1].D(8) == 0 and wirings[2].D(6) == 0
+        for w in wirings:
+            def x(bit):  # input x_bit; bit 0 is the key bit K
+                return var(state_var(bit)) if bit else var(K_BIT)
+
+            def value(name):
+                if name[0] == "D":
+                    return x(w.D(int(name[1:])))
+                if name[0] == "P":
+                    return x(w.P(int(name[1:])))
+                return parse(name)
+
+            rs = round_system(w, "placeholder")
+            for i, names in self.DISPLAYED.items():
+                want = ring.ZERO
+                for name in names.split():
+                    want = add(want, value(name))
+                assert rs.output(i) == want, (w, i)
+
     def test_expanded_requires_function(self, wiring):
         with pytest.raises(ValueError):
             round_system(wiring, "expanded")
@@ -137,20 +172,25 @@ class TestStep:
                 assert step(s, w, fun, fb, kb, lb) == expected
 
     def test_scalar_vs_lanes(self, wiring):
+        # random_wiring(3) has D(8) = 0 and random_wiring(104) D(6) = 0, so the
+        # key lane reaches y29 and y21 there; the shipped wiring has no D(i) = 0
+        wirings = [wiring, random_wiring(3), random_wiring(104), random_wiring(4, True)]
+        assert wirings[1].D(8) == 0 and wirings[2].D(6) == 0
         rng = random.Random(24)
         fun = random_boolfun(77)
-        states = [rng.getrandbits(36) for _ in range(257)]
-        width = len(states)
-        wmask = (1 << width) - 1
-        fl, kl, ll = (rng.getrandbits(width) for _ in range(3))
-        lanes = step_lanes(states_to_lanes(states), wiring, fun, fl, kl, ll, wmask)
-        for j, s in enumerate(states):
-            out = step(s, wiring, fun, (fl >> j) & 1, (kl >> j) & 1, (ll >> j) & 1)
-            got = 0
-            for i in range(36):
-                if (lanes[i] >> j) & 1:
-                    got |= 1 << i
-            assert got == out
+        for w in wirings:
+            states = [rng.getrandbits(36) for _ in range(257)]
+            width = len(states)
+            wmask = (1 << width) - 1
+            fl, kl, ll = (rng.getrandbits(width) for _ in range(3))
+            lanes = step_lanes(states_to_lanes(states), w, fun, fl, kl, ll, wmask)
+            for j, s in enumerate(states):
+                out = step(s, w, fun, (fl >> j) & 1, (kl >> j) & 1, (ll >> j) & 1)
+                got = 0
+                for i in range(36):
+                    if (lanes[i] >> j) & 1:
+                        got |= 1 << i
+                assert got == out, (w, j)
 
     def test_bijection_collision_freeness(self, wiring):
         fun = random_boolfun(31)

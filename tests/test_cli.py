@@ -254,6 +254,22 @@ class TestVerdictsAndExitCodes:
         (chain,) = lab.explore_factorizations(ring.parse(text, "auto"), 8, 0)
         assert {ring.parse(f, "forms") for f in want} == frozenset(chain.factors)
 
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_annihilators_of_forms_poly_with_lone_f(self, fmt):
+        # F+1 renders in the forms dialect, where F alone is the form letter
+        r = run_cli("--format", fmt, "annihilators", "--poly", "-", "--degree", "1",
+                    stdin="AF\n")
+        assert r.returncode == 0, r.stderr
+        if fmt == "text":
+            lines = r.stdout.splitlines()
+            basis = [line[len("basis: "):] for line in lines if line.startswith("basis: ")]
+            assert "dimension = 2" in lines
+        else:
+            basis = json.loads(r.stdout)["basis"]
+        assert basis == ["F+1", "A+F"]
+        b1, b2 = (ring.parse(g, "forms") for g in basis)
+        assert {b1, b2, b1 + b2} >= {ring.parse("A+1", "forms"), ring.parse("F+1", "forms")}
+
     def test_factor_of_mu_renders_as_by_auto_detection(self, capsys):
         mu = ring.parse(fixture_text("mu.poly"), "auto")
         for seed in range(4):
