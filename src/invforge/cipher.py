@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_, xor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -58,8 +58,10 @@ class Wiring:
     def P(self, j: int) -> int:
         return self.p[j - 1]
 
+    @cached_property
     def z_args(self) -> Tuple[Tuple[int, ...], ...]:
-        """Ordered VarId argument lists of the four function instances."""
+        """Ordered VarId argument lists of the four function instances,
+        formed on first read and kept."""
         p = self.p
         return (
             (L_BIT,) + tuple(state_var(b) for b in p[0:5]),
@@ -220,7 +222,7 @@ def round_system(w: Wiring, mode: str = "placeholder",
         raise ValueError("unknown mode %r" % mode)
     if mode == "expanded" and fun is None:
         raise ValueError("expanded mode requires a Boolean function")
-    args = w.z_args()
+    args = w.z_args
     if mode == "placeholder":
         inst = [var(v) for v in PLACEHOLDERS]  # Z, Y, X, W
     elif mode == "expanded":
@@ -299,7 +301,7 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6 | LanePlan,
     by_var = lanes[::-1] + [f_lane, k_lane, l_lane]  # indexed by VarId
     # the formal inputs a..f are VarIds 0..5: a list of argument lanes is indexed by VarId
     inst = [eval_poly_lanes(anf, [by_var[v] for v in args], width_mask)
-            for args in w.z_args()]
+            for args in w.z_args]
     return _outputs(w, (k_lane, *lanes).__getitem__, f_lane, l_lane, inst)
 
 

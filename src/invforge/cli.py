@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from . import boolfun, fe as fe_mod, lab, lincycle, ring
@@ -264,7 +265,10 @@ class SystemExit2(Exception):
     """Usage-level failure with a one-line diagnostic."""
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept: main
+    dispatches by command name, so the parser holds no command function."""
     ap = argparse.ArgumentParser(
         prog="invforge",
         description="Polynomial invariant workbench for T-310-style ciphers.")
@@ -281,44 +285,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the independent empirical checker")
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the empirical check (default 0)")
-    p.set_defaults(func=cmd_fe)
 
     p = sub.add_parser("verify-thm", help="step-by-step attack verification")
     p.add_argument("--lzs", required=True)
     p.add_argument("--boolfun", required=True)
     p.add_argument("--invariant")
     p.add_argument("--report", choices=("steps", "summary"), default="steps")
-    p.set_defaults(func=cmd_verify_thm)
 
     p = sub.add_parser("annihilators", help="degree-bounded annihilator basis")
     p.add_argument("--poly", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--vars", help="comma-separated variable names (default: support)")
-    p.set_defaults(func=cmd_annihilators)
 
     p = sub.add_parser("absorbers", help="test f*g = f")
     p.add_argument("--poly", required=True, help="the absorbing polynomial f")
     p.add_argument("--candidate", required=True, help="the absorbed polynomial g")
-    p.set_defaults(func=cmd_absorbers)
 
     p = sub.add_parser("factor", help="explore non-unique affine factorizations")
     p.add_argument("--poly", required=True)
     p.add_argument("--trees", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("linear-cycle", help="periods of the zero-function affine round")
     p.add_argument("--lzs", required=True)
     p.add_argument("--max-period", type=int, default=256)
     p.add_argument("--mask", choices=sorted(lincycle.MASKS), default="lowercase26")
-    p.set_defaults(func=cmd_linear_cycle)
 
     p = sub.add_parser("search", help="random Boolean function search")
     p.add_argument("--lzs", required=True)
     p.add_argument("--invariant", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("step", help="apply concrete rounds to a state")
     p.add_argument("--lzs", required=True)
@@ -328,11 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, choices=(0, 1), default=0)
     p.add_argument("--l", type=int, choices=(0, 1), default=0)
     p.add_argument("--rounds", type=int, default=1)
-    p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("validate", help="check a wiring file")
     p.add_argument("--lzs", required=True)
-    p.set_defaults(func=cmd_validate)
 
     return ap
 
@@ -344,8 +339,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     out = _Output(args.format)
+    # looked up on every call, so a replaced cmd_* function is the one run
+    command = {"fe": cmd_fe, "verify-thm": cmd_verify_thm, "annihilators": cmd_annihilators,
+               "absorbers": cmd_absorbers, "factor": cmd_factor,
+               "linear-cycle": cmd_linear_cycle, "search": cmd_search, "step": cmd_step,
+               "validate": cmd_validate}[args.command]
     try:
-        return args.func(args, out)
+        return command(args, out)
     except TermBudgetError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_BUDGET

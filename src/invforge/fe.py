@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ring
 from .boolfun import BoolFun6, affine_split
 from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
-from .ring import COEF_BASE, N_STATE, Poly, add, coef_var, substitute
+from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, coef_var, mobius, substitute
 
 DEFAULT_BUDGET = 1 << 22
 MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
@@ -22,14 +22,22 @@ class NonStateVariableError(ValueError):
         super().__init__("invariant candidate uses non-state variables: %s" % names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeReport:
-    """Reduced fundamental equation plus the dependence verdict."""
+    """The verdicts on a fundamental equation: is_zero, and depends_on, the
+    non-state variables it holds.  fe, the reduced polynomial, is expand()
+    on first read, and kept; where build_fe decided on truth tables it is
+    built only then, so a caller that needs only the verdicts never builds
+    it."""
 
-    fe: Poly
     is_zero: bool
     depends_on: Tuple[str, ...]
     mode: str
+    expand: Callable[[], Poly] = field(repr=False)
+
+    @cached_property
+    def fe(self) -> Poly:
+        return self.expand()
 
     def lines(self) -> List[str]:
         out = []
@@ -46,13 +54,14 @@ class FeReport:
 
 
 class PreparedInvariant:
-    """A candidate P over state bits only (checked here).  parts, P's affine
-    factors then the residual, is split on first use and kept for every FE;
-    lane_plan, P's bit-sliced evaluation plan, is kept the same way for every
-    empirical check."""
+    """A candidate P over state bits only (checked here on support, the set
+    of P's variables).  parts, P's affine factors then the residual, is
+    split on first use and kept for every FE; lane_plan, P's bit-sliced
+    evaluation plan, is kept the same way for every empirical check."""
 
     def __init__(self, poly: Poly):
-        bad = [v for v in poly.support() if v >= N_STATE]
+        self.support = poly.support()
+        bad = [v for v in self.support if v >= N_STATE]
         if bad:
             raise NonStateVariableError(bad)
         self.poly = poly
@@ -71,13 +80,40 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     """FE = P + P(outputs-as-inputs), fully expanded and canonicalized; the
     image of P is the product of its parts' images.
 
+    Where ring.product would take its dense branch on the images, the
+    verdicts are read off truth tables over the images' variables: is_zero
+    holds iff P lies on those variables and the AND of its parts' tables
+    equals the AND of the images' tables, and depends_on lists the
+    non-state variables the image table depends on.  The budget bounds the
+    image's term count there, as it does in ring.product, and the FE
+    polynomial is built only when report.fe is read.  Elsewhere the images
+    are multiplied out and the FE is built at once.
+
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
     """
     sub = rs.as_substitution()
-    fe = add(P.poly, ring.product([substitute(f, sub, budget) for f in P.parts], budget))
-    depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
-    return FeReport(fe, not fe, depends_on, rs.mode)
+    images = [substitute(f, sub, budget) for f in P.parts]
+    variables = ring.dense_variables(images)
+    if variables is None:
+        fe = add(P.poly, ring.product(images, budget))
+        depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
+        return FeReport(not fe, depends_on, rs.mode, lambda: fe)
+    n = len(variables)
+    table = ring.product_table(images, variables)
+    if budget is not None and mobius(table, n).bit_count() > budget:
+        raise TermBudgetError(budget)
+    is_zero = (P.support.issubset(variables)
+               and ring.product_table(P.parts, variables) == table)
+    depends_on = tuple(ring.var_name(v) for i, v in enumerate(variables)
+                       if v >= N_STATE and ring.table_depends(table, n, i))
+
+    def expand() -> Poly:
+        if is_zero:
+            return ring.ZERO
+        return add(P.poly, ring.poly_from_anf_bits(mobius(table, n), variables))
+
+    return FeReport(is_zero, depends_on, rs.mode, expand)
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,

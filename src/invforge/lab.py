@@ -178,7 +178,7 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            "one-round difference = mu * bracket with opaque Y, W",
            fe_ph == expand_forms(mul(mu_forms, bracket_yw)))
 
-    args = w.z_args()
+    args = w.z_args
     Yex = fun.instantiate(args[1])
     Wex = fun.instantiate(args[3])
     CHF = product([C_, H_, F_])
@@ -314,13 +314,17 @@ class SearchReport:
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
+    """Wilson score interval; its bound at 0 hits is exactly 0, and at
+    hits = trials exactly 1, where centre and half cancel only up to
+    rounding."""
     if trials == 0:
         return 0.0, 1.0
     phat = hits / trials
     denom = 1 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
+    return (max(0.0, centre - half) if hits else 0.0,
+            min(1.0, centre + half) if hits < trials else 1.0)
 
 
 def is_hit(w: Wiring, P: fe_mod.PreparedInvariant, fun: BoolFun6,

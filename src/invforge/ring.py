@@ -214,37 +214,58 @@ def mul(p: Poly, q: Poly, budget: int | None = None) -> Poly:
 def product(ps: Sequence[Poly], budget: int | None = None) -> Poly:
     """Product of several polynomials.
 
-    Over n <= MAX_DENSE_VARS variables, when the 2^n-bit table is smaller
-    than the number of term pairs a sparse fold could form, the factors'
-    truth tables are ANDed and transformed back to the ANF; otherwise the
-    factors are multiplied smallest first.  The ANF is unique, so both
+    Where dense_variables gives a list, the factors' truth tables over it
+    are ANDed (product_table) and transformed back to the ANF; otherwise
+    the factors are multiplied smallest first.  The ANF is unique, so both
     give the same Poly.  The dense branch checks the budget against the
     result only; the sparse fold also against each intermediate.
+    fe.build_fe decides its verdict on the same tables where this would
+    take the dense branch.
     """
     ps = ps or [ONE]  # the empty product, checked against the budget too
-    support, pairs = 0, 1
-    for p in ps:
-        pairs *= len(p.terms)
-        for t in p.terms:
-            support |= t
-    n = support.bit_count()
-    if n <= MAX_DENSE_VARS and 1 << n < pairs:
-        return _dense_product(ps, _bits(support), budget)
+    variables = dense_variables(ps)
+    if variables is not None:
+        return _dense_product(ps, variables, budget)
     acc = ONE
     for p in sorted(ps, key=len):
         acc = mul(acc, p, budget)
     return acc
 
 
+def dense_variables(ps: Sequence[Poly]) -> List[int] | None:
+    """The factors' union support, ascending, where product's dense branch
+    works over it: n <= MAX_DENSE_VARS variables and a 2^n-bit table
+    smaller than the number of term pairs a sparse fold could form.
+    None where the factors are folded sparsely."""
+    support, pairs = 0, 1
+    for p in ps:
+        pairs *= len(p.terms)
+        for t in p.terms:
+            support |= t
+    n = support.bit_count()
+    return _bits(support) if n <= MAX_DENSE_VARS and 1 << n < pairs else None
+
+
+def product_table(ps: Sequence[Poly], variables: Sequence[int]) -> int:
+    """Truth table over variables, which must hold every factor's support,
+    of the product of ps: the AND of the factors' tables.  A factor of
+    degree <= 1 gets its table from affine_table, any other from its ANF."""
+    n = len(variables)
+    index = {v: i for i, v in enumerate(variables)}
+    table = (1 << (1 << n)) - 1
+    for p in ps:
+        if p.degree() <= 1:
+            table &= affine_table(_affine_vector(p, index), n)
+        else:
+            table &= mobius(anf_bits(p, variables), n)
+    return table
+
+
 def _dense_product(ps: Sequence[Poly], variables: Sequence[int],
                    budget: int | None = None) -> Poly:
     """Product as the AND of truth tables over variables, which must hold
     every factor's support."""
-    n = len(variables)
-    table = (1 << (1 << n)) - 1
-    for p in ps:
-        table &= mobius(anf_bits(p, variables), n)
-    anf = mobius(table, n)
+    anf = mobius(product_table(ps, variables), len(variables))
     if budget is not None and anf.bit_count() > budget:
         raise TermBudgetError(budget)
     return poly_from_anf_bits(anf, variables)
@@ -318,6 +339,21 @@ def affine_table(vec: int, n: int) -> int:
         if vec >> (i + 1) & 1:
             out ^= full ^ _zero_bit_mask(i, n)
     return out
+
+
+def table_depends(table: int, n: int, i: int) -> bool:
+    """Does the function with this n-input truth table depend on input i?
+    Over polynomials: does its ANF hold the variable of input i?"""
+    return bool((table ^ table >> (1 << i)) & _zero_bit_mask(i, n))
+
+
+def _affine_vector(p: Poly, index: Mapping[int, int]) -> int:
+    """p, of degree <= 1, as the vector affine_table reads: bit 0 its
+    constant term, bit index[v] + 1 its coefficient of v."""
+    vec = 0
+    for t in p.terms:
+        vec ^= 2 << index[t.bit_length() - 1] if t else 1
+    return vec
 
 
 def _ones(table: int) -> List[int]:
@@ -479,10 +515,7 @@ def factor_out(p: Poly, ell: Poly) -> Poly:
     if n > MAX_DENSE_VARS:
         raise ValueError("cannot divide over %d variables: the truth tables are "
                          "limited to %d" % (n, MAX_DENSE_VARS))
-    index = {v: i for i, v in enumerate(variables)}
-    vec = 0  # ell over the variables, as affine_table reads it
-    for t in ell.terms:
-        vec ^= 2 << index[t.bit_length() - 1] if t else 1
+    vec = _affine_vector(ell, {v: i for i, v in enumerate(variables)})
     tp, tl = mobius(anf_bits(p, variables), n), affine_table(vec, n)
     if tp & ~tl:
         raise NotAFactorError("%s does not divide the polynomial" % render(ell, "forms"))

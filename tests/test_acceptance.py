@@ -109,7 +109,7 @@ def test_criterion_4_absorption_suite(wiring, zref):
         cCHF = product([add(C, ONE), add(H, ONE), add(F, ONE)])
         cBDG = product([add(B, ONE), add(D, ONE), add(G, ONE)])
         mu_state = lab.expand_forms(lab.core_product_forms())
-        args = wiring.z_args()
+        args = wiring.z_args
 
         def absorption_flags(fun):
             Y = fun.instantiate(args[1])

@@ -122,7 +122,7 @@ class TestRoundSystem:
         fun = random_boolfun(21)
         rs_ph = round_system(wiring, "placeholder")
         rs_ex = round_system(wiring, "expanded", fun)
-        args = wiring.z_args()
+        args = wiring.z_args
         mapping = {
             ring.PLACEHOLDER_Z: fun.instantiate(args[0]),
             ring.PLACEHOLDER_Y: fun.instantiate(args[1]),

@@ -9,7 +9,7 @@ import pytest
 
 import invforge
 from invforge import cli, fe as fe_mod, lab, lincycle, ring
-from invforge.boolfun import affine_factor_solutions
+from invforge.boolfun import affine_factor_solutions, random_boolfun
 from invforge.data import fixture_path, fixture_text
 
 LZS = fixture_path("lzs-265-like.cfg")
@@ -70,6 +70,18 @@ class TestVerdictsAndExitCodes:
         r = run_cli("fe", "--lzs", LZS, "--invariant", INV7,
                     "--symbolic", "--budget", "1000")
         assert r.returncode == 3
+
+    def test_expanded_budget_pins_at_the_image(self, tmp_path, capsys):
+        # expanded fe --budget bounds the term count of P's image, the product
+        # of its parts' images: 2080 terms with z-reference, 4784 with the
+        # random function of seed 5 (FE != 0, exit 1)
+        fun = tmp_path / "fun5.anf"
+        fun.write_text("%016x\n" % random_boolfun(5).tt)
+        for boolfun, image_terms, answer in ((ZREF, 2080, 0), (str(fun), 4784, 1)):
+            argv = ["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", boolfun, "--budget"]
+            assert cli.main(argv + [str(image_terms)]) == answer
+            assert cli.main(argv + [str(image_terms - 1)]) == cli.EXIT_BUDGET == 3
+        assert capsys.readouterr().err.count("error: ") == 2
 
     def test_symbolic_budget_above_the_largest_intermediate(self):
         unbounded = run_cli("fe", "--lzs", LZS, "--invariant", INV7, "--symbolic")
@@ -146,6 +158,14 @@ class TestVerdictsAndExitCodes:
         assert cli.main(["validate", "--lzs", LZS]) == cli.EXIT_INTERNAL == 4
         err = capsys.readouterr().err
         assert err.startswith("Traceback") and type(exc).__name__ in err
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        parser = cli.build_parser()
+        assert cli.main(["validate", "--lzs", LZS]) == 0
+        assert cli.main(["--format", "json-lines", "validate", "--lzs", LZS]) == 0
+        assert cli.build_parser() is parser
+        text, record = capsys.readouterr().out.split("\n{", 1)
+        assert json.loads("{" + record)["ok"] and text.startswith("wiring: valid")
 
     def test_linear_cycle_inconsistency_is_internal(self, monkeypatch, capsys):
         # affine_of's checks fire only if round_system is wrong: a bug, not usage

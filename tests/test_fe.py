@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from invforge import cli, lab, ring
 from invforge import fe as fe_mod
-from invforge import lab, ring
 from invforge.boolfun import (
-    MAX_SPLIT_VARS, ZERO_FUN, affine_split, parse_anf, random_boolfun,
+    MAX_SPLIT_VARS, ZERO_FUN, parse_anf, random_boolfun,
 )
 from invforge.cipher import (
-    LanePlan, Wiring, eval_poly_lanes, random_wiring, round_system, state_var, step_lanes,
+    LanePlan, RoundSystem, Wiring, eval_poly_lanes, random_wiring, round_system, state_var,
+    step_lanes,
 )
 from invforge.fe import (
     DEFAULT_BUDGET, NonStateVariableError, PreparedInvariant, build_fe, check_candidate,
@@ -75,31 +76,36 @@ class TestBuildFe:
     def test_matches_sparse_oracle_on_both_product_branches(
             self, wiring, zref, invariant_deg7, monkeypatch):
         # oracle: substitute each affine-split factor, fold the images with mul
-        dense_calls = []
-        real = ring._dense_product
-        monkeypatch.setattr(ring, "_dense_product",
-                            lambda *args: dense_calls.append(1) or real(*args))
-        factors, residual = affine_split(invariant_deg7)
+        prepared = PreparedInvariant(invariant_deg7)
+        parts = prepared.parts  # split before the spies: the split's check multiplies too
+        paths = []
+        real_table, real_product = ring.product_table, ring.product
+        monkeypatch.setattr(ring, "product_table",
+                            lambda *args: paths.append("table") or real_table(*args))
+        monkeypatch.setattr(ring, "product",
+                            lambda *args: paths.append("sparse") or real_product(*args))
+        monkeypatch.setattr(ring, "_dense_product", _forbidden)
         wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(4)]
                    + [random_wiring(s) for s in range(4)])
-        zeros = 0
+        zeros, taken = 0, []
         for k, w in enumerate(wirings):
             for fun in (zref, random_boolfun(70 + k)):
                 rs = round_system(w, "expanded", fun)
                 sub = rs.as_substitution()
-                images = [substitute(f, sub) for f in factors + [residual]]
+                images = [substitute(f, sub) for f in parts]
                 oracle = add(invariant_deg7,
                              functools.reduce(mul, sorted(images, key=len), ONE))
-                report = build_fe(PreparedInvariant(invariant_deg7), rs)
+                del paths[:]
+                report = build_fe(prepared, rs)
+                taken.append(set(paths))
                 assert report.fe == oracle
                 if report.is_zero:
                     zeros += 1
-                    rep = check_invariant_empirically(
-                        PreparedInvariant(invariant_deg7), w, fun, 2000)
+                    rep = check_invariant_empirically(prepared, w, fun, 2000)
                     assert rep.mismatches == 0
         assert zeros >= 5  # z-reference on the shipped and conforming wirings
-        # conforming images lie on 16 bits (dense); random ones on more than 20
-        assert 0 < len(dense_calls) < 2 * len(wirings)
+        # conforming images lie on 16 bits (tables); random ones on more than 20
+        assert taken == [{"table"}] * 10 + [{"sparse"}] * 8
 
     def test_dense_budget_bounds_the_image_only(self, wiring, zref, invariant_deg7):
         # the image of the 2080-term invariant has 2080 terms; the sparse fold's
@@ -108,6 +114,61 @@ class TestBuildFe:
         assert build_fe(PreparedInvariant(invariant_deg7), rs, budget=2500).is_zero
         with pytest.raises(TermBudgetError):
             build_fe(PreparedInvariant(invariant_deg7), rs, budget=2079)
+
+    def test_table_verdict_matches_sparse_oracle(self, wiring, zref, invariant_deg7):
+        # (x25+1)(x29+1)(x33+1) takes the table path on the shipped wiring and
+        # its FE there holds F and L
+        invariants = [invariant_deg7, ring.product([parse(x + "+1") for x in "dhl"]), parse("ab+cd")]
+        wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(4)]
+                   + [random_wiring(s) for s in range(4)])
+        paths = {"table": 0, "sparse": 0}
+        for k, w in enumerate(wirings):
+            for fun in (zref, ZERO_FUN, random_boolfun(90 + k), random_boolfun(190 + k)):
+                rs = round_system(w, "expanded", fun)
+                for p in invariants:
+                    prepared = PreparedInvariant(p)
+                    images = [substitute(f, rs.as_substitution()) for f in prepared.parts]
+                    paths["sparse" if ring.dense_variables(images) is None else "table"] += 1
+                    _assert_matches_oracle(build_fe(prepared, rs), prepared, rs)
+        assert paths == {"table": 48, "sparse": 60}
+
+    @pytest.mark.parametrize("images,factors,name,listed", [
+        # z maps to 1, so no image holds it, and P, which holds z, is not its image
+        ({"a": "a+b+c", "b": "b+c+d", "c": "a+c+d", "d": "a+b+d", "z": "1"},
+         ["a+z", "b+1", "c+1", "d+1"], "z", False),
+        # the images hold F, but F cancels in their product, so the FE does not
+        ({"a": "bcF+c", "b": "bcdF+cdF+b", "c": "acF+bcF+ad"},
+         ["a+1", "b+1", "c+1"], "F", True),
+    ])
+    def test_table_path_on_hand_made_rounds(self, images, factors, name, listed):
+        # rounds that map a few state bits to the given images and fix the others
+        image = {parse(x): parse(y) for x, y in images.items()}
+        rs = RoundSystem("expanded", tuple(image.get(x, x) for x in
+                                           (var(state_var(i)) for i in range(1, 37))))
+        prepared = PreparedInvariant(ring.product([parse(f) for f in factors]))
+        variables = ring.dense_variables([substitute(f, rs.as_substitution())
+                                          for f in prepared.parts])
+        assert variables is not None and (ring.NAMES.index(name) in variables) == listed
+        report = build_fe(prepared, rs)
+        assert (report.is_zero, report.depends_on) == (False, ())
+        _assert_matches_oracle(report, prepared, rs)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def _assert_matches_oracle(report, prepared, rs):
+    """build_fe's report against the sparse oracle's: substitute each part,
+    fold the images with mul, and read every field off the result."""
+    images = [substitute(f, rs.as_substitution()) for f in prepared.parts]
+    fe = add(prepared.poly, functools.reduce(mul, sorted(images, key=len), ONE))
+    depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= ring.N_STATE)
+    oracle = fe_mod.FeReport(not fe, depends_on, rs.mode, lambda: fe)
+    assert (report.is_zero, report.depends_on) == (oracle.is_zero, oracle.depends_on)
+    assert report.fe == fe
+    assert report.lines() == oracle.lines()
+    assert cli._fe_record(report) == cli._fe_record(oracle)
 
 
 def two_evaluation_mismatches(P, w, fun, trials, seed, rounds):

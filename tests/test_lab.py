@@ -18,6 +18,10 @@ from invforge.ring import ONE, ZERO, add, mul, parse, product, substitute
 from reference import affine_divisors, alternate_invariant, matches_presentation
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
 class TestFormBank:
     def test_each_form_is_two_bits(self):
         for name, p in form_bank().items():
@@ -172,7 +176,7 @@ def _reference_wiring_steps(w):
 
 def _reference_function_steps(w, fun):
     bank = form_bank()
-    args = w.z_args()
+    args = w.z_args
     Y, W = fun.instantiate(args[1]), fun.instantiate(args[3])
     CHF, BDG = (product([bank[n] for n in names]) for names in ("CHF", "BDG"))
     cCHF, cBDG = (product([add(bank[n], ONE) for n in names]) for names in ("CHF", "BDG"))
@@ -363,6 +367,21 @@ class TestSearch:
         assert not report.is_zero  # computed, frozen: the degenerate
         # function is not a hit for this invariant and wiring
 
+    def test_search_never_builds_an_fe_poly(self, wiring, invariant_deg7, monkeypatch):
+        # every screen survivor is decided on truth tables: the FE polynomial
+        # is neither read nor added up
+        exact = []
+        real_build = fe_mod.build_fe
+        monkeypatch.setattr(fe_mod, "build_fe",
+                            lambda *args: exact.append(1) or real_build(*args))
+        monkeypatch.setattr(fe_mod.FeReport, "fe", property(_forbidden))
+        monkeypatch.setattr(fe_mod, "add", _forbidden)
+        for w in (wiring, random_wiring(1, conforming=True)):
+            for trials, seed, survivors in ((5, 5, 2), (100, 3, 5), (200, 1000, 14)):
+                del exact[:]
+                report = search_random_functions(w, invariant_deg7, trials, seed)
+                assert (len(exact), report.hits) == (survivors, ())
+
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and 0.0 < hi < 0.05
@@ -370,3 +389,13 @@ class TestSearch:
         assert 0.4 < lo < 0.5 < hi < 0.6
         lo, hi = wilson_interval(100, 100)
         assert lo > 0.95 and hi > 0.999
+
+    def test_wilson_bound_is_exact_at_no_hits_and_at_all_hits(self):
+        # centre - half at 0 hits (centre + half at all hits) cancels only up
+        # to rounding: 1,436 of these n gave a lower bound such as 1.08e-19
+        for n in range(1, 20001):
+            lo, hi = wilson_interval(0, n)
+            assert lo == 0.0 and 0.0 < hi < 1.0, n
+            lo, hi = wilson_interval(n, n)
+            assert 0.0 < lo < 1.0 and hi == 1.0, n
+        assert wilson_interval(0, 3000) == (0.0, pytest.approx(0.0012789, abs=1e-7))

@@ -269,6 +269,21 @@ class TestProduct:
             with pytest.raises(ring.TermBudgetError):
                 ring.product(ps, budget)
 
+    @settings(max_examples=150, deadline=None)
+    @given(factor_lists(), st.integers(0, 3))
+    def test_product_table_and_its_dependence(self, ps, extra):
+        # over the support and extra unused variables: affine factors take
+        # affine_table, the others their ANF; the product's ANF holds a
+        # variable iff its table depends on it
+        fold = functools.reduce(mul, ps, ONE)
+        variables = sorted(set(_support(ps)) | {60 + i for i in range(extra)})
+        assume(len(variables) <= 16)
+        n = len(variables)
+        table = ring.product_table(ps, variables)
+        assert table == ring.mobius(ring.anf_bits(fold, variables), n)
+        assert [ring.table_depends(table, n, i) for i in range(n)] == [
+            v in fold.support() for v in variables]
+
     def test_branch_choice_at_the_variable_limit(self, monkeypatch):
         dense_calls = []
         real = ring._dense_product
