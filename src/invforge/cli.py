@@ -68,7 +68,7 @@ def _fe_record(report: fe_mod.FeReport) -> dict:
         "depends_on": list(report.depends_on),
         "mode": report.mode,
         "terms": len(report.fe),
-        "degree": report.fe.degree(),
+        "degree": report.degree,
         "fe": ring.render(report.fe) if len(report.fe) <= fe_mod.MAX_RENDER_TERMS else None,
     }
 

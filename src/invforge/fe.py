@@ -39,6 +39,10 @@ class FeReport:
     def fe(self) -> Poly:
         return self.expand()
 
+    @cached_property
+    def degree(self) -> int:
+        return self.fe.degree()
+
     def lines(self) -> List[str]:
         out = []
         if self.is_zero:
@@ -46,7 +50,7 @@ class FeReport:
         elif len(self.fe) <= MAX_RENDER_TERMS:
             out.append("fe = %s" % ring.render(self.fe))
         else:
-            out.append("fe = <%d terms, degree %d>" % (len(self.fe), self.fe.degree()))
+            out.append("fe = <%d terms, degree %d>" % (len(self.fe), self.degree))
         out.append("is_zero = %s" % ("true" if self.is_zero else "false"))
         out.append("depends_on = %s" % (",".join(self.depends_on) or "-"))
         out.append("mode = %s" % self.mode)

@@ -116,30 +116,39 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
 
     The invariance condition is exact: (M^T)^k ell = ell and ell . M^i v = 0
     for every offset vector v and all i >= 0, as ell . M^(i+k) v equals
-    ((M^T)^k ell) . M^i v.  A period k is reported iff some functional is
-    invariant at k but at no proper divisor of k, iff every V_(k/p), p a
-    prime dividing k, is smaller than V_k: with k = 2^a m, m odd, V_k is
-    the direct sum of its components ker f(M^T)^(2^a) over the irreducible
-    factors f of x^m + 1, each V_(k/p) the direct sum of kernels of powers
-    of f(M^T) in them, and those kernels form a chain in each component.
-    A witness is found by a combination search over the period-k basis.
+    ((M^T)^k ell) . M^i v.  So the scan runs in S, the functionals vanishing
+    on the offsets' Krylov span K: K is closed under M, so S is closed under
+    M^T, and V_k is the kernel of N^k + I, N the s x s matrix of M^T on S.
+    S-coordinate j is the bit at the top bit of S's basis vector j; those
+    top bits increase with j and no basis vector holds another's, so a
+    kernel_basis over the coordinates expands to the kernel_basis form;
+    only reported entries are expanded to the 36 bits.
+
+    A period k is reported iff some functional is invariant at k but at no
+    proper divisor of k, iff every V_(k/p), p a prime dividing k, is
+    smaller than V_k: with k = 2^a m, m odd, V_k is the direct sum of its
+    components ker f(N)^(2^a) over the irreducible factors f of x^m + 1,
+    each V_(k/p) the direct sum of kernels of powers of f(N) in them, and
+    those kernels form a chain in each component.  A witness is found by a
+    combination search over the period-k basis.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if max_period > MAX_PERIOD_GUARD:
         raise ValueError("max_period %d exceeds the guard of %d"
                          % (max_period, MAX_PERIOD_GUARD))
-    n = N_STATE
-    m_t = gf2.transpose(ar.matrix, n)
-    offset_span = _krylov_span(ar.matrix, (ar.offset_f, ar.offset_k, ar.offset_l))
+    s_basis, action = annihilator_action(ar)
+    s = len(s_basis)
+
+    def expand(coords: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(gf2.mat_mul(coords, s_basis, N_STATE))  # XOR of picked S rows
 
     bases: Dict[int, List[int]] = {}
     entries: List[PeriodEntry] = []
-    mt_pow = gf2.identity(n)
+    power = gf2.identity(s)
     for k in range(1, max_period + 1):
-        mt_pow = gf2.mat_mul(m_t, mt_pow, n)  # sparse M^T picks rows of the power
-        rows = [mt_pow[i] ^ (1 << i) for i in range(n)] + offset_span
-        basis = bases[k] = gf2.kernel_basis(rows, n)
+        power = gf2.mat_mul(action, power, s)
+        basis = bases[k] = gf2.kernel_basis([power[i] ^ (1 << i) for i in range(s)], s)
         if not basis:
             continue
         maximal = sorted({k // p for p in _prime_factors(k)})
@@ -149,8 +158,20 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
         witnesses = [b for b in basis if all(_residue(ex, b) for ex in excluded)]
         if not witnesses:
             witnesses = [_witness_search(basis, excluded)]
-        entries.append(PeriodEntry(k, len(basis), tuple(basis), tuple(witnesses)))
+        entries.append(PeriodEntry(k, len(basis), expand(basis), expand(witnesses)))
     return entries
+
+
+def annihilator_action(ar: AffineRound) -> Tuple[List[int], List[int]]:
+    """S, the kernel_basis of the offsets' Krylov span, and the row-major
+    matrix of M^T on S: bit j of row i is coordinate i of M^T S_j."""
+    s_basis = gf2.kernel_basis(
+        _krylov_span(ar.matrix, (ar.offset_f, ar.offset_k, ar.offset_l)), N_STATE)
+    m_t = gf2.transpose(ar.matrix, N_STATE)
+    tops = [b.bit_length() - 1 for b in s_basis]
+    columns = [sum((gf2.mat_vec(m_t, b) >> t & 1) << i for i, t in enumerate(tops))
+               for b in s_basis]
+    return s_basis, gf2.transpose(columns, len(s_basis))
 
 
 def _krylov_span(matrix: Sequence[int], vectors: Sequence[int]) -> List[int]:

@@ -106,13 +106,17 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[int] = ()):
-        acc: set[int] = set()
-        for t in terms:
-            if t in acc:
-                acc.discard(t)
-            else:
-                acc.add(t)
-        object.__setattr__(self, "terms", frozenset(acc))
+        terms = list(terms)
+        distinct = frozenset(terms)
+        if len(distinct) != len(terms):  # some monomial repeats: fold by parity
+            acc: set[int] = set()
+            for t in terms:
+                if t in acc:
+                    acc.discard(t)
+                else:
+                    acc.add(t)
+            distinct = frozenset(acc)
+        object.__setattr__(self, "terms", distinct)
 
     @classmethod
     def _raw(cls, terms: frozenset) -> "Poly":

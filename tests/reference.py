@@ -3,7 +3,7 @@
 None of these is on a command's path, so they live with the tests.
 """
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from invforge import gf2
 from invforge.boolfun import (
@@ -11,7 +11,9 @@ from invforge.boolfun import (
 )
 from invforge.cipher import Wiring
 from invforge.lab import A, B, C, D, E, F, G, H, Factorization, expand_forms
-from invforge.lincycle import AffineRound
+from invforge.lincycle import (
+    AffineRound, PeriodEntry, _krylov_span, _prime_factors, _residue, _witness_search,
+)
 from invforge.ring import (
     ONE, NotAFactorError, Poly, add, add_many, mul, product, substitute, var, var_name,
 )
@@ -133,3 +135,30 @@ def affine_apply(ar: AffineRound, state: int, f_bit: int, k_bit: int, l_bit: int
     if l_bit:
         out ^= ar.offset_l
     return out
+
+
+def periods_by_full_system(ar: AffineRound, max_period: int) -> List[PeriodEntry]:
+    """linear_invariant_periods over all of F2^36: per period k, one
+    (36 + |K|)-row system, the rows of (M^T)^k + I and of K, the offsets'
+    Krylov span."""
+    n = 36
+    m_t = gf2.transpose(ar.matrix, n)
+    offset_span = _krylov_span(ar.matrix, (ar.offset_f, ar.offset_k, ar.offset_l))
+    bases: Dict[int, List[int]] = {}
+    entries: List[PeriodEntry] = []
+    mt_pow = gf2.identity(n)
+    for k in range(1, max_period + 1):
+        mt_pow = gf2.mat_mul(m_t, mt_pow, n)
+        rows = [mt_pow[i] ^ (1 << i) for i in range(n)] + offset_span
+        basis = bases[k] = gf2.kernel_basis(rows, n)
+        if not basis:
+            continue
+        maximal = sorted({k // p for p in _prime_factors(k)})
+        if any(len(bases[d]) == len(basis) for d in maximal):
+            continue
+        excluded = [bases[d] for d in maximal]
+        witnesses = [b for b in basis if all(_residue(ex, b) for ex in excluded)]
+        if not witnesses:
+            witnesses = [_witness_search(basis, excluded)]
+        entries.append(PeriodEntry(k, len(basis), tuple(basis), tuple(witnesses)))
+    return entries

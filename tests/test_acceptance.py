@@ -253,6 +253,10 @@ CORPUS = [
     # two batches of the empirical check, with a nonzero mismatch count
     ("fe", "--lzs", LZS, "--invariant", INV827, "--boolfun", ZREF,
      "--empirical-trials", "20000", "--seed", "3"),
+    # the whole period scan up to the guard, and the json-lines record over all 36 bits
+    ("linear-cycle", "--lzs", LZS, "--max-period", "4096"),
+    ("--format", "json-lines", "linear-cycle", "--lzs", LZS, "--mask", "all36",
+     "--max-period", "512"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -272,6 +276,8 @@ CORPUS_STDOUT_SHA256 = [
     "aaeb9f03fcc5c4189ed6d337854784190888b37bb32a9c4bc0e7c88224dc0c27",
     "e51fbd3b74c846a3948697470b0e17c1df5ff675332ccd39592597cf4ec6aa86",
     "5490669ecf1d44501d22cb784963efb4b486f460daec46f173b8c0f3fff94a6e",
+    "3a9a7c462946015eb5656155d545d3c31942d5bb181fa9d119d44749c3ff7e3d",
+    "2bb291287f57c91e447678ba30cfff4be214fa35cacc64d7f40d13d8a7d791eb",
 ]
 
 

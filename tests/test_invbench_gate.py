@@ -2,8 +2,8 @@
 
 A traced benchmark run fails when a workload never calls one of the layer
 functions invbench/workloads.py lists for it.  These tests run one
-`search` op that has a screen survivor and one `prove` pass under
-invbench's own tracer and check the same list.
+`search` op that has a screen survivor, one `prove` pass and one
+`linear-cycle` op under invbench's own tracer and check the same list.
 """
 
 import contextlib
@@ -49,7 +49,7 @@ def _reached(tracer, ops):
     return {name for name, (calls, _total, _child) in t.stats.items() if calls}
 
 
-@pytest.mark.parametrize("workload", ["search", "prove"])
+@pytest.mark.parametrize("workload", ["search", "prove", "lincycle"])
 def test_workload_reaches_every_must_call_name(invbench, tmp_path, workload):
     gen, tracer, workloads = invbench
     d = str(tmp_path)
@@ -58,6 +58,8 @@ def test_workload_reaches_every_must_call_name(invbench, tmp_path, workload):
     if workload == "search":
         # trials 0 and 4 of seed 5 pass the screen and pay an exact build_fe
         ops = [workloads.search(d, workloads.SHIPPED_LZS, 5, 5)]
+    elif workload == "lincycle":
+        ops = workloads.lincycle_pass(d, 1, 0)[:1]
     else:
         ops = workloads.prove_pass(d, 1, 0)
     missed = set(workloads.MUST_CALL[workload]) - _reached(tracer, ops)

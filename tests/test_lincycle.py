@@ -11,7 +11,7 @@ from invforge.lincycle import (
     ALL36_MASK, LOWERCASE26_MASK, AffineRound, PeriodEntry, affine_of,
     linear_invariant_periods, orbit, synthetic_permutation, weight_sequence,
 )
-from reference import affine_apply
+from reference import affine_apply, periods_by_full_system
 
 
 # Reference implementations: the definitions the optimised code must match.
@@ -245,6 +245,51 @@ class TestAgainstGrowingConstraints:
         entries = linear_invariant_periods(ar, 96)
         assert [e.period for e in entries] == [1, 3, 7, 21]
         assert entries == _periods_by_growing_constraints(ar, 96)
+
+
+class TestAgainstFullSystem:
+    """The scan runs in S, the annihilator of the offsets' Krylov span, on
+    s x s matrices; one (36 + |K|)-row system per period over all of F2^36
+    is the reference."""
+
+    @pytest.mark.parametrize("conforming", (True, False))
+    def test_random_wirings(self, conforming):
+        for seed in range(16):
+            ar = affine_of(random_wiring(200 + seed, conforming=conforming))
+            assert linear_invariant_periods(ar, 256) == periods_by_full_system(ar, 256), seed
+
+    def test_shipped_wiring(self, wiring):
+        ar = affine_of(wiring)
+        assert linear_invariant_periods(ar, 512) == periods_by_full_system(ar, 512)
+
+    def test_synthetic_permutation_with_and_without_offsets(self):
+        perm = synthetic_permutation([(1, 2, 3), (4, 5, 6, 7, 8), (9, 10, 11, 12),
+                                      (13, 14), tuple(range(15, 22))])
+        with_offsets = AffineRound(perm.matrix, 1 << 4, 1 << 13, (1 << 8) | (1 << 30))
+        for ar in (perm, with_offsets):
+            assert linear_invariant_periods(ar, 300) == periods_by_full_system(ar, 300)
+
+    def test_offsets_spanning_every_functional_leave_no_period(self):
+        # one offset bit under the 36-cycle spans F2^36, so S is {0}
+        shift = synthetic_permutation([tuple(range(1, 37))])
+        ar = AffineRound(shift.matrix, 1, 0, 0)
+        assert lincycle.annihilator_action(ar) == ([], [])
+        assert linear_invariant_periods(ar, 64) == periods_by_full_system(ar, 64) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_annihilator_is_closed_under_the_transpose(self, wiring, seed):
+        ar = affine_of(random_wiring(seed, conforming=seed % 2 == 0) if seed else wiring)
+        s_basis, action = lincycle.annihilator_action(ar)
+        mt = gf2.transpose(list(ar.matrix), 36)
+        offsets = (ar.offset_f, ar.offset_k, ar.offset_l)
+        krylov = lincycle._krylov_span(ar.matrix, offsets)
+        assert len(s_basis) + len(krylov) == 36
+        assert all((b & v).bit_count() % 2 == 0 for b in s_basis for v in krylov)
+        columns = gf2.transpose(action, len(s_basis))
+        for b, coords in zip(s_basis, columns, strict=True):
+            image = gf2.mat_vec(mt, b)
+            assert lincycle._residue(s_basis, image) == 0  # M^T b lies in S
+            assert image == gf2.mat_mul([coords], s_basis, 36)[0]
 
 
 class TestWitnessSearch:

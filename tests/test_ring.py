@@ -27,6 +27,19 @@ def rand_poly(rng, nvars=8, max_terms=50):
     return Poly(terms)
 
 
+class TestPolyConstruction:
+    @given(st.lists(st.integers(0, 63), max_size=40), st.lists(st.integers(0, 99), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_terms_fold_mod_2(self, terms, repeats):
+        # small monomials repeat by chance; repeats copies some on purpose
+        terms = terms + [terms[i % len(terms)] for i in repeats if terms]
+        kept = set()
+        for t in terms:
+            kept ^= {t}
+        assert Poly(terms).terms == kept
+        assert Poly(iter(terms)).terms == kept  # a one-shot iterable is read once
+
+
 class TestParseRender:
     def test_product_example(self):
         p = parse("abcdijkl+efg+efh+egh+fgh")
