@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import gf2, ring
 from .ring import Poly, _ones, anf_bits, mobius, mul, poly_from_anf_bits
@@ -182,17 +182,11 @@ def is_absorber(f: Poly, g: Poly) -> bool:
 MAX_SPLIT_VARS = 16
 
 
-def affine_factor_solutions(p: Poly, variables: Sequence[int]) -> List[int]:
-    """Homogeneous basis of the affine ell with ell = 1 on supp(p).
-
-    Every such ell satisfies (ell+1)*p = 0, i.e. ell is an affine factor of
-    p.  Solution vectors use bit 0 for the constant term.  The constant 1
-    always qualifies, so the solutions are 1 + the span of the basis (see
-    affine_span); for p = 0 every affine form does.
-    """
-    variables = tuple(sorted(variables))
-    points = _ones(truth_table(p, variables))
-    return gf2.solve_affine_ones(points, len(variables))
+def affine_factor_solutions(table: int, n: int) -> List[int]:
+    """Homogeneous basis of the affine ell with ell = 1 wherever the n-input
+    truth table is 1, bit 0 the constant term: the affine factors of the
+    table's polynomial are 1 + the span of the basis (affine_span)."""
+    return gf2.solve_affine_ones(_ones(table), n)
 
 
 def vector_to_affine(vec: int, variables: Sequence[int]) -> Poly:
@@ -214,26 +208,28 @@ def affine_span(basis: Sequence[int]) -> List[int]:
     return span
 
 
-def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int]]:
-    """(support, vectors) of the nonconstant affine factors of smallest support.
+def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int], Optional[int]]:
+    """(support, vectors, table) of the nonconstant affine factors of smallest support.
 
     The affine ell dividing p are exactly those with ell = 1 wherever p = 1
     (the set 1 + Ann_1(p)); the whole solution span, at most 2^16 vectors
-    within MAX_SPLIT_VARS variables, is searched.  Vectors are over the
-    sorted support of p as in vector_to_affine.  No vectors when p is zero
-    or constant, or has more than MAX_SPLIT_VARS variables.
+    within MAX_SPLIT_VARS variables, is searched on table, p's truth table
+    over its sorted support.  Vectors are over that support as in
+    vector_to_affine.  No vectors when p is zero or constant, and neither
+    vectors nor table (None) over more than MAX_SPLIT_VARS variables.
     """
     sup = sorted(p.support())
-    if not sup or len(sup) > MAX_SPLIT_VARS:
-        return sup, []
+    if len(sup) > MAX_SPLIT_VARS:
+        return sup, [], None
+    table = truth_table(p, sup)
     best, out = len(sup) + 1, []
-    for vec in affine_span(affine_factor_solutions(p, sup)):
+    for vec in affine_span(affine_factor_solutions(table, len(sup))):
         weight = (vec >> 1).bit_count()
         if weight == best:
             out.append(vec)
         elif 0 < weight < best:
             best, out = weight, [vec]
-    return sup, out
+    return sup, out, table
 
 
 def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
@@ -252,7 +248,7 @@ def affine_split(p: Poly) -> Tuple[List[Poly], Poly]:
     if not sup or n > MAX_SPLIT_VARS:
         return [], p
     table = truth_table(p, sup)
-    basis = gf2.solve_affine_ones(_ones(table), n)
+    basis = affine_factor_solutions(table, n)
     factors: List[Poly] = []
     for h in basis:
         top = h.bit_length() - 1  # the bit of variable sup[top - 1]

@@ -67,9 +67,9 @@ def _fe_record(report: fe_mod.FeReport) -> dict:
         "is_zero": report.is_zero,
         "depends_on": list(report.depends_on),
         "mode": report.mode,
-        "terms": len(report.fe),
-        "degree": report.degree,
-        "fe": ring.render(report.fe) if len(report.fe) <= fe_mod.MAX_RENDER_TERMS else None,
+        "terms": report.size[0],
+        "degree": report.size[1],
+        "fe": ring.render(report.fe) if report.size[0] <= fe_mod.MAX_RENDER_TERMS else None,
     }
 
 

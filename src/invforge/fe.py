@@ -26,31 +26,35 @@ class NonStateVariableError(ValueError):
 class FeReport:
     """The verdicts on a fundamental equation: is_zero, and depends_on, the
     non-state variables it holds.  fe, the reduced polynomial, is expand()
-    on first read, and kept; where build_fe decided on truth tables it is
-    built only then, so a caller that needs only the verdicts never builds
-    it."""
+    on first read, and kept; size, its (terms, degree), is read off anf
+    (its ANF bits, variable count) where build_fe decided on tables."""
 
     is_zero: bool
     depends_on: Tuple[str, ...]
     mode: str
     expand: Callable[[], Poly] = field(repr=False)
+    anf: Optional[Tuple[int, int]] = field(default=None, repr=False)
 
     @cached_property
     def fe(self) -> Poly:
         return self.expand()
 
     @cached_property
-    def degree(self) -> int:
-        return self.fe.degree()
+    def size(self) -> Tuple[int, int]:
+        if self.anf is None:
+            return len(self.fe), self.fe.degree()
+        bits, n = self.anf  # the degree is the highest weight layer the bits meet
+        return bits.bit_count(), max((d for d, layer in enumerate(ring.weight_layers(n))
+                                      if bits & layer), default=-1)
 
     def lines(self) -> List[str]:
         out = []
         if self.is_zero:
             out.append("fe = 0")
-        elif len(self.fe) <= MAX_RENDER_TERMS:
+        elif self.size[0] <= MAX_RENDER_TERMS:
             out.append("fe = %s" % ring.render(self.fe))
         else:
-            out.append("fe = <%d terms, degree %d>" % (len(self.fe), self.degree))
+            out.append("fe = <%d terms, degree %d>" % self.size)
         out.append("is_zero = %s" % ("true" if self.is_zero else "false"))
         out.append("depends_on = %s" % (",".join(self.depends_on) or "-"))
         out.append("mode = %s" % self.mode)
@@ -84,14 +88,12 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     """FE = P + P(outputs-as-inputs), fully expanded and canonicalized; the
     image of P is the product of its parts' images.
 
-    Where ring.product would take its dense branch on the images, the
-    verdicts are read off truth tables over the images' variables: is_zero
-    holds iff P lies on those variables and the AND of its parts' tables
-    equals the AND of the images' tables, and depends_on lists the
-    non-state variables the image table depends on.  The budget bounds the
-    image's term count there, as it does in ring.product, and the FE
-    polynomial is built only when report.fe is read.  Elsewhere the images
-    are multiplied out and the FE is built at once.
+    Where ring.product would take its dense branch on the images and P
+    lies on their variables, the verdicts are read off truth tables over
+    them: is_zero iff the AND of P's parts' tables equals the images', and
+    depends_on lists the non-state variables the image table depends on.
+    The budget bounds the image's term count, as in ring.product, and fe is
+    built from the FE's ANF bits on first read; elsewhere, at once.
 
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
@@ -99,7 +101,7 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     sub = rs.as_substitution()
     images = [substitute(f, sub, budget) for f in P.parts]
     variables = ring.dense_variables(images)
-    if variables is None:
+    if variables is None or not P.support.issubset(variables):
         fe = add(P.poly, ring.product(images, budget))
         depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
         return FeReport(not fe, depends_on, rs.mode, lambda: fe)
@@ -107,17 +109,11 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     table = ring.product_table(images, variables)
     if budget is not None and mobius(table, n).bit_count() > budget:
         raise TermBudgetError(budget)
-    is_zero = (P.support.issubset(variables)
-               and ring.product_table(P.parts, variables) == table)
     depends_on = tuple(ring.var_name(v) for i, v in enumerate(variables)
                        if v >= N_STATE and ring.table_depends(table, n, i))
-
-    def expand() -> Poly:
-        if is_zero:
-            return ring.ZERO
-        return add(P.poly, ring.poly_from_anf_bits(mobius(table, n), variables))
-
-    return FeReport(is_zero, depends_on, rs.mode, expand)
+    anf = mobius(table ^ ring.product_table(P.parts, variables), n)
+    return FeReport(not anf, depends_on, rs.mode,
+                    lambda: ring.poly_from_anf_bits(anf, variables), (anf, n))
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,

@@ -11,13 +11,14 @@ from typing import Dict, List, Sequence, Tuple
 from . import fe as fe_mod
 from . import ring
 from .boolfun import (
-    MAX_SPLIT_VARS, BoolFun6, minimal_affine_factors, random_boolfun, vector_to_affine,
+    MAX_SPLIT_VARS, BoolFun6, minimal_affine_factors, random_boolfun, truth_table,
+    vector_to_affine,
 )
 from .cipher import Wiring, round_system
 from .ring import (
-    ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
-    Poly, add, add_many, factor_out, form_var, mul, product, state_var,
-    substitute, var,
+    MAX_DENSE_VARS, N_STATE, ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
+    Poly, add, add_many, anf_bits, factor_out, form_var, mobius, mul, product,
+    state_var, substitute, var,
 )
 
 # The eight affine forms over state bits; each is the sum of exactly two
@@ -27,20 +28,33 @@ FORM_BITS = {
     "A": (24, 28), "B": (23, 27), "C": (22, 26), "D": (21, 25),
     "E": (8, 12), "F": (7, 11), "G": (6, 10), "H": (5, 9),
 }
-
-
-def form_state(name: str) -> Poly:
-    lo, hi = FORM_BITS[name]
-    return add(var(state_var(lo)), var(state_var(hi)))
+LETTER_BITS = sorted(state_var(b) for bits in FORM_BITS.values() for b in bits)
 
 
 def form_bank() -> Dict[str, Poly]:
-    return {name: form_state(name) for name in FORM_BITS}
+    return {name: add(var(state_var(lo)), var(state_var(hi)))
+            for name, (lo, hi) in FORM_BITS.items()}
+
+
+def form_anf(p: Poly, variables: Sequence[int]) -> int:
+    """ANF bits of expand_forms(p) over variables, which hold LETTER_BITS and
+    p's placeholders, for p over letters and placeholders: p's ANF with each
+    letter at its low bit, then each monomial holding x_lo copied to x_hi."""
+    if any(v < N_STATE for v in p.support()):
+        raise ValueError("expand_forms reads form letters and placeholders only")
+    index = {v: i for i, v in enumerate(variables)}
+    letters = {state_var(lo): form_var(n) for n, (lo, _) in FORM_BITS.items()}
+    anf, n = anf_bits(p, [letters.get(v, v) for v in variables]), len(variables)
+    for lo, hi in FORM_BITS.values():
+        i, j = index[state_var(lo)], index[state_var(hi)]
+        anf ^= (anf & ring.affine_table(2 << i, n)) >> (1 << i) << (1 << j)
+    return anf
 
 
 def expand_forms(p: Poly) -> Poly:
-    """Homomorphism from the abstract form letters A..H to state bits."""
-    return substitute(p, {form_var(n): form_state(n) for n in FORM_BITS})
+    """Homomorphism from the abstract form letters A..H to state bits, by form_anf."""
+    variables = sorted({*LETTER_BITS, *(v for v in p.support() if v < ring.FORM_BASE)})
+    return ring.poly_from_anf_bits(form_anf(p, variables), variables)
 
 
 def _forms(*names: str) -> List[Poly]:
@@ -61,7 +75,7 @@ def invariant_factors_forms() -> List[Poly]:
 
 def product_invariant() -> Poly:
     """The degree-7 product invariant, expanded over state bits."""
-    return product([expand_forms(f) for f in invariant_factors_forms()])
+    return expand_forms(product(invariant_factors_forms()))
 
 
 def core_product_forms() -> Poly:
@@ -145,6 +159,14 @@ class ChainReport:
         return out
 
 
+def absorbs(x: Poly, instance: Poly) -> bool:
+    """x * instance == x, as x's table & ~instance's table == 0 over their support."""
+    variables = sorted(x.support() | instance.support())
+    if len(variables) > MAX_DENSE_VARS:
+        raise ValueError("cannot compare truth tables over %d variables" % len(variables))
+    return not truth_table(x, variables) & ~truth_table(instance, variables)
+
+
 def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     """Re-derive the attack mechanically, one exact identity per step.
 
@@ -174,24 +196,24 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     mu_forms = core_product_forms()
     bracket_yw = bracket_with_instances()
     fe_ph = fe_mod.build_fe(P_state, rs_ph).fe
+    V = LETTER_BITS + [PLACEHOLDER_Y, PLACEHOLDER_W]
+    table = mobius(form_anf(mu_forms, V), len(V)) & mobius(form_anf(bracket_yw, V), len(V))
     record("regrouped-difference",
            "one-round difference = mu * bracket with opaque Y, W",
-           fe_ph == expand_forms(mul(mu_forms, bracket_yw)))
+           fe_ph.support() <= set(V) and anf_bits(fe_ph, V) == mobius(table, len(V)))
 
     args = w.z_args
     Yex = fun.instantiate(args[1])
     Wex = fun.instantiate(args[3])
-    CHF = product([C_, H_, F_])
-    BDG = product([B_, D_, G_])
     record("absorption",
            "CHF*W = CHF and BDG*Y = BDG",
-           mul(CHF, Wex) == CHF and mul(BDG, Yex) == BDG)
+           absorbs(product([C_, H_, F_]), Wex) and absorbs(product([B_, D_, G_]), Yex))
 
     cCHF = product([_s(C_, ONE), _s(H_, ONE), _s(F_, ONE)])
     cBDG = product([_s(B_, ONE), _s(D_, ONE), _s(G_, ONE)])
     record("complement-absorption",
            "(C+1)(H+1)(F+1)*W and (B+1)(D+1)(G+1)*Y absorb too",
-           mul(cCHF, Wex) == cCHF and mul(cBDG, Yex) == cBDG)
+           absorbs(cCHF, Wex) and absorbs(cBDG, Yex))
 
     ok = True
     for factors, bracket in (core_factorization_a(), core_factorization_b()):
@@ -203,7 +225,7 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     mu_state = expand_forms(mu_forms)
     record("core-absorption",
            "Y*mu = mu and W*mu = mu",
-           mul(Yex, mu_state) == mu_state and mul(Wex, mu_state) == mu_state)
+           absorbs(mu_state, Yex) and absorbs(mu_state, Wex))
 
     derived = substitute(bracket_yw, {PLACEHOLDER_Y: ONE, PLACEHOLDER_W: ONE})
     final = final_bracket()
@@ -248,7 +270,8 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
     At each node one factor is drawn uniformly from the minimal-support
     affine candidates and divided out; a polynomial with no affine factor
     yields a single chain with no factors.  A chain that does not re-multiply
-    to p raises ArithmeticError.  The candidates of each node are computed once.
+    to p raises ArithmeticError.  The candidates of each node are computed
+    once, and kept with the node's truth table, which each division reuses.
     Raises ValueError for max_trees < 1, p = 0 or p over more than MAX_SPLIT_VARS.
     """
     if max_trees < 1:
@@ -260,7 +283,7 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         raise ValueError("cannot factor a polynomial over %d variables: the affine "
                          "factor search is limited to %d" % (n, MAX_SPLIT_VARS))
     rng = random.Random(seed)
-    pools: Dict[Poly, List[Poly]] = {}
+    pools: Dict[Poly, Tuple[List[Poly], int]] = {}
     seen = set()
     found: List[Factorization] = []
     for _ in range(max(8 * max_trees, 16)):
@@ -271,16 +294,16 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         node = p
         while True:
             if node not in pools:
-                sup, vectors = minimal_affine_factors(node)
+                sup, vectors, table = minimal_affine_factors(node)
                 # the text only orders the pool; a forms chain may hold a lone F
-                pools[node] = sorted((vector_to_affine(v, sup) for v in vectors),
-                                     key=lambda f: ring.render(f, "forms"))
-            pool = pools[node]
+                pools[node] = (sorted((vector_to_affine(v, sup) for v in vectors),
+                                      key=lambda f: ring.render(f, "forms")), table)
+            pool, table = pools[node]
             if not pool:
                 break
             ell = pool[rng.randrange(len(pool))]
             factors.append(ell)
-            node = factor_out(node, ell)
+            node = factor_out(node, ell, table)
             nodes.append(node)
         key = (frozenset(factors), node)
         if key in seen:

@@ -334,6 +334,15 @@ def restrict(table: int, n: int, i: int, image: int) -> int:
     return out | out << step
 
 
+@lru_cache(maxsize=None)
+def weight_layers(n: int) -> List[int]:
+    """Entry d masks the ANF indices over n variables that select d of them."""
+    layers = [1]
+    for i in range(n):
+        layers = [low | high << (1 << i) for low, high in zip(layers + [0], [0] + layers)]
+    return layers
+
+
 def affine_table(vec: int, n: int) -> int:
     """Truth table of the affine form whose bit 0 is the constant term and
     whose bit i + 1 is the coefficient of input i."""
@@ -502,15 +511,15 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
     return Poly._raw(acc)
 
 
-def factor_out(p: Poly, ell: Poly) -> Poly:
+def factor_out(p: Poly, ell: Poly, table: int | None = None) -> Poly:
     """Quotient q with ell*q = p, for a verified affine factor ell.
 
     Works on truth tables over the variables of p and ell, at most
-    MAX_DENSE_VARS of them.  Requires (ell+1)*p = 0, that is p = 0 wherever
-    ell = 0.  The pivot is the lowest VarId with linear coefficient 1 in
-    ell; restricting p to pivot = pivot + ell + 1 forces ell to 1 and
-    eliminates the pivot from the quotient.  The identity ell*q = p is
-    re-checked on the tables.
+    MAX_DENSE_VARS of them; table, where the caller holds it, is p's.
+    Requires (ell+1)*p = 0, that is p = 0 wherever ell = 0.  The pivot is
+    the lowest VarId with linear coefficient 1 in ell; restricting p to
+    pivot = pivot + ell + 1 forces ell to 1 and eliminates the pivot from
+    the quotient.  The identity ell*q = p is re-checked on the tables.
     """
     if ell.degree() > 1:
         raise NotAFactorError("factor is not affine: %s" % render(ell, "forms"))
@@ -520,7 +529,8 @@ def factor_out(p: Poly, ell: Poly) -> Poly:
         raise ValueError("cannot divide over %d variables: the truth tables are "
                          "limited to %d" % (n, MAX_DENSE_VARS))
     vec = _affine_vector(ell, {v: i for i, v in enumerate(variables)})
-    tp, tl = mobius(anf_bits(p, variables), n), affine_table(vec, n)
+    tp = mobius(anf_bits(p, variables), n) if table is None else table
+    tl = affine_table(vec, n)
     if tp & ~tl:
         raise NotAFactorError("%s does not divide the polynomial" % render(ell, "forms"))
     linear = vec >> 1

@@ -5,18 +5,25 @@ None of these is on a command's path, so they live with the tests.
 
 from typing import Dict, List, Sequence, Tuple
 
-from invforge import gf2
+from invforge import gf2, lab, ring
 from invforge.boolfun import (
-    MAX_SPLIT_VARS, affine_factor_solutions, affine_span, vector_to_affine,
+    MAX_SPLIT_VARS, affine_factor_solutions, affine_span, truth_table, vector_to_affine,
 )
-from invforge.cipher import Wiring
-from invforge.lab import A, B, C, D, E, F, G, H, Factorization, expand_forms
+from invforge.cipher import Wiring, round_system
+from invforge.fe import PreparedInvariant, build_fe
+from invforge.lab import A, B, C, D, E, F, G, H, Factorization
 from invforge.lincycle import (
     AffineRound, PeriodEntry, _krylov_span, _prime_factors, _residue, _witness_search,
 )
 from invforge.ring import (
-    ONE, NotAFactorError, Poly, add, add_many, mul, product, substitute, var, var_name,
+    ONE, NotAFactorError, Poly, add, add_many, form_var, mul, product, substitute, var,
+    var_name,
 )
+
+
+def expand_forms_by_substitution(p: Poly) -> Poly:
+    """lab.expand_forms by sparse substitution of each letter's two bits."""
+    return substitute(p, {form_var(n): f for n, f in lab.form_bank().items()})
 
 
 def alternate_invariant_factors_forms() -> List[Poly]:
@@ -32,7 +39,8 @@ def alternate_invariant() -> Poly:
     non-unique factorization, both describing the indicator of one pair of
     antipodal form-assignments.
     """
-    return product([expand_forms(f) for f in alternate_invariant_factors_forms()])
+    return product([expand_forms_by_substitution(f)
+                    for f in alternate_invariant_factors_forms()])
 
 
 def affine_divisors(p: Poly) -> frozenset:
@@ -40,7 +48,7 @@ def affine_divisors(p: Poly) -> frozenset:
     sup = sorted(p.support())
     if not sup:
         return frozenset()
-    basis = affine_factor_solutions(p, sup)
+    basis = affine_factor_solutions(truth_table(p, sup), len(sup))
     if len(basis) > 14:
         raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
     return frozenset(vector_to_affine(v, sup) for v in affine_span(basis) if v >> 1)
@@ -87,7 +95,7 @@ def split_by_substitution(p: Poly) -> Tuple[List[Poly], Poly]:
     if not sup or len(sup) > MAX_SPLIT_VARS:
         return [], p
     factors, residual = [], p
-    for h in affine_factor_solutions(p, sup):
+    for h in affine_factor_solutions(truth_table(p, sup), len(sup)):
         top = h.bit_length() - 1
         factors.append(vector_to_affine(h ^ 1, sup))
         residual = substitute(residual, {sup[top - 1]: vector_to_affine(h ^ (1 << top), sup)})
@@ -162,3 +170,45 @@ def periods_by_full_system(ar: AffineRound, max_period: int) -> List[PeriodEntry
             witnesses = [_witness_search(basis, excluded)]
         entries.append(PeriodEntry(k, len(basis), tuple(basis), tuple(witnesses)))
     return entries
+
+
+def reference_wiring_steps(w: Wiring) -> Dict[str, bool]:
+    """The function-free step verdicts of lab.verify_attack, computed as it
+    first did: the one-round difference by substituting the whole of P, and
+    mu times the bracket multiplied over state bits.  The bracket is read
+    through lab, so a test that replaces it there replaces it here too."""
+    bank = lab.form_bank()
+    Yv, Wv = var(ring.PLACEHOLDER_Y), var(ring.PLACEHOLDER_W)
+    rs = round_system(w, "placeholder")
+    P = lab.product_invariant()
+    mu, bracket = lab.core_product_forms(), lab.bracket_with_instances()
+    derived = substitute(bracket, {ring.PLACEHOLDER_Y: ONE, ring.PLACEHOLDER_W: ONE})
+    final = lab.final_bracket()
+    return {
+        "output-differences": add(rs.output(9), rs.output(5)) == add(Wv, bank["A"])
+        and add(rs.output(25), rs.output(21)) == add(Yv, bank["E"]),
+        "regrouped-difference": add(P, substitute(P, rs.as_substitution()))
+        == mul(expand_forms_by_substitution(mu), expand_forms_by_substitution(bracket)),
+        "core-factorizations": all(product(fs + [b]) == mu for fs, b in
+                                   (lab.core_factorization_a(), lab.core_factorization_b())),
+        "final-bracket": derived == final and not mul(mu, final),
+    }
+
+
+def reference_function_steps(w: Wiring, fun) -> Dict[str, bool]:
+    """The function's step verdicts of lab.verify_attack, each product
+    identity X*I = X decided by sparse mul over state bits."""
+    bank = lab.form_bank()
+    args = w.z_args
+    Y, W = fun.instantiate(args[1]), fun.instantiate(args[3])
+    CHF, BDG = (product([bank[n] for n in names]) for names in ("CHF", "BDG"))
+    cCHF, cBDG = (product([add(bank[n], ONE) for n in names]) for names in ("CHF", "BDG"))
+    mu = expand_forms_by_substitution(lab.core_product_forms())
+    fe = build_fe(PreparedInvariant(lab.product_invariant()),
+                  round_system(w, "expanded", fun))
+    return {
+        "absorption": mul(CHF, W) == CHF and mul(BDG, Y) == BDG,
+        "complement-absorption": mul(cCHF, W) == cCHF and mul(cBDG, Y) == cBDG,
+        "core-absorption": mul(Y, mu) == mu and mul(W, mu) == mu,
+        "fundamental-equation": fe.is_zero and not fe.depends_on,
+    }

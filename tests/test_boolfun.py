@@ -254,7 +254,8 @@ class TestAffineSplit:
             if not p or p == ONE:
                 assert factors == []
                 continue
-            basis = affine_factor_solutions(p, sorted(p.support()))
+            sup = sorted(p.support())
+            basis = affine_factor_solutions(truth_table(p, sup), len(sup))
             assert len(factors) == len(basis)
             for ell in factors:
                 assert ell.degree() == 1 and mul(ell, p) == p
@@ -314,8 +315,8 @@ class TestAffineSplit:
                 if not mul(add(ell, ONE), p):
                     divisors.add(ell)
             assert affine_divisors(p) == divisors
-            got_sup, vectors = minimal_affine_factors(p)
-            assert got_sup == sup
+            got_sup, vectors, table = minimal_affine_factors(p)
+            assert got_sup == sup and table == truth_table(p, sup)
             smallest = min((len(d.support()) for d in divisors), default=None)
             assert ({vector_to_affine(v, sup) for v in vectors}
                     == {d for d in divisors if len(d.support()) == smallest})

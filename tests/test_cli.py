@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import invforge
 from invforge import cli, fe as fe_mod, lab, lincycle, ring
-from invforge.boolfun import affine_factor_solutions, random_boolfun
+from invforge.boolfun import affine_factor_solutions, random_boolfun, truth_table
 from invforge.data import fixture_path, fixture_text
 
 LZS = fixture_path("lzs-265-like.cfg")
@@ -122,7 +123,8 @@ class TestVerdictsAndExitCodes:
         # the affine factors of P are 1 + Ann_1(P)
         r = run_cli("annihilators", "--poly", INV7, "--degree", "1")
         assert r.returncode == 0
-        basis = affine_factor_solutions(invariant_deg7, sorted(invariant_deg7.support()))
+        sup = sorted(invariant_deg7.support())
+        basis = affine_factor_solutions(truth_table(invariant_deg7, sup), len(sup))
         assert "dimension = %d" % len(basis) in r.stdout.splitlines()
         assert len(basis) > 0
 
@@ -359,6 +361,46 @@ class TestFormatsAndInputs:
                     "--report", "summary")
         assert r.returncode == 0
         assert r.stdout.strip() == "ALL STEPS PASS"
+
+
+class TestPinnedOutputs:
+    # stdout digests taken before verify-thm moved its product identities
+    # onto truth tables and fe read its size off the FE's ANF bits
+    FUN = "0123456789abcdef\n"  # a truth table on which four steps fail
+    PINS = [
+        (("verify-thm", "--lzs", LZS), "text",
+         "b3475e30689dec08ef38c862afcfc46e3cf0f5609da8ee1b3dca16c8f3a87d87"),
+        (("verify-thm", "--lzs", LZS), "json-lines",
+         "9d11735e7fcbb57b65a878418b958070f24718ec84af57fb0f20670be56d4b40"),
+        (("fe", "--lzs", LZS, "--invariant", INV7), "text",
+         "28cf17b7517f30579b928da35bb972748f33dcfba2451e8ffa9beb778daaf353"),
+        (("fe", "--lzs", LZS, "--invariant", INV7), "json-lines",
+         "39e178df8981b3b439ce1872c0ddb65e066cbe0c18618112a30125ad753890ae"),
+    ]
+
+    @pytest.mark.parametrize("argv,fmt,digest", PINS,
+                             ids=["verify-text", "verify-json", "fe-text", "fe-json"])
+    def test_stdout_digest(self, tmp_path, capsys, argv, fmt, digest):
+        fun = tmp_path / "fun.tt"
+        fun.write_text(self.FUN)
+        assert cli.main(["--format", fmt, *argv, "--boolfun", str(fun)]) == cli.EXIT_FALSE
+        out = capsys.readouterr().out
+        if fmt == "text":
+            assert (out.splitlines()[-1] == "STEP FAILURES: 4" if argv[0] == "verify-thm"
+                    else out.startswith("fe = <2584 terms, degree 10>\n"))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_fe_size_never_builds_the_fe(self, tmp_path, capsys, monkeypatch):
+        fun = tmp_path / "fun.tt"
+        fun.write_text(self.FUN)
+        monkeypatch.setattr(fe_mod.FeReport, "fe", property(_forbidden))
+        assert cli.main(["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun",
+                         str(fun)]) == cli.EXIT_FALSE
+        assert capsys.readouterr().out.startswith("fe = <2584 terms, degree 10>\n")
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("must not be called")
 
 
 class TestDeterminism:

@@ -49,6 +49,24 @@ class TestBuildFe:
         report = build_fe(PreparedInvariant(parse("V")), rs)
         assert "F" in report.depends_on
 
+    def test_size_and_degree_read_off_the_table(self, wiring, zref, invariant_deg7):
+        # where build_fe decided on tables (shipped and conforming wirings,
+        # but for the zero function, whose images the sparse fold takes),
+        # terms and degree come from the FE's ANF bits without building fe
+        P = PreparedInvariant(invariant_deg7)
+        wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(3)]
+                   + [random_wiring(s) for s in range(2)])
+        tabled = 0
+        for k, w in enumerate(wirings):
+            for fun in (zref, ZERO_FUN, random_boolfun(300 + k), random_boolfun(400 + k)):
+                report = build_fe(P, round_system(w, "expanded", fun))
+                size = report.size
+                if report.anf is not None:
+                    tabled += 1
+                    assert "fe" not in vars(report)
+                assert size == (len(report.fe), report.fe.degree())
+        assert tabled == 12
+
     def test_factored_path_matches_plain_substitution(self, wiring, zref):
         rng = random.Random(41)
         bank = lab.form_bank()

@@ -2,20 +2,27 @@ import random
 
 import pytest
 
-from invforge import fe as fe_mod, lab, ring
-from invforge.boolfun import minimal_affine_factors, parse_anf, random_boolfun
+from invforge import boolfun, fe as fe_mod, lab, ring
+from invforge.boolfun import (
+    ZERO_FUN, BoolFun6, minimal_affine_factors, random_boolfun,
+)
 from invforge.cipher import (
     W_INPUT_BITS, Y_INPUT_BITS, Wiring, random_wiring, round_system,
 )
 from invforge.fe import PreparedInvariant, build_fe
 from invforge.lab import (
-    HypothesisError, bracket_with_instances,
+    HypothesisError,
     core_factorization_a, core_factorization_b, core_product_forms, expand_forms,
-    explore_factorizations, final_bracket, form_bank,
+    explore_factorizations, form_bank,
     product_invariant, search_random_functions, verify_attack, wilson_interval,
 )
 from invforge.ring import ONE, ZERO, add, mul, parse, product, substitute
-from reference import affine_divisors, alternate_invariant, matches_presentation
+from reference import (
+    affine_divisors, alternate_invariant, expand_forms_by_substitution, matches_presentation,
+    reference_function_steps, reference_wiring_steps,
+)
+
+ONE_FUN = BoolFun6((1 << 64) - 1)
 
 
 def _forbidden(*args, **kwargs):
@@ -35,18 +42,34 @@ class TestFormBank:
                          ("C", "D"), ("B", "C"), ("A", "B")):
             assert substitute(bank[src], sub) == bank[dst]
 
+    @staticmethod
+    def _random_forms_polys(seed, count):
+        # over the form letters and, now and then, the placeholders Y and W
+        rng = random.Random(seed)
+        names = [ring.form_var(n) for n in "ABCDEFGH"] + [ring.PLACEHOLDER_Y, ring.PLACEHOLDER_W]
+        return [ring.Poly([sum(1 << v for v in rng.sample(names, rng.randrange(0, 5)))
+                           for _ in range(rng.randrange(1, 7))])
+                for _ in range(count)]
+
     def test_expand_forms_is_homomorphism(self):
-        rng = random.Random(51)
-        names = list("ABCDEFGH")
-        for _ in range(40):
-            p = ring.Poly([sum(1 << ring.form_var(n)
-                               for n in rng.sample(names, rng.randrange(1, 4)))
-                           for _ in range(rng.randrange(1, 6))])
-            q = ring.Poly([sum(1 << ring.form_var(n)
-                               for n in rng.sample(names, rng.randrange(1, 4)))
-                           for _ in range(rng.randrange(1, 6))])
+        polys = self._random_forms_polys(51, 80)
+        for p, q in zip(polys[::2], polys[1::2]):
+            assert expand_forms(p) == expand_forms_by_substitution(p)
             assert expand_forms(mul(p, q)) == mul(expand_forms(p), expand_forms(q))
             assert expand_forms(add(p, q)) == add(expand_forms(p), expand_forms(q))
+
+    def test_form_anf_is_the_anf_of_the_substituted_poly(self):
+        # over every form bit, Y, W and two bits no letter holds
+        variables = sorted({*lab.LETTER_BITS, ring.PLACEHOLDER_Y, ring.PLACEHOLDER_W,
+                            ring.state_var(1), ring.state_var(30)})
+        for p in self._random_forms_polys(52, 30):
+            want = expand_forms_by_substitution(p)
+            assert lab.form_anf(p, variables) == ring.anf_bits(want, variables)
+
+    def test_expand_forms_refuses_state_bits(self):
+        mixed = ring.Poly([1 << ring.form_var("A") | 1 << ring.state_var(1)])
+        with pytest.raises(ValueError, match="form letters and placeholders only"):
+            expand_forms(mixed)
 
 
 class TestInvariants:
@@ -131,10 +154,47 @@ class TestVerifyAttack:
         funs = [zref] + [random_boolfun(seed + 500) for seed in range(3)]
         for w in [wiring] + conforming + forced:
             assert all(w.hypotheses().values())
-            wiring_steps = _reference_wiring_steps(w)
+            wiring_steps = reference_wiring_steps(w)
             for fun in funs:
                 got = {s.key: s.passed for s in verify_attack(w, fun).steps}
-                assert got == {**wiring_steps, **_reference_function_steps(w, fun)}
+                assert got == {**wiring_steps, **reference_function_steps(w, fun)}
+
+    def test_regrouped_difference_fails_without_the_yw_term(self, wiring, zref,
+                                                            monkeypatch):
+        real = lab.bracket_with_instances
+        yw = mul(ring.var(ring.PLACEHOLDER_Y), ring.var(ring.PLACEHOLDER_W))
+        monkeypatch.setattr(lab, "bracket_with_instances", lambda: add(real(), yw))
+        for w in (wiring, random_wiring(21, conforming=True)):
+            got = {s.key: s.passed for s in verify_attack(w, zref).steps}
+            assert got == {**reference_wiring_steps(w), **reference_function_steps(w, zref)}
+            assert not got["regrouped-difference"] and not got["final-bracket"]
+            assert got["output-differences"] and got["core-absorption"]
+
+    def test_absorption_steps_pass_and_fail(self, wiring, zref):
+        # every verdict is the sparse oracle's, and each absorption identity
+        # both holds and fails over the functions
+        keys = ("absorption", "complement-absorption", "core-absorption")
+        funs = [ZERO_FUN, ONE_FUN, zref] + [random_boolfun(seed + 600) for seed in range(3)]
+        seen = {k: set() for k in keys}
+        for w in (wiring, random_wiring(22, conforming=True)):
+            for fun in funs:
+                got = {s.key: s.passed for s in verify_attack(w, fun).steps}
+                want = reference_function_steps(w, fun)
+                assert {k: got[k] for k in want} == want
+                for k in keys:
+                    seen[k].add(got[k])
+                if fun in (ONE_FUN, zref):
+                    assert all(got[k] for k in keys)
+                if fun == ZERO_FUN:
+                    assert not any(got[k] for k in keys)
+        assert seen == {k: {True, False} for k in keys}
+
+    def test_absorbs_refuses_a_union_past_the_dense_limit(self):
+        # all 16 form bits and six bits no letter holds: 22 variables
+        every_letter = product(list(form_bank().values()))
+        instance = product([ring.var(ring.state_var(i)) for i in (1, 2, 3, 4, 13, 14)])
+        with pytest.raises(ValueError, match="over 22 variables"):
+            lab.absorbs(every_letter, instance)
 
     def test_both_fe_steps_call_build_fe(self, wiring, zref, monkeypatch):
         modes = []
@@ -150,45 +210,6 @@ class TestVerifyAttack:
         monkeypatch.setattr(fe_mod, "affine_split", lambda p: splits.append(p) or real(p))
         assert verify_attack(wiring, zref).passed
         assert splits == [product_invariant()]
-
-
-def _reference_wiring_steps(w):
-    """The function-free step verdicts, computed as verify_attack first did:
-    the one-round difference by substituting the whole of P, and mu times
-    the bracket multiplied over state bits."""
-    bank = form_bank()
-    Yv, Wv = ring.var(ring.PLACEHOLDER_Y), ring.var(ring.PLACEHOLDER_W)
-    rs = round_system(w, "placeholder")
-    P = product_invariant()
-    mu = core_product_forms()
-    derived = substitute(bracket_with_instances(),
-                         {ring.PLACEHOLDER_Y: ONE, ring.PLACEHOLDER_W: ONE})
-    return {
-        "output-differences": add(rs.output(9), rs.output(5)) == add(Wv, bank["A"])
-        and add(rs.output(25), rs.output(21)) == add(Yv, bank["E"]),
-        "regrouped-difference": add(P, substitute(P, rs.as_substitution()))
-        == mul(expand_forms(mu), expand_forms(bracket_with_instances())),
-        "core-factorizations": all(product(fs + [b]) == mu for fs, b in
-                                   (core_factorization_a(), core_factorization_b())),
-        "final-bracket": derived == final_bracket() and not mul(mu, final_bracket()),
-    }
-
-
-def _reference_function_steps(w, fun):
-    bank = form_bank()
-    args = w.z_args
-    Y, W = fun.instantiate(args[1]), fun.instantiate(args[3])
-    CHF, BDG = (product([bank[n] for n in names]) for names in ("CHF", "BDG"))
-    cCHF, cBDG = (product([add(bank[n], ONE) for n in names]) for names in ("CHF", "BDG"))
-    mu = expand_forms(core_product_forms())
-    fe = build_fe(PreparedInvariant(product_invariant()),
-                  round_system(w, "expanded", fun))
-    return {
-        "absorption": mul(CHF, W) == CHF and mul(BDG, Y) == BDG,
-        "complement-absorption": mul(cCHF, W) == cCHF and mul(cBDG, Y) == cBDG,
-        "core-absorption": mul(Y, mu) == mu and mul(W, mu) == mu,
-        "fundamental-equation": fe.is_zero and not fe.depends_on,
-    }
 
 
 class TestFactorExplorer:
@@ -280,6 +301,24 @@ class TestFactorExplorer:
         visited = {n for t in found for n in (t.root,) + t.nodes}
         assert visited <= set(calls)
         assert len(calls) == len(set(calls))
+
+    def test_one_table_per_node(self, monkeypatch, invariant_deg7):
+        # each node's table is built once, by its candidate search, and the
+        # division out of the node reuses it
+        tabled = []
+        real = ring.anf_bits
+
+        def counting(p, variables):
+            tabled.append(p)
+            return real(p, variables)
+
+        monkeypatch.setattr(ring, "anf_bits", counting)
+        monkeypatch.setattr(boolfun, "anf_bits", counting)
+        for p, trees in ((invariant_deg7, 2), (core_product_forms(), 8)):
+            del tabled[:]
+            found = explore_factorizations(p, trees, seed=0)
+            assert len(tabled) == len(set(tabled))
+            assert {n for t in found for n in (t.root,) + t.nodes} <= set(tabled)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -539,3 +539,18 @@ class TestTruthTableDivision:
                 for x in range(1 << n):
                     point = {v: x >> j & 1 for j, v in enumerate(variables)}
                     assert table >> x & 1 == ell.evaluate(point), (n, vec, x)
+
+    def test_top_weight_layer_is_the_poly_degree(self):
+        rng = random.Random(65)
+        for n in range(11):
+            variables = sorted(rng.sample(range(ring.N_VARS), n))
+            full = rng.getrandbits(1 << n)
+            # every layer up to a top one, and a few terms of one layer only
+            top = rng.randrange(n + 1)
+            layered = full & sum(1 << i for i in range(1 << n) if i.bit_count() <= top)
+            for anf in (0, 1, full, layered, full & -full):
+                p = ring.poly_from_anf_bits(anf, variables)
+                layers = ring.weight_layers(n)
+                assert max((d for d, m in enumerate(layers) if anf & m), default=-1) \
+                    == p.degree(), (n, anf)
+                assert sum(layers) == (1 << (1 << n)) - 1
