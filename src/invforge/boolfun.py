@@ -172,8 +172,13 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
 
 
 def is_absorber(f: Poly, g: Poly) -> bool:
-    """True iff f*g = f (equivalently f*(g+1) = 0)."""
-    return mul(f, g) == f
+    """True iff f*g = f (equivalently f*(g+1) = 0): f's table & ~g's table
+    == 0 over their union support where it has at most ring.MAX_DENSE_VARS
+    variables, the product by mul past that."""
+    variables = sorted(f.support() | g.support())
+    if len(variables) > ring.MAX_DENSE_VARS:
+        return mul(f, g) == f
+    return not truth_table(f, variables) & ~truth_table(g, variables)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import ring
 from .boolfun import BoolFun6, affine_split
@@ -25,26 +25,29 @@ class NonStateVariableError(ValueError):
 @dataclass(frozen=True, eq=False)
 class FeReport:
     """The verdicts on a fundamental equation: is_zero, and depends_on, the
-    non-state variables it holds.  fe, the reduced polynomial, is expand()
-    on first read, and kept; size, its (terms, degree), is read off anf
-    (its ANF bits, variable count) where build_fe decided on tables."""
+    non-state variables it holds.  build_fe keeps the FE as poly where it
+    multiplied it out, or as anf, its ANF bits over the sorted variables
+    they index, where it decided on tables; fe is the polynomial either
+    way (built from anf on first read, and kept), and size, its (terms,
+    degree), is read off anf without building it."""
 
     is_zero: bool
     depends_on: Tuple[str, ...]
     mode: str
-    expand: Callable[[], Poly] = field(repr=False)
-    anf: Optional[Tuple[int, int]] = field(default=None, repr=False)
+    poly: Optional[Poly] = field(default=None, repr=False)
+    anf: Optional[Tuple[int, Tuple[int, ...]]] = field(default=None, repr=False)
 
     @cached_property
     def fe(self) -> Poly:
-        return self.expand()
+        return self.poly if self.anf is None else ring.poly_from_anf_bits(*self.anf)
 
     @cached_property
     def size(self) -> Tuple[int, int]:
         if self.anf is None:
             return len(self.fe), self.fe.degree()
-        bits, n = self.anf  # the degree is the highest weight layer the bits meet
-        return bits.bit_count(), max((d for d, layer in enumerate(ring.weight_layers(n))
+        bits, variables = self.anf  # the degree is the highest weight layer the bits meet
+        return bits.bit_count(), max((d for d, layer in
+                                      enumerate(ring.weight_layers(len(variables)))
                                       if bits & layer), default=-1)
 
     def lines(self) -> List[str]:
@@ -88,32 +91,32 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     """FE = P + P(outputs-as-inputs), fully expanded and canonicalized; the
     image of P is the product of its parts' images.
 
-    Where ring.product would take its dense branch on the images and P
-    lies on their variables, the verdicts are read off truth tables over
-    them: is_zero iff the AND of P's parts' tables equals the images', and
-    depends_on lists the non-state variables the image table depends on.
-    The budget bounds the image's term count, as in ring.product, and fe is
-    built from the FE's ANF bits on first read; elsewhere, at once.
+    Where U, the variables of P and of its parts' images, number at most
+    ring.MAX_DENSE_VARS, the verdicts are read off truth tables over U:
+    is_zero iff the AND of P's parts' tables equals the images', and
+    depends_on lists the non-state variables the image's table depends
+    on.  The budget then bounds the image's term count only.  Past that
+    size ring.product multiplies the images out, the budget bounding each
+    intermediate.
 
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
     """
     sub = rs.as_substitution()
     images = [substitute(f, sub, budget) for f in P.parts]
-    variables = ring.dense_variables(images)
-    if variables is None or not P.support.issubset(variables):
+    variables = tuple(sorted(P.support.union(*(g.support() for g in images))))
+    n = len(variables)
+    if n > ring.MAX_DENSE_VARS:
         fe = add(P.poly, ring.product(images, budget))
         depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
-        return FeReport(not fe, depends_on, rs.mode, lambda: fe)
-    n = len(variables)
+        return FeReport(not fe, depends_on, rs.mode, poly=fe)
     table = ring.product_table(images, variables)
     if budget is not None and mobius(table, n).bit_count() > budget:
         raise TermBudgetError(budget)
     depends_on = tuple(ring.var_name(v) for i, v in enumerate(variables)
                        if v >= N_STATE and ring.table_depends(table, n, i))
     anf = mobius(table ^ ring.product_table(P.parts, variables), n)
-    return FeReport(not anf, depends_on, rs.mode,
-                    lambda: ring.poly_from_anf_bits(anf, variables), (anf, n))
+    return FeReport(not anf, depends_on, rs.mode, anf=(anf, variables))
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,

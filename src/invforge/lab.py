@@ -11,12 +11,12 @@ from typing import Dict, List, Sequence, Tuple
 from . import fe as fe_mod
 from . import ring
 from .boolfun import (
-    MAX_SPLIT_VARS, BoolFun6, minimal_affine_factors, random_boolfun, truth_table,
+    MAX_SPLIT_VARS, BoolFun6, is_absorber, minimal_affine_factors, random_boolfun,
     vector_to_affine,
 )
 from .cipher import Wiring, round_system
 from .ring import (
-    MAX_DENSE_VARS, N_STATE, ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
+    N_STATE, ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
     Poly, add, add_many, anf_bits, factor_out, form_var, mobius, mul, product,
     state_var, substitute, var,
 )
@@ -159,14 +159,6 @@ class ChainReport:
         return out
 
 
-def absorbs(x: Poly, instance: Poly) -> bool:
-    """x * instance == x, as x's table & ~instance's table == 0 over their support."""
-    variables = sorted(x.support() | instance.support())
-    if len(variables) > MAX_DENSE_VARS:
-        raise ValueError("cannot compare truth tables over %d variables" % len(variables))
-    return not truth_table(x, variables) & ~truth_table(instance, variables)
-
-
 def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     """Re-derive the attack mechanically, one exact identity per step.
 
@@ -195,25 +187,25 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     P_state = fe_mod.PreparedInvariant(product_invariant())
     mu_forms = core_product_forms()
     bracket_yw = bracket_with_instances()
-    fe_ph = fe_mod.build_fe(P_state, rs_ph).fe
-    V = LETTER_BITS + [PLACEHOLDER_Y, PLACEHOLDER_W]
+    report_ph = fe_mod.build_fe(P_state, rs_ph)
+    V = (*LETTER_BITS, PLACEHOLDER_Y, PLACEHOLDER_W)  # ascending, as build_fe's variables
     table = mobius(form_anf(mu_forms, V), len(V)) & mobius(form_anf(bracket_yw, V), len(V))
     record("regrouped-difference",
            "one-round difference = mu * bracket with opaque Y, W",
-           fe_ph.support() <= set(V) and anf_bits(fe_ph, V) == mobius(table, len(V)))
+           report_ph.anf == (mobius(table, len(V)), V))
 
     args = w.z_args
     Yex = fun.instantiate(args[1])
     Wex = fun.instantiate(args[3])
     record("absorption",
            "CHF*W = CHF and BDG*Y = BDG",
-           absorbs(product([C_, H_, F_]), Wex) and absorbs(product([B_, D_, G_]), Yex))
+           is_absorber(product([C_, H_, F_]), Wex) and is_absorber(product([B_, D_, G_]), Yex))
 
     cCHF = product([_s(C_, ONE), _s(H_, ONE), _s(F_, ONE)])
     cBDG = product([_s(B_, ONE), _s(D_, ONE), _s(G_, ONE)])
     record("complement-absorption",
            "(C+1)(H+1)(F+1)*W and (B+1)(D+1)(G+1)*Y absorb too",
-           absorbs(cCHF, Wex) and absorbs(cBDG, Yex))
+           is_absorber(cCHF, Wex) and is_absorber(cBDG, Yex))
 
     ok = True
     for factors, bracket in (core_factorization_a(), core_factorization_b()):
@@ -225,7 +217,7 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     mu_state = expand_forms(mu_forms)
     record("core-absorption",
            "Y*mu = mu and W*mu = mu",
-           absorbs(mu_state, Yex) and absorbs(mu_state, Wex))
+           is_absorber(mu_state, Yex) and is_absorber(mu_state, Wex))
 
     derived = substitute(bracket_yw, {PLACEHOLDER_Y: ONE, PLACEHOLDER_W: ONE})
     final = final_bracket()

@@ -216,38 +216,14 @@ def mul(p: Poly, q: Poly, budget: int | None = None) -> Poly:
 
 
 def product(ps: Sequence[Poly], budget: int | None = None) -> Poly:
-    """Product of several polynomials.
-
-    Where dense_variables gives a list, the factors' truth tables over it
-    are ANDed (product_table) and transformed back to the ANF; otherwise
-    the factors are multiplied smallest first.  The ANF is unique, so both
-    give the same Poly.  The dense branch checks the budget against the
-    result only; the sparse fold also against each intermediate.
-    fe.build_fe decides its verdict on the same tables where this would
-    take the dense branch.
-    """
+    """Product of several polynomials, multiplied smallest first; the
+    budget is checked against each intermediate.  An exact verdict over
+    at most MAX_DENSE_VARS variables ANDs product_table instead."""
     ps = ps or [ONE]  # the empty product, checked against the budget too
-    variables = dense_variables(ps)
-    if variables is not None:
-        return _dense_product(ps, variables, budget)
     acc = ONE
     for p in sorted(ps, key=len):
         acc = mul(acc, p, budget)
     return acc
-
-
-def dense_variables(ps: Sequence[Poly]) -> List[int] | None:
-    """The factors' union support, ascending, where product's dense branch
-    works over it: n <= MAX_DENSE_VARS variables and a 2^n-bit table
-    smaller than the number of term pairs a sparse fold could form.
-    None where the factors are folded sparsely."""
-    support, pairs = 0, 1
-    for p in ps:
-        pairs *= len(p.terms)
-        for t in p.terms:
-            support |= t
-    n = support.bit_count()
-    return _bits(support) if n <= MAX_DENSE_VARS and 1 << n < pairs else None
 
 
 def product_table(ps: Sequence[Poly], variables: Sequence[int]) -> int:
@@ -263,16 +239,6 @@ def product_table(ps: Sequence[Poly], variables: Sequence[int]) -> int:
         else:
             table &= mobius(anf_bits(p, variables), n)
     return table
-
-
-def _dense_product(ps: Sequence[Poly], variables: Sequence[int],
-                   budget: int | None = None) -> Poly:
-    """Product as the AND of truth tables over variables, which must hold
-    every factor's support."""
-    anf = mobius(product_table(ps, variables), len(variables))
-    if budget is not None and anf.bit_count() > budget:
-        raise TermBudgetError(budget)
-    return poly_from_anf_bits(anf, variables)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,11 @@ CORPUS = [
     ("linear-cycle", "--lzs", LZS, "--max-period", "4096"),
     ("--format", "json-lines", "linear-cycle", "--lzs", LZS, "--mask", "all36",
      "--max-period", "512"),
+    # absorption on truth tables, a true and a false verdict, and an FE
+    # that moved from the sparse fold onto tables
+    ("absorbers", "--poly", INV7, "--candidate", INV7_ALT),
+    ("absorbers", "--poly", MU, "--candidate", INV827),
+    ("--format", "json-lines", "fe", "--lzs", LZS, "--invariant", INV827, "--boolfun", ZREF),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -278,6 +283,9 @@ CORPUS_STDOUT_SHA256 = [
     "5490669ecf1d44501d22cb784963efb4b486f460daec46f173b8c0f3fff94a6e",
     "3a9a7c462946015eb5656155d545d3c31942d5bb181fa9d119d44749c3ff7e3d",
     "2bb291287f57c91e447678ba30cfff4be214fa35cacc64d7f40d13d8a7d791eb",
+    "3a77ac2a33652558224a4ed0e1664e5ebcb53c4f77ddb5b4969de982054bcab5",
+    "db1bfe4f260e920641dd98de83837e2b492958a94b3029da5ed979abb14dd0fc",
+    "0a0f193bcd2ccfe36ef4a899d5a1fa34149d1122e12fd5664793df15a0fa294c",
 ]
 
 

@@ -227,6 +227,23 @@ class TestAbsorbers:
             g = poly_from_anf_bits(rng.getrandbits(16), range(4))
             assert is_absorber(f, g) == (mul(f, add(g, ONE)) == ZERO)
 
+    def test_tables_decide_up_to_the_dense_limit_and_mul_past_it(self, monkeypatch):
+        # the forms' 16 bits and six bits no letter holds make a 22-variable
+        # union: mul decides there; over 20 variables the tables do
+        forms = product([add(var(ring.state_var(2 * i + 1)), var(ring.state_var(2 * i + 2)))
+                         for i in range(8)])
+        instance = product([var(ring.state_var(i)) for i in (17, 18, 19, 20, 21, 22)])
+        muls = []
+        monkeypatch.setattr(boolfun, "mul", lambda *args: muls.append(1) or mul(*args))
+        cases = [(forms, instance, False), (mul(forms, instance), instance, True),
+                 (forms, product([var(ring.state_var(i)) for i in (17, 18, 19, 20)]), False),
+                 (mul(forms, var(ring.state_var(17))), var(ring.state_var(17)), True)]
+        for f, g, verdict in cases:
+            del muls[:]
+            assert is_absorber(f, g) == verdict == (mul(f, g) == f)
+            assert len(muls) == (len(f.support() | g.support()) > ring.MAX_DENSE_VARS)
+        assert [len(f.support() | g.support()) for f, g, _ in cases] == [22, 22, 20, 17]
+
 
 class TestAffineSplit:
     def test_full_product(self):

@@ -74,15 +74,23 @@ class TestVerdictsAndExitCodes:
 
     def test_expanded_budget_pins_at_the_image(self, tmp_path, capsys):
         # expanded fe --budget bounds the term count of P's image, the product
-        # of its parts' images: 2080 terms with z-reference, 4784 with the
-        # random function of seed 5 (FE != 0, exit 1)
+        # of its parts' images: for the degree-7 invariant 2080 terms with
+        # z-reference, 4784 with the random function of seed 5 (FE != 0,
+        # exit 1); for invariant-827, 93 with z-reference (exit 1)
         fun = tmp_path / "fun5.anf"
         fun.write_text("%016x\n" % random_boolfun(5).tt)
-        for boolfun, image_terms, answer in ((ZREF, 2080, 0), (str(fun), 4784, 1)):
-            argv = ["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", boolfun, "--budget"]
+        for invariant, boolfun, image_terms, answer in ((INV7, ZREF, 2080, 0),
+                                                        (INV7, str(fun), 4784, 1),
+                                                        (INV827, ZREF, 93, 1)):
+            argv = ["fe", "--lzs", LZS, "--invariant", invariant, "--boolfun", boolfun,
+                    "--budget"]
+            assert cli.main(argv[:-1]) == answer
+            unbounded = capsys.readouterr().out
             assert cli.main(argv + [str(image_terms)]) == answer
+            assert capsys.readouterr().out == unbounded
             assert cli.main(argv + [str(image_terms - 1)]) == cli.EXIT_BUDGET == 3
-        assert capsys.readouterr().err.count("error: ") == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err.count("error: ")) == ("", 1)
 
     def test_symbolic_budget_above_the_largest_intermediate(self):
         unbounded = run_cli("fe", "--lzs", LZS, "--invariant", INV7, "--symbolic")

@@ -50,9 +50,10 @@ class TestBuildFe:
         assert "F" in report.depends_on
 
     def test_size_and_degree_read_off_the_table(self, wiring, zref, invariant_deg7):
-        # where build_fe decided on tables (shipped and conforming wirings,
-        # but for the zero function, whose images the sparse fold takes),
-        # terms and degree come from the FE's ANF bits without building fe
+        # where build_fe decided on tables (the shipped and conforming
+        # wirings, whose images lie on P's 16 bits, for every function, and
+        # the zero function's 18 and 19 bits on the random ones), terms and
+        # degree come from the FE's ANF bits without building fe
         P = PreparedInvariant(invariant_deg7)
         wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(3)]
                    + [random_wiring(s) for s in range(2)])
@@ -65,7 +66,7 @@ class TestBuildFe:
                     tabled += 1
                     assert "fe" not in vars(report)
                 assert size == (len(report.fe), report.fe.degree())
-        assert tabled == 12
+        assert tabled == 18
 
     def test_factored_path_matches_plain_substitution(self, wiring, zref):
         rng = random.Random(41)
@@ -93,7 +94,8 @@ class TestBuildFe:
 
     def test_matches_sparse_oracle_on_both_product_branches(
             self, wiring, zref, invariant_deg7, monkeypatch):
-        # oracle: substitute each affine-split factor, fold the images with mul
+        # oracle: substitute each affine-split factor, fold the images with
+        # mul; build_fe takes tables or the sparse fold, never both
         prepared = PreparedInvariant(invariant_deg7)
         parts = prepared.parts  # split before the spies: the split's check multiplies too
         paths = []
@@ -102,7 +104,6 @@ class TestBuildFe:
                             lambda *args: paths.append("table") or real_table(*args))
         monkeypatch.setattr(ring, "product",
                             lambda *args: paths.append("sparse") or real_product(*args))
-        monkeypatch.setattr(ring, "_dense_product", _forbidden)
         wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(4)]
                    + [random_wiring(s) for s in range(4)])
         zeros, taken = 0, []
@@ -115,19 +116,20 @@ class TestBuildFe:
                              functools.reduce(mul, sorted(images, key=len), ONE))
                 del paths[:]
                 report = build_fe(prepared, rs)
-                taken.append(set(paths))
+                taken.append(paths[:])
                 assert report.fe == oracle
                 if report.is_zero:
                     zeros += 1
                     rep = check_invariant_empirically(prepared, w, fun, 2000)
                     assert rep.mismatches == 0
         assert zeros >= 5  # z-reference on the shipped and conforming wirings
-        # conforming images lie on 16 bits (tables); random ones on more than 20
-        assert taken == [{"table"}] * 10 + [{"sparse"}] * 8
+        # conforming images lie on 16 bits (two tables: the images', P's);
+        # random ones on more than 20 (one fold)
+        assert taken == [["table", "table"]] * 10 + [["sparse"]] * 8
 
     def test_dense_budget_bounds_the_image_only(self, wiring, zref, invariant_deg7):
         # the image of the 2080-term invariant has 2080 terms; the sparse fold's
-        # intermediates grew past 2500, the dense branch builds none
+        # intermediates grew past 2500, the table path builds none
         rs = round_system(wiring, "expanded", zref)
         assert build_fe(PreparedInvariant(invariant_deg7), rs, budget=2500).is_zero
         with pytest.raises(TermBudgetError):
@@ -145,12 +147,14 @@ class TestBuildFe:
                 rs = round_system(w, "expanded", fun)
                 for p in invariants:
                     prepared = PreparedInvariant(p)
-                    images = [substitute(f, rs.as_substitution()) for f in prepared.parts]
-                    paths["sparse" if ring.dense_variables(images) is None else "table"] += 1
-                    _assert_matches_oracle(build_fe(prepared, rs), prepared, rs)
-        assert paths == {"table": 48, "sparse": 60}
+                    report = build_fe(prepared, rs)
+                    tabled = len(_union_support(prepared, rs)) <= ring.MAX_DENSE_VARS
+                    assert (report.anf is not None) == tabled
+                    paths["table" if tabled else "sparse"] += 1
+                    _assert_matches_oracle(report, prepared, rs)
+        assert paths == {"table": 96, "sparse": 12}
 
-    @pytest.mark.parametrize("images,factors,name,listed", [
+    @pytest.mark.parametrize("images,factors,name,in_images", [
         # z maps to 1, so no image holds it, and P, which holds z, is not its image
         ({"a": "a+b+c", "b": "b+c+d", "c": "a+c+d", "d": "a+b+d", "z": "1"},
          ["a+z", "b+1", "c+1", "d+1"], "z", False),
@@ -158,22 +162,77 @@ class TestBuildFe:
         ({"a": "bcF+c", "b": "bcdF+cdF+b", "c": "acF+bcF+ad"},
          ["a+1", "b+1", "c+1"], "F", True),
     ])
-    def test_table_path_on_hand_made_rounds(self, images, factors, name, listed):
+    def test_table_path_on_hand_made_rounds(self, images, factors, name, in_images):
         # rounds that map a few state bits to the given images and fix the others
-        image = {parse(x): parse(y) for x, y in images.items()}
-        rs = RoundSystem("expanded", tuple(image.get(x, x) for x in
-                                           (var(state_var(i)) for i in range(1, 37))))
+        rs = _hand_made_round(images)
         prepared = PreparedInvariant(ring.product([parse(f) for f in factors]))
-        variables = ring.dense_variables([substitute(f, rs.as_substitution())
-                                          for f in prepared.parts])
-        assert variables is not None and (ring.NAMES.index(name) in variables) == listed
+        assert any(ring.NAMES.index(name) in substitute(f, rs.as_substitution()).support()
+                   for f in prepared.parts) == in_images
         report = build_fe(prepared, rs)
+        assert ring.NAMES.index(name) in report.anf[1]
         assert (report.is_zero, report.depends_on) == (False, ())
         _assert_matches_oracle(report, prepared, rs)
 
+    def test_constants_and_variables_no_image_holds(self, wiring, zref):
+        # P = 0 and P = 1 have no variable and their images none, so U is
+        # empty: FE = 0 on a 1-point table.  V = x1 and ab + V mostly hold a
+        # variable that no image holds, and decide on tables where U is small
+        invariants = [ring.ZERO, ONE, parse("V"), parse("ab+V")]
+        systems = [round_system(w, mode, *fun) for w in (wiring, random_wiring(3, conforming=True),
+                                                         random_wiring(3))
+                   for mode, fun in (("placeholder", ()), ("expanded", (zref,)),
+                                     ("expanded", (ZERO_FUN,)))]
+        foreign = {"table": 0, "sparse": 0}
+        for rs in systems:
+            for p in invariants:
+                prepared = PreparedInvariant(p)
+                report = build_fe(prepared, rs)
+                _assert_matches_oracle(report, prepared, rs)
+                if not p.support():
+                    assert report.is_zero and report.anf == (0, ())
+                    assert report.size == (0, -1)
+                elif p.support() - set().union(*(substitute(f, rs.as_substitution()).support()
+                                                 for f in prepared.parts)):
+                    foreign["sparse" if report.anf is None else "table"] += 1
+        assert foreign == {"table": 14, "sparse": 1}
 
-def _forbidden(*args, **kwargs):
-    raise AssertionError("must not be called")
+    def test_path_choice_at_the_variable_limit(self, monkeypatch):
+        # P = ab, a -> a sum of 10 bits, b -> a sum of n - 12 others: |U| = n,
+        # tables at 20 variables and the sparse fold at 21
+        paths = []
+        real_table, real_product = ring.product_table, ring.product
+        for n, taken in ((20, ["table", "table"]), (21, ["sparse"])):
+            rs = _hand_made_round({
+                "a": "+".join(ring.NAMES[v] for v in range(2, 12)),
+                "b": "+".join(ring.NAMES[v] for v in range(12, n))})
+            prepared = PreparedInvariant(parse("ab"))
+            assert len(_union_support(prepared, rs)) == n
+            assert len(prepared.parts) == 3  # split before the spies: its check multiplies
+            monkeypatch.setattr(ring, "product_table",
+                                lambda *args: paths.append("table") or real_table(*args))
+            monkeypatch.setattr(ring, "product",
+                                lambda *args: paths.append("sparse") or real_product(*args))
+            del paths[:]
+            report = build_fe(prepared, rs)
+            assert paths == taken
+            assert (report.anf is None) == (n > ring.MAX_DENSE_VARS)
+            assert len(report.fe) == 10 * (n - 12) + 1
+            monkeypatch.undo()
+            _assert_matches_oracle(report, prepared, rs)
+
+
+def _hand_made_round(images):
+    """The expanded round that maps the named state bits to the given images
+    and fixes every other bit."""
+    image = {parse(x): parse(y) for x, y in images.items()}
+    return RoundSystem("expanded", tuple(image.get(x, x) for x in
+                                         (var(state_var(i)) for i in range(1, 37))))
+
+
+def _union_support(prepared, rs):
+    """U: the variables of P and of its parts' images."""
+    return prepared.support.union(*(substitute(f, rs.as_substitution()).support()
+                                    for f in prepared.parts))
 
 
 def _assert_matches_oracle(report, prepared, rs):
@@ -182,7 +241,7 @@ def _assert_matches_oracle(report, prepared, rs):
     images = [substitute(f, rs.as_substitution()) for f in prepared.parts]
     fe = add(prepared.poly, functools.reduce(mul, sorted(images, key=len), ONE))
     depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= ring.N_STATE)
-    oracle = fe_mod.FeReport(not fe, depends_on, rs.mode, lambda: fe)
+    oracle = fe_mod.FeReport(not fe, depends_on, rs.mode, poly=fe)
     assert (report.is_zero, report.depends_on) == (oracle.is_zero, oracle.depends_on)
     assert report.fe == fe
     assert report.lines() == oracle.lines()

@@ -189,12 +189,22 @@ class TestVerifyAttack:
                     assert not any(got[k] for k in keys)
         assert seen == {k: {True, False} for k in keys}
 
-    def test_absorbs_refuses_a_union_past_the_dense_limit(self):
-        # all 16 form bits and six bits no letter holds: 22 variables
-        every_letter = product(list(form_bank().values()))
-        instance = product([ring.var(ring.state_var(i)) for i in (1, 2, 3, 4, 13, 14)])
-        with pytest.raises(ValueError, match="over 22 variables"):
-            lab.absorbs(every_letter, instance)
+    def test_regrouped_difference_reads_the_placeholder_table(self, wiring, zref,
+                                                              monkeypatch):
+        # the hypotheses fix the factor images onto V, the 16 form bits, Y
+        # and W, so the placeholder FE is decided on tables over V and its
+        # polynomial is never built
+        V = tuple(lab.LETTER_BITS + [ring.PLACEHOLDER_Y, ring.PLACEHOLDER_W])
+        reports = []
+        real = fe_mod.build_fe
+        monkeypatch.setattr(fe_mod, "build_fe",
+                            lambda P, rs, *a: reports.append(real(P, rs, *a)) or reports[-1])
+        monkeypatch.setattr(fe_mod.FeReport, "fe", property(_forbidden))
+        for w in [wiring] + [random_wiring(s, conforming=True) for s in range(16)]:
+            del reports[:]
+            report = verify_attack(w, zref)
+            assert report.passed and reports[0].mode == "placeholder"
+            assert reports[0].anf[1] == V
 
     def test_both_fe_steps_call_build_fe(self, wiring, zref, monkeypatch):
         modes = []

@@ -258,6 +258,8 @@ class TestProduct:
     @settings(max_examples=150, deadline=None)
     @given(factor_lists(), st.randoms(use_true_random=False))
     def test_dense_and_sparse_agree_with_mul_fold(self, ps, rnd):
+        # the sparse fold in any order, and within MAX_DENSE_VARS the AND
+        # of the factors' tables transformed back
         fold = functools.reduce(mul, ps, ONE)
         assert ring.product(ps) == fold
         shuffled = list(ps)
@@ -265,22 +267,33 @@ class TestProduct:
         assert ring.product(shuffled) == fold
         sup = _support(ps)
         if len(sup) <= ring.MAX_DENSE_VARS:
-            assert ring._dense_product(ps, sup) == fold
+            anf = ring.mobius(ring.product_table(ps, sup), len(sup))
+            assert ring.poly_from_anf_bits(anf, sup) == fold
 
     @settings(max_examples=150, deadline=None)
     @given(factor_lists(), st.integers(0, 40))
     def test_dense_budget_is_on_the_result(self, ps, budget):
+        # a table's term count is the result's, so a budget on it bounds the
+        # result only; product folds smallest first and refuses every step
+        # whose result outgrows the budget, the empty product included, and
+        # otherwise only where a step formed more term pairs than the budget
         fold = functools.reduce(mul, ps, ONE)
         sup = _support(ps)
         if len(sup) <= ring.MAX_DENSE_VARS:
-            if len(fold) > budget:
-                with pytest.raises(ring.TermBudgetError):
-                    ring._dense_product(ps, sup, budget)
-            else:
-                assert ring._dense_product(ps, sup, budget) == fold
-        if len(fold) > budget:  # both branches refuse an oversized result
+            assert ring.mobius(ring.product_table(ps, sup), len(sup)).bit_count() == len(fold)
+        acc, grown, paired = ONE, 0, 0
+        for p in sorted(ps or [ONE], key=len):
+            paired = max(paired, len(acc) * len(p))
+            acc = mul(acc, p)
+            grown = max(grown, len(acc))
+        if grown > budget:
             with pytest.raises(ring.TermBudgetError):
                 ring.product(ps, budget)
+        else:
+            try:
+                assert ring.product(ps, budget) == fold
+            except ring.TermBudgetError:
+                assert paired > budget  # a partial sum inside one mul overflowed
 
     @settings(max_examples=150, deadline=None)
     @given(factor_lists(), st.integers(0, 3))
@@ -296,32 +309,6 @@ class TestProduct:
         assert table == ring.mobius(ring.anf_bits(fold, variables), n)
         assert [ring.table_depends(table, n, i) for i in range(n)] == [
             v in fold.support() for v in variables]
-
-    def test_branch_choice_at_the_variable_limit(self, monkeypatch):
-        dense_calls = []
-        real = ring._dense_product
-
-        def spy(*args):
-            dense_calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(ring, "_dense_product", spy)
-
-        def affine(lo, hi):
-            return add(ONE, Poly(1 << v for v in range(lo, hi)))
-
-        a = affine(0, 10)  # a*a = a keeps the mul fold small
-        # 20 variables and 11^6 pairs > 2^20: dense
-        ps = [a] * 5 + [affine(10, 20)]
-        assert ring.product(ps) == mul(a, affine(10, 20))
-        assert dense_calls == [list(range(20))]
-        # 21 variables: sparse, although 11^6 * 12 pairs > 2^21
-        ps = [a] * 6 + [affine(10, 21)]
-        assert ring.product(ps) == mul(a, affine(10, 21))
-        assert len(dense_calls) == 1
-        # 3 variables but only 2^3 pairs: sparse
-        assert ring.product([parse("a+b"), parse("b+c"), parse("a+c")]) == ZERO
-        assert len(dense_calls) == 1
 
     def test_anf_roundtrip_and_decoder(self):
         rng = random.Random(8)

@@ -1,10 +1,11 @@
 """src/ holds only what a command runs.
 
-Every public module-level function and class method under src/invforge
-must be named somewhere in src/ outside its own definition.  A reference
-from inside a kept or an unreferenced name does not count, since neither
-serves a command.  The exceptions are KEEP, one reason each.  A test-only
-reference implementation belongs in tests/reference.py instead.
+Every module-level function, private helpers included, and every public
+class method under src/invforge must be named somewhere in src/ outside
+its own definition.  A reference from inside a kept or an unreferenced
+name does not count, since neither serves a command.  The exceptions are
+KEEP, one reason each.  A test-only reference implementation belongs in
+tests/reference.py instead.
 """
 
 import ast
@@ -44,9 +45,10 @@ def _public(name):
 
 
 def _definitions(module, tree):
-    """(qualified name, bare name, node) of each public function and method."""
+    """(qualified name, bare name, node) of each module-level function and
+    public method."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and _public(node.name):
+        if isinstance(node, ast.FunctionDef):
             yield "%s.%s" % (module, node.name), node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -82,7 +84,7 @@ def _unreferenced():
 
 def test_every_public_name_serves_a_command():
     unused = _unreferenced() - set(KEEP)
-    assert not unused, ("public names in src/ that no code in src/ reaches; delete "
+    assert not unused, ("names in src/ that no code in src/ reaches; delete "
                         "them or move them into tests/reference.py: %s"
                         % ", ".join(sorted(unused)))
 
