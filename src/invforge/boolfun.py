@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import gf2, ring
-from .ring import Poly, _ones, anf_bits, mobius, mul, poly_from_anf_bits
+from .ring import Poly, UsageError, _ones, anf_bits, mobius, mul, poly_from_anf_bits
 
 FORMAL_VARS = tuple(range(6))  # VarIds of a..f
 
@@ -23,11 +23,11 @@ FORMAL_VARS = tuple(range(6))  # VarIds of a..f
 MAX_ANNIHILATOR_SYSTEM = 1 << 24
 
 
-class SystemTooLargeError(ValueError):
+class SystemTooLargeError(UsageError):
     pass
 
 
-class DegreeBoundError(ValueError):
+class DegreeBoundError(UsageError):
     pass
 
 
@@ -84,7 +84,7 @@ def parse_anf(text: str) -> BoolFun6:
     p = ring.parse(text, dialect="state")
     bad = [v for v in p.support() if v not in FORMAL_VARS]
     if bad:
-        raise ValueError("variable outside a..f: %s"
+        raise UsageError("variable outside a..f: %s"
                          % ",".join(ring.var_name(v) for v in sorted(bad)))
     return BoolFun6(truth_table(p, FORMAL_VARS))
 
@@ -137,12 +137,17 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
     variable set: g annihilates f iff g vanishes on every point where
     f is 1, one row per support point and one column per monomial.  The
     basis is returned in reduced row echelon form over the graded-lex
-    monomial ordering.  Raises DegreeBoundError unless 0 <= degree_bound <=
-    len(variables), SystemTooLargeError when that system has more than
+    monomial ordering.  Raises UsageError when the variables miss some of
+    f's, DegreeBoundError unless 0 <= degree_bound <= len(variables),
+    SystemTooLargeError when that system has more than
     MAX_ANNIHILATOR_SYSTEM entries or its truth table more than 2^MAX_DENSE_VARS points.
     """
     variables = tuple(sorted(variables))
     n = len(variables)
+    outside = f.support().difference(variables)
+    if outside:
+        raise UsageError("polynomial uses %s outside the declared variables"
+                         % ring.var_name(min(outside)))
     if not 0 <= degree_bound <= n:
         raise DegreeBoundError("degree bound %d is outside 0..%d (the number of variables)"
                                % (degree_bound, n))

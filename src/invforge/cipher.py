@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .boolfun import BoolFun6
 from .ring import (
     F_BIT, K_BIT, L_BIT, PLACEHOLDERS,
-    Poly, coef_var, monomial_masks, state_var, var,
+    Poly, UsageError, coef_var, monomial_masks, state_var, var,
 )
 
 # wiring constraints under which the degree-7 product attack applies
@@ -26,7 +26,7 @@ Y_INPUT_BITS = (27, 6, 10, 23, 21, 25)
 W_INPUT_BITS = (26, 9, 5, 22, 7, 11)
 
 
-class WiringError(ValueError):
+class WiringError(UsageError):
     pass
 
 

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
-3 term-budget overflow, 4 internal error (traceback on stderr).  '-' reads
-any path flag from stdin.  Identical invocations (including --seed) produce
-byte-identical output.
+Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error
+(ring.UsageError or OSError), 3 term-budget overflow, 4 internal error: any
+other exception, traceback on stderr.  Each cmd_* returns its result and
+main alone prints it.  '-' reads any path flag from stdin.  Identical
+invocations (including --seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import boolfun, fe as fe_mod, lab, lincycle, ring
 from .cipher import Wiring, parse_wiring, round_system, step, validate
-from .ring import ParseError, Poly, TermBudgetError
+from .ring import Poly, TermBudgetError, UsageError
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -24,24 +25,18 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-
-class _Output:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def emit(self, record: dict, text_lines: List[str]):
-        if self.fmt == "json-lines":
-            sys.stdout.write(json.dumps(record, sort_keys=False) + "\n")
-        else:
-            for line in text_lines:
-                sys.stdout.write(line + "\n")
+# what a command returns for main to print: (exit code, JSON record, text lines)
+Result = Tuple[int, dict, List[str]]
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s: %s" % ("stdin" if path == "-" else path, exc)) from None
 
 
 def _load_wiring(path: str) -> Wiring:
@@ -69,23 +64,23 @@ def _fe_record(report: fe_mod.FeReport) -> dict:
         "mode": report.mode,
         "terms": report.size[0],
         "degree": report.size[1],
-        "fe": ring.render(report.fe) if report.size[0] <= fe_mod.MAX_RENDER_TERMS else None,
+        "fe": report.text,
     }
 
 
-def cmd_fe(args, out: _Output) -> int:
+def cmd_fe(args) -> Result:
     w = _load_wiring(args.lzs)
     P = _load_poly(args.invariant)
     if args.budget is not None and args.budget < 1:
-        raise SystemExit2("--budget must be >= 1")
+        raise UsageError("--budget must be >= 1")
     if not (args.symbolic or args.boolfun):
-        raise SystemExit2("fe requires --boolfun unless --symbolic is given")
+        raise UsageError("fe requires --boolfun unless --symbolic is given")
     if args.symbolic and args.empirical_trials:
-        raise SystemExit2("--empirical-trials needs --boolfun, not --symbolic")
+        raise UsageError("--empirical-trials needs --boolfun, not --symbolic")
     if args.symbolic and args.boolfun:
-        raise SystemExit2("--symbolic solves for the function: drop --boolfun or --symbolic")
+        raise UsageError("--symbolic solves for the function: drop --boolfun or --symbolic")
     if args.seed is not None and not args.empirical_trials:
-        raise SystemExit2("--seed seeds the empirical check: it needs --empirical-trials")
+        raise UsageError("--seed seeds the empirical check: it needs --empirical-trials")
     P = fe_mod.PreparedInvariant(P)
     if args.symbolic:
         rs = round_system(w, "symbolic")
@@ -96,8 +91,7 @@ def cmd_fe(args, out: _Output) -> int:
             {"linear": True,
              "equations": [[ring.render(c), ring.render(e)] for c, e in system.equations]}
             if system.linear else {"linear": False})
-        out.emit(rec, report.lines() + system.lines())
-        return EXIT_OK
+        return EXIT_OK, rec, report.lines() + system.lines()
     fun = _load_fun(args.boolfun)
     rs = round_system(w, "expanded", fun)
     report = fe_mod.build_fe(P, rs, args.budget)
@@ -110,11 +104,10 @@ def cmd_fe(args, out: _Output) -> int:
         rec["empirical"] = {"trials": emp.trials, "rounds": emp.rounds,
                             "mismatches": emp.mismatches}
         lines += ["empirical " + ln for ln in emp.lines()]
-    out.emit(rec, lines)
-    return EXIT_OK if report.is_zero else EXIT_FALSE
+    return EXIT_OK if report.is_zero else EXIT_FALSE, rec, lines
 
 
-def cmd_verify_thm(args, out: _Output) -> int:
+def cmd_verify_thm(args) -> Result:
     w = _load_wiring(args.lzs)
     fun = _load_fun(args.boolfun)
     P = _load_poly(args.invariant) if args.invariant else None
@@ -122,8 +115,7 @@ def cmd_verify_thm(args, out: _Output) -> int:
         try:
             chain = lab.verify_attack(w, fun)
         except lab.HypothesisError as exc:
-            out.emit({"kind": "verify", "error": str(exc)}, ["error: %s" % exc])
-            return EXIT_FALSE
+            return EXIT_FALSE, {"kind": "verify", "error": str(exc)}, ["error: %s" % exc]
     else:  # a supplied non-default invariant gets the end-to-end verdict only
         rs = round_system(w, "expanded", fun)
         report = fe_mod.build_fe(fe_mod.PreparedInvariant(P), rs)
@@ -137,11 +129,10 @@ def cmd_verify_thm(args, out: _Output) -> int:
         "passed": chain.passed,
     }
     lines = chain.lines() if args.report == "steps" else [chain.lines()[-1]]
-    out.emit(rec, lines)
-    return EXIT_OK if chain.passed else EXIT_FALSE
+    return EXIT_OK if chain.passed else EXIT_FALSE, rec, lines
 
 
-def cmd_annihilators(args, out: _Output) -> int:
+def cmd_annihilators(args) -> Result:
     p = _load_poly(args.poly)
     names = p
     if args.vars is not None:
@@ -149,7 +140,7 @@ def cmd_annihilators(args, out: _Output) -> int:
         names = (ring.parse(args.vars.replace(",", "*"), "auto")
                  if args.vars.replace(",", "").strip() else ring.ONE)
         if len(names) != 1 or names == ring.ONE:
-            raise SystemExit2("--vars must list variable names")
+            raise UsageError("--vars must list variable names")
     variables = sorted(names.support())
     basis = boolfun.annihilators(p, variables, args.degree)
     rec = {
@@ -163,20 +154,18 @@ def cmd_annihilators(args, out: _Output) -> int:
              "variables = %s" % ",".join(ring.var_name(v) for v in basis.variables),
              "dimension = %d" % basis.dimension]
     lines += ["basis: %s" % g for g in rec["basis"]]
-    out.emit(rec, lines)
-    return EXIT_OK if basis.dimension > 0 else EXIT_FALSE
+    return EXIT_OK if basis.dimension > 0 else EXIT_FALSE, rec, lines
 
 
-def cmd_absorbers(args, out: _Output) -> int:
+def cmd_absorbers(args) -> Result:
     f = _load_poly(args.poly)
     g = _load_poly(args.candidate)
     verdict = boolfun.is_absorber(f, g)
-    out.emit({"kind": "absorbers", "absorbs": verdict},
-             ["absorbs = %s" % ("true" if verdict else "false")])
-    return EXIT_OK if verdict else EXIT_FALSE
+    return (EXIT_OK if verdict else EXIT_FALSE, {"kind": "absorbers", "absorbs": verdict},
+            ["absorbs = %s" % ("true" if verdict else "false")])
 
 
-def cmd_factor(args, out: _Output) -> int:
+def cmd_factor(args) -> Result:
     p = _load_poly(args.poly)
     trees = lab.explore_factorizations(p, args.trees, args.seed)
     dialect = _dialect(p)
@@ -191,12 +180,11 @@ def cmd_factor(args, out: _Output) -> int:
         records.append({"factors": list(fs), "leaf": leaf, "verified": True})
         lines.append("tree %d: factors = {%s} leaf = %s" % (i, ", ".join(fs), leaf))
     lines.append("distinct factor sets = %d" % len(seen_sets))
-    out.emit({"kind": "factor", "trees": records,
-              "distinct_factor_sets": len(seen_sets)}, lines)
-    return EXIT_OK
+    return EXIT_OK, {"kind": "factor", "trees": records,
+                     "distinct_factor_sets": len(seen_sets)}, lines
 
 
-def cmd_linear_cycle(args, out: _Output) -> int:
+def cmd_linear_cycle(args) -> Result:
     w = _load_wiring(args.lzs)
     ar = lincycle.affine_of(w)
     mask = lincycle.MASKS[args.mask]
@@ -215,11 +203,10 @@ def cmd_linear_cycle(args, out: _Output) -> int:
                         "functionals": funs})
     if not entries:
         lines.append("no invariant functionals up to period %d" % args.max_period)
-    out.emit({"kind": "linear-cycle", "mask": args.mask, "entries": records}, lines)
-    return EXIT_OK
+    return EXIT_OK, {"kind": "linear-cycle", "mask": args.mask, "entries": records}, lines
 
 
-def cmd_search(args, out: _Output) -> int:
+def cmd_search(args) -> Result:
     w = _load_wiring(args.lzs)
     P = _load_poly(args.invariant)
     report = lab.search_random_functions(w, P, args.trials, args.seed)
@@ -230,39 +217,31 @@ def cmd_search(args, out: _Output) -> int:
         "frequency": report.frequency,
         "wilson95": [report.wilson_low, report.wilson_high],
     }
-    out.emit(rec, report.lines())
-    return EXIT_OK
+    return EXIT_OK, rec, report.lines()
 
 
-def cmd_step(args, out: _Output) -> int:
+def cmd_step(args) -> Result:
     w = _load_wiring(args.lzs)
     fun = _load_fun(args.boolfun)
     try:
         state = int(args.state, 16)
     except ValueError:
-        raise SystemExit2("state must be hexadecimal")
+        raise UsageError("state must be hexadecimal")
     if not 0 <= state < 1 << 36:
-        raise SystemExit2("state must be a nonnegative value of at most 36 bits")
+        raise UsageError("state must be a nonnegative value of at most 36 bits")
     if args.rounds < 0:
-        raise SystemExit2("--rounds must be >= 0")
+        raise UsageError("--rounds must be >= 0")
     for _ in range(args.rounds):
         state = step(state, w, fun, args.f, args.k, args.l)
-    out.emit({"kind": "step", "state": "%09x" % state},
-             ["state = %09x" % state])
-    return EXIT_OK
+    return EXIT_OK, {"kind": "step", "state": "%09x" % state}, ["state = %09x" % state]
 
 
-def cmd_validate(args, out: _Output) -> int:
+def cmd_validate(args) -> Result:
     w = _load_wiring(args.lzs)
     rep = validate(w)
     rec = {"kind": "validate", "ok": rep.ok, "errors": list(rep.errors),
            "warnings": list(rep.warnings), "hypotheses": rep.hypotheses}
-    out.emit(rec, rep.lines())
-    return EXIT_OK if rep.ok else EXIT_FALSE
-
-
-class SystemExit2(Exception):
-    """Usage-level failure with a one-line diagnostic."""
+    return EXIT_OK if rep.ok else EXIT_FALSE, rec, rep.lines()
 
 
 @lru_cache(maxsize=None)
@@ -338,18 +317,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    out = _Output(args.format)
     # looked up on every call, so a replaced cmd_* function is the one run
     command = {"fe": cmd_fe, "verify-thm": cmd_verify_thm, "annihilators": cmd_annihilators,
                "absorbers": cmd_absorbers, "factor": cmd_factor,
                "linear-cycle": cmd_linear_cycle, "search": cmd_search, "step": cmd_step,
                "validate": cmd_validate}[args.command]
     try:
-        return command(args, out)
+        code, record, lines = command(args)
+        sys.stdout.write(json.dumps(record) + "\n" if args.format == "json-lines"
+                         else "".join(line + "\n" for line in lines))
+        return code
     except TermBudgetError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_BUDGET
-    except (SystemExit2, ParseError, OSError, ValueError) as exc:
+    except (UsageError, OSError) as exc:  # the user's mistake; any other error is a bug
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except Exception:

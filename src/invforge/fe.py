@@ -16,7 +16,7 @@ DEFAULT_BUDGET = 1 << 22
 MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
 
 
-class NonStateVariableError(ValueError):
+class NonStateVariableError(ring.UsageError):
     def __init__(self, bad):
         names = ",".join(ring.var_name(v) for v in sorted(bad))
         super().__init__("invariant candidate uses non-state variables: %s" % names)
@@ -42,6 +42,14 @@ class FeReport:
         return self.poly if self.anf is None else ring.poly_from_anf_bits(*self.anf)
 
     @cached_property
+    def text(self) -> Optional[str]:
+        """The FE as printed: "0", its rendering up to MAX_RENDER_TERMS
+        terms, or None past that, where size alone is reported."""
+        if self.is_zero:
+            return "0"
+        return ring.render(self.fe) if self.size[0] <= MAX_RENDER_TERMS else None
+
+    @cached_property
     def size(self) -> Tuple[int, int]:
         if self.anf is None:
             return len(self.fe), self.fe.degree()
@@ -51,17 +59,10 @@ class FeReport:
                                       if bits & layer), default=-1)
 
     def lines(self) -> List[str]:
-        out = []
-        if self.is_zero:
-            out.append("fe = 0")
-        elif self.size[0] <= MAX_RENDER_TERMS:
-            out.append("fe = %s" % ring.render(self.fe))
-        else:
-            out.append("fe = <%d terms, degree %d>" % self.size)
-        out.append("is_zero = %s" % ("true" if self.is_zero else "false"))
-        out.append("depends_on = %s" % (",".join(self.depends_on) or "-"))
-        out.append("mode = %s" % self.mode)
-        return out
+        return ["fe = %s" % (self.text or "<%d terms, degree %d>" % self.size),
+                "is_zero = %s" % ("true" if self.is_zero else "false"),
+                "depends_on = %s" % (",".join(self.depends_on) or "-"),
+                "mode = %s" % self.mode]
 
 
 class PreparedInvariant:
@@ -214,7 +215,7 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
     build_fe says is_zero.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ring.UsageError("trials must be >= 1")
     anf = LanePlan(fun.anf_poly())
     rng = random.Random(seed)
     mism = 0

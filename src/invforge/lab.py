@@ -264,16 +264,16 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
     yields a single chain with no factors.  A chain that does not re-multiply
     to p raises ArithmeticError.  The candidates of each node are computed
     once, and kept with the node's truth table, which each division reuses.
-    Raises ValueError for max_trees < 1, p = 0 or p over more than MAX_SPLIT_VARS.
+    Raises UsageError for max_trees < 1, p = 0 or p over more than MAX_SPLIT_VARS.
     """
     if max_trees < 1:
-        raise ValueError("trees must be >= 1")
+        raise ring.UsageError("trees must be >= 1")
     if not p:
-        raise ValueError("cannot factor the zero polynomial")
+        raise ring.UsageError("cannot factor the zero polynomial")
     n = len(p.support())
     if n > MAX_SPLIT_VARS:
-        raise ValueError("cannot factor a polynomial over %d variables: the affine "
-                         "factor search is limited to %d" % (n, MAX_SPLIT_VARS))
+        raise ring.UsageError("cannot factor a polynomial over %d variables: the affine "
+                              "factor search is limited to %d" % (n, MAX_SPLIT_VARS))
     rng = random.Random(seed)
     pools: Dict[Poly, Tuple[List[Poly], int]] = {}
     seen = set()
@@ -364,7 +364,7 @@ def search_random_functions(w: Wiring, P: Poly, trials: int, seed: int) -> Searc
     byte-reproducible.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ring.UsageError("trials must be >= 1")
     prepared = fe_mod.PreparedInvariant(P)
     hits = []
     for i in range(trials):

@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import gf2
 from .boolfun import ZERO_FUN
 from .cipher import Wiring, round_system
-from .ring import F_BIT, K_BIT, L_BIT, N_STATE
+from .ring import F_BIT, K_BIT, L_BIT, N_STATE, UsageError
 
 # "active bits (out of 26)": weight restricted to the lowercase letter
 # coordinates x11..x36 by default; configurable by mask.
@@ -133,9 +133,9 @@ def linear_invariant_periods(ar: AffineRound, max_period: int) -> List[PeriodEnt
     combination search over the period-k basis.
     """
     if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+        raise UsageError("max_period must be >= 1")
     if max_period > MAX_PERIOD_GUARD:
-        raise ValueError("max_period %d exceeds the guard of %d"
+        raise UsageError("max_period %d exceeds the guard of %d"
                          % (max_period, MAX_PERIOD_GUARD))
     s_basis, action = annihilator_action(ar)
     s = len(s_basis)

@@ -68,7 +68,11 @@ def var_name(v: int) -> str:
     return NAMES[v]
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """The user's input or flags are wrong: the CLI exits 2 with the message."""
+
+
+class ParseError(UsageError):
     """Malformed polynomial text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -217,8 +221,9 @@ def mul(p: Poly, q: Poly, budget: int | None = None) -> Poly:
 
 def product(ps: Sequence[Poly], budget: int | None = None) -> Poly:
     """Product of several polynomials, multiplied smallest first; the
-    budget is checked against each intermediate.  An exact verdict over
-    at most MAX_DENSE_VARS variables ANDs product_table instead."""
+    budget is checked against each intermediate and, by mul, each running
+    sum, so it can refuse a budget that every intermediate fits.  An exact
+    verdict over at most MAX_DENSE_VARS variables ANDs product_table instead."""
     ps = ps or [ONE]  # the empty product, checked against the budget too
     acc = ONE
     for p in sorted(ps, key=len):
@@ -413,10 +418,6 @@ def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
     if len(set(variables)) == n:
         return Poly._raw(frozenset(terms))
     return Poly(terms)
-
-
-def evaluate(p: Poly, assignment: Mapping[int, int]) -> int:
-    return p.evaluate(assignment)
 
 
 def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) -> Poly:

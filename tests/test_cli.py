@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import invforge
-from invforge import cli, fe as fe_mod, lab, lincycle, ring
+from invforge import boolfun, cipher, cli, fe as fe_mod, lab, lincycle, ring
 from invforge.boolfun import affine_factor_solutions, random_boolfun, truth_table
 from invforge.data import fixture_path, fixture_text
 
@@ -162,7 +162,7 @@ class TestVerdictsAndExitCodes:
 
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("boom")])
     def test_internal_error_exit_four(self, monkeypatch, capsys, exc):
-        def broken(args, out):
+        def broken(args):
             raise exc
         monkeypatch.setattr(cli, "cmd_validate", broken)
         assert cli.main(["validate", "--lzs", LZS]) == cli.EXIT_INTERNAL == 4
@@ -315,6 +315,118 @@ class TestVerdictsAndExitCodes:
         r = run_cli("validate", "--lzs", LZS)
         assert r.returncode == 0
         assert "wiring: valid" in r.stdout
+
+
+def _stdin(data: bytes):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+FE_ZREF = ["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", ZREF]
+STEP = ["step", "--lzs", LZS, "--boolfun", ZREF]
+
+
+class TestErrorContract:
+    """A ring.UsageError or OSError exits 2 with one error line and no
+    stdout; any other exception, a ValueError included, is a bug: exit 4."""
+
+    # (argv, stdin bytes, a part of the message); NONUTF8 is a file of
+    # bytes that are not UTF-8
+    USAGE = {
+        "parse": (["fe", "--lzs", LZS, "--invariant", "-", "--boolfun", ZREF],
+                  b"a+?\n", "unknown variable '?'"),
+        "wiring": (["validate", "--lzs", "-"], b"D = 1 2\nP = 1\n", "D must have 9 entries"),
+        "system-too-large": (["annihilators", "--poly", "-", "--degree", "1"],
+                             b"abcdefghijklmnopqrstu\n", "exceeds the 2^20-point limit"),
+        "degree-bound": (["annihilators", "--poly", MU, "--degree", "99"], b"",
+                         "degree bound 99 is outside 0..6"),
+        "non-state-fe": (["fe", "--lzs", LZS, "--invariant", MU, "--boolfun", ZREF], b"",
+                         "non-state variables: B,C,D,F,G,H"),
+        "non-state-search": (["search", "--lzs", LZS, "--invariant", MU, "--trials", "4"],
+                             b"", "non-state variables: B,C,D,F,G,H"),
+        "boolfun-letters": (["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", "-"],
+                            b"a+g\n", "variable outside a..f: g"),
+        "factor-trees": (["factor", "--poly", MU, "--trees", "0"], b"", "trees must be >= 1"),
+        "factor-zero": (["factor", "--poly", "-"], b"0\n",
+                        "cannot factor the zero polynomial"),
+        "factor-wide": (["factor", "--poly", "-"], b"abcdefghijklmnopq\n",
+                        "over 17 variables: the affine factor search is limited to 16"),
+        "search-trials": (["search", "--lzs", LZS, "--invariant", INV7, "--trials", "0"], b"",
+                          "trials must be >= 1"),
+        "empirical-trials": ([*FE_ZREF, "--empirical-trials", "-5"], b"",
+                             "trials must be >= 1"),
+        "max-period-0": (["linear-cycle", "--lzs", LZS, "--max-period", "0"], b"",
+                         "max_period must be >= 1"),
+        "max-period-4097": (["linear-cycle", "--lzs", LZS, "--max-period", "4097"], b"",
+                            "max_period 4097 exceeds the guard of 4096"),
+        "vars-uncovered": (["annihilators", "--poly", "-", "--degree", "1", "--vars", "a"],
+                           b"ab\n", "polynomial uses b outside the declared variables"),
+        "vars-lone-f": (["annihilators", "--poly", "-", "--degree", "1", "--vars", "F"],
+                        b"BF+F\n", "polynomial uses B outside the declared variables"),
+        "vars-blank": (["annihilators", "--poly", MU, "--degree", "1", "--vars", ","], b"",
+                       "--vars must list variable names"),
+        "budget": (["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic", "--budget", "0"],
+                   b"", "--budget must be >= 1"),
+        "no-boolfun": (["fe", "--lzs", LZS, "--invariant", INV7], b"",
+                       "fe requires --boolfun unless --symbolic is given"),
+        "symbolic-empirical": (["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic",
+                                "--empirical-trials", "9"], b"",
+                               "--empirical-trials needs --boolfun, not --symbolic"),
+        "symbolic-boolfun": ([*FE_ZREF, "--symbolic"], b"",
+                             "--symbolic solves for the function"),
+        "seed": ([*FE_ZREF, "--seed", "1"], b"", "--seed seeds the empirical check"),
+        "state-hex": ([*STEP, "--state", "zzz"], b"", "state must be hexadecimal"),
+        "state-range": ([*STEP, "--state", "1000000000"], b"", "of at most 36 bits"),
+        "rounds": ([*STEP, "--state", "1", "--rounds", "-1"], b"", "--rounds must be >= 0"),
+        "missing-file": (["validate", "--lzs", "missing.cfg"], b"", "No such file"),
+        "non-utf8-file": (["factor", "--poly", "NONUTF8"], b"",
+                          "NONUTF8: 'utf-8' codec can't decode byte 0xff"),
+        "non-utf8-stdin": (["factor", "--poly", "-"], b"\xff\n",
+                           "stdin: 'utf-8' codec can't decode byte 0xff"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE))
+    def test_usage_error_exit_two(self, tmp_path, monkeypatch, capsys, case):
+        argv, data, message = self.USAGE[case]
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(b"\xff\n")
+        monkeypatch.setattr(sys, "stdin", _stdin(data))
+        argv = [str(bad) if a == "NONUTF8" else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert message.replace("NONUTF8", str(bad)) in err
+
+    def test_named_errors_are_usage_errors(self):
+        for cls in (ring.ParseError, cipher.WiringError, boolfun.SystemTooLargeError,
+                    boolfun.DegreeBoundError, fe_mod.NonStateVariableError):
+            assert issubclass(cls, ring.UsageError), cls
+
+    @staticmethod
+    def _boom(*args):
+        raise ValueError("boom")
+
+    @staticmethod
+    def _unpack(*args):
+        first, second = args[:1]  # a failed unpack: Python's own ValueError
+
+    @staticmethod
+    def _int(*args):
+        return int("not a number")
+
+    @pytest.mark.parametrize("module,name,broken,argv", [
+        (fe_mod, "substitute", "_boom", FE_ZREF),
+        (fe_mod, "mobius", "_unpack", FE_ZREF),
+        (lab, "factor_out", "_boom", ["factor", "--poly", MU]),
+        (lincycle, "_prime_factors", "_boom", ["linear-cycle", "--lzs", LZS]),
+        (lincycle, "_prime_factors", "_int", ["linear-cycle", "--lzs", LZS]),
+    ], ids=["fe", "fe-unpack", "factor", "linear-cycle", "linear-cycle-int"])
+    def test_internal_value_error_exit_four(self, monkeypatch, capsys, module, name,
+                                            broken, argv):
+        monkeypatch.setattr(module, name, getattr(self, broken))
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("Traceback")
+        assert err.splitlines()[-1].startswith("ValueError: "), err
 
 
 class TestFormatsAndInputs:

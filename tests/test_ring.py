@@ -9,7 +9,7 @@ from invforge import ring
 from invforge.boolfun import vector_to_affine
 from invforge.ring import (
     ONE, ZERO, NotAFactorError, ParseError, Poly, UnassignedVariableError,
-    add, evaluate, factor_out, mul, parse, render, state_var, substitute, var,
+    add, factor_out, mul, parse, render, state_var, substitute, var,
 )
 from reference import anf_bits_per_bit, factor_out_by_substitution
 
@@ -330,14 +330,14 @@ class TestProduct:
 class TestEvaluate:
     def test_examples(self):
         p = parse("ab+c")
-        assert evaluate(p, {0: 1, 1: 1, 2: 1}) == 0
-        assert evaluate(ONE, {}) == 1
+        assert p.evaluate({0: 1, 1: 1, 2: 1}) == 0
+        assert ONE.evaluate({}) == 1
         bd = parse("bd")
-        assert evaluate(bd, {1: 1, 3: 1}) == 1
+        assert bd.evaluate({1: 1, 3: 1}) == 1
 
     def test_missing_variable(self):
         with pytest.raises(UnassignedVariableError) as err:
-            evaluate(parse("ab"), {0: 1})
+            parse("ab").evaluate({0: 1})
         assert err.value.missing == (1,)
 
     def test_homomorphism_fuzz(self):
@@ -345,8 +345,8 @@ class TestEvaluate:
         for _ in range(1000):
             p, q = rand_poly(rng, 6, 12), rand_poly(rng, 6, 12)
             a = {v: rng.getrandbits(1) for v in range(6)}
-            assert evaluate(mul(p, q), a) == (evaluate(p, a) & evaluate(q, a))
-            assert evaluate(add(p, q), a) == (evaluate(p, a) ^ evaluate(q, a))
+            assert mul(p, q).evaluate(a) == (p.evaluate(a) & q.evaluate(a))
+            assert add(p, q).evaluate(a) == (p.evaluate(a) ^ q.evaluate(a))
 
 
 class TestSubstitute:

@@ -17,7 +17,6 @@ SRC = os.path.dirname(invforge.__file__)
 
 KEEP = {
     "ring.Poly.evaluate": "the tests' pointwise oracle for every evaluator",
-    "ring.evaluate": "the tests' pointwise oracle, as a ring function",
     "fe.check_candidate": "the planned exact FE solver checks its solutions with it",
     "fe.substitute_coefficients": "check_candidate's substitution, for the same solver",
     "cipher.random_wiring": "the planned solve, invariants and degree-d searches "
