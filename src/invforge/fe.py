@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_, xor
 from typing import Dict, List, Optional, Tuple
 
 from . import ring
@@ -14,6 +15,8 @@ from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, coef_var, mobi
 
 DEFAULT_BUDGET = 1 << 22
 MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
+_COEFS = frozenset(range(COEF_BASE, COEF_BASE + 64))  # the VarIds of Z00..Z63
+_COEF_MASK = sum(1 << v for v in _COEFS)
 
 
 class NonStateVariableError(ring.UsageError):
@@ -26,20 +29,27 @@ class NonStateVariableError(ring.UsageError):
 class FeReport:
     """The verdicts on a fundamental equation: is_zero, and depends_on, the
     non-state variables it holds.  build_fe keeps the FE as poly where it
-    multiplied it out, or as anf, its ANF bits over the sorted variables
-    they index, where it decided on tables; fe is the polynomial either
-    way (built from anf on first read, and kept), and size, its (terms,
-    degree), is read off anf without building it."""
+    multiplied it out.  Where it counted it on tables over n variables it
+    keeps counts, (terms, layers, n): layers[d] is the OR of the ANF bits
+    of the keys with d coefficient symbols; images, P then its parts'
+    images; and, where no symbol occurs, anf, the ANF bits with their
+    sorted variables.  fe is the polynomial either way, built on first
+    read (from anf, else by ring.product over images) and kept."""
 
     is_zero: bool
     depends_on: Tuple[str, ...]
     mode: str
     poly: Optional[Poly] = field(default=None, repr=False)
     anf: Optional[Tuple[int, Tuple[int, ...]]] = field(default=None, repr=False)
+    counts: Optional[Tuple[int, Tuple[int, int, int], int]] = None
+    images: Tuple[Poly, ...] = field(default=(), repr=False)
 
     @cached_property
     def fe(self) -> Poly:
-        return self.poly if self.anf is None else ring.poly_from_anf_bits(*self.anf)
+        if self.anf is not None:
+            return ring.poly_from_anf_bits(*self.anf)
+        fold = self.poly is None  # counted with coefficient symbols: fold the images
+        return add(self.images[0], ring.product(self.images[1:])) if fold else self.poly
 
     @cached_property
     def text(self) -> Optional[str]:
@@ -51,12 +61,18 @@ class FeReport:
 
     @cached_property
     def size(self) -> Tuple[int, int]:
-        if self.anf is None:
+        if not self.counts:
             return len(self.fe), self.fe.degree()
-        bits, variables = self.anf  # the degree is the highest weight layer the bits meet
-        return bits.bit_count(), max((d for d, layer in
-                                      enumerate(ring.weight_layers(len(variables)))
-                                      if bits & layer), default=-1)
+        terms, layers, n = self.counts  # a degree: d plus the highest weight layer met
+        weights = ring.weight_layers(n)
+        return terms, max((d + max(w for w, mask in enumerate(weights) if bits & mask)
+                           for d, bits in enumerate(layers) if bits), default=-1)
+
+    @cached_property
+    def system(self) -> "CoefficientSystem":
+        """coefficient_system(fe), without fe where a term holds two symbols."""
+        nonlinear = self.counts and self.counts[1][2]
+        return CoefficientSystem(False, ()) if nonlinear else coefficient_system(self.fe)
 
     def lines(self) -> List[str]:
         return ["fe = %s" % (self.text or "<%d terms, degree %d>" % self.size),
@@ -92,32 +108,74 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     """FE = P + P(outputs-as-inputs), fully expanded and canonicalized; the
     image of P is the product of its parts' images.
 
-    Where U, the variables of P and of its parts' images, number at most
-    ring.MAX_DENSE_VARS, the verdicts are read off truth tables over U:
-    is_zero iff the AND of P's parts' tables equals the images', and
-    depends_on lists the non-state variables the image's table depends
-    on.  The budget then bounds the image's term count only.  Past that
-    size ring.product multiplies the images out, the budget bounding each
-    intermediate.
+    Where V, the variables of P and of its parts' images other than the
+    coefficient symbols Z00..Z63, number at most ring.MAX_DENSE_VARS, and
+    at most two images hold such symbols, each affine in them, the FE is
+    counted on truth tables over V.  Each image splits by key, its
+    coefficient monomial, into tables; the symbol-free images AND into one.
+    The product's tables are formed one output key at a time (key 0 alone
+    where no symbol occurs), transformed to ANF bits, counted and dropped;
+    the budget bounds the image's term count as it is summed.  Otherwise
+    ring.product multiplies the images out, budgeting each intermediate.
 
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
     """
     sub = rs.as_substitution()
     images = [substitute(f, sub, budget) for f in P.parts]
-    variables = tuple(sorted(P.support.union(*(g.support() for g in images))))
+    supports = [g.support() for g in images]
+    variables = tuple(sorted(P.support.union(*supports) - _COEFS))
     n = len(variables)
-    if n > ring.MAX_DENSE_VARS:
+    keyed = [_by_key(g) for g, s in zip(images, supports) if s & _COEFS]
+    if (n > ring.MAX_DENSE_VARS or len(keyed) > 2
+            or any(k & (k - 1) for split in keyed for k in split)):
         fe = add(P.poly, ring.product(images, budget))
         depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
         return FeReport(not fe, depends_on, rs.mode, poly=fe)
-    table = ring.product_table(images, variables)
-    if budget is not None and mobius(table, n).bit_count() > budget:
-        raise TermBudgetError(budget)
-    depends_on = tuple(ring.var_name(v) for i, v in enumerate(variables)
-                       if v >= N_STATE and ring.table_depends(table, n, i))
-    anf = mobius(table ^ ring.product_table(P.parts, variables), n)
-    return FeReport(not anf, depends_on, rs.mode, anf=(anf, variables))
+    p_table = ring.product_table(P.parts, variables)
+    stream = {0: ring.product_table([g for g, s in zip(images, supports) if not s & _COEFS],
+                                    variables)}.items()
+    for split in keyed:  # the last product is formed one output key at a time
+        stream = _keyed_product(dict(stream), {k: ring.product_table([c], variables)
+                                               for k, c in split.items()})
+    layers = [0, 0, 0]  # by the symbols in a key: the OR of those keys' FE ANF bits
+    count = terms = held_coefs = 0
+    for key, table in stream:
+        anf = mobius(table if key else table ^ p_table, n)  # FE = P + image: P is in key 0
+        size = anf.bit_count()
+        if budget is not None:  # the budget bounds the image's terms
+            count += size if key else mobius(table, n).bit_count()
+            if count > budget:
+                raise TermBudgetError(budget)
+        if size:
+            terms += size
+            held_coefs |= key
+            layers[key.bit_count()] |= anf
+    held = reduce(or_, layers)
+    depends_on = [ring.var_name(v) for i, v in enumerate(variables)  # ANF indices holding i
+                  if v >= N_STATE and held & ring.affine_table(2 << i, n)]
+    depends_on += [ring.var_name(v) for v in sorted(_COEFS) if held_coefs >> v & 1]
+    return FeReport(not terms, tuple(depends_on), rs.mode,
+                    anf=None if keyed else (layers[0], variables),
+                    counts=(terms, tuple(layers), n), images=(P.poly, *images))
+
+
+def _by_key(g: Poly) -> Dict[int, Poly]:
+    """g's cofactors by key, the product of symbols Z00..Z63 (0 always present)."""
+    groups: Dict[int, List[int]] = {0: []}
+    for t in g.terms:
+        groups.setdefault(t & _COEF_MASK, []).append(t & ~_COEF_MASK)
+    return {k: Poly(ts) for k, ts in groups.items()}
+
+
+def _keyed_product(a: Dict[int, int], b: Dict[int, int]):
+    """The product of two keyed tables (key -> table), one output key at a time."""
+    pairs: Dict[int, List[Tuple[int, int]]] = {}
+    for j in a:
+        for k in b:
+            pairs.setdefault(j | k, []).append((j, k))
+    for key, ps in pairs.items():
+        yield key, reduce(xor, (a[j] & b[k] for j, k in ps))
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,
@@ -143,11 +201,6 @@ def check_candidate(fe_symbolic: Poly, fun: BoolFun6) -> bool:
 # ---------------------------------------------------------------------------
 # Coefficient-wise linear system extraction.
 
-_COEF_MASK = 0
-for _j in range(64):
-    _COEF_MASK |= 1 << (COEF_BASE + _j)
-del _j
-
 
 @dataclass(frozen=True)
 class CoefficientSystem:
@@ -170,9 +223,8 @@ class CoefficientSystem:
 
 
 def coefficient_system(fe: Poly) -> CoefficientSystem:
-    for t in fe.terms:
-        if (t & _COEF_MASK).bit_count() >= 2:
-            return CoefficientSystem(False, ())
+    if any((t & _COEF_MASK).bit_count() >= 2 for t in fe.terms):
+        return CoefficientSystem(False, ())
     groups: Dict[int, List[int]] = {}
     for t in fe.terms:
         groups.setdefault(t & ~_COEF_MASK, []).append(t & _COEF_MASK)

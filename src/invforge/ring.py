@@ -325,12 +325,6 @@ def affine_table(vec: int, n: int) -> int:
     return out
 
 
-def table_depends(table: int, n: int, i: int) -> bool:
-    """Does the function with this n-input truth table depend on input i?
-    Over polynomials: does its ANF hold the variable of input i?"""
-    return bool((table ^ table >> (1 << i)) & _zero_bit_mask(i, n))
-
-
 def _affine_vector(p: Poly, index: Mapping[int, int]) -> int:
     """p, of degree <= 1, as the vector affine_table reads: bit 0 its
     constant term, bit index[v] + 1 its coefficient of v."""

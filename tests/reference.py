@@ -21,6 +21,12 @@ from invforge.ring import (
 )
 
 
+def table_depends(table: int, n: int, i: int) -> bool:
+    """Does the function with this n-input truth table depend on input i:
+    do its two halves at input i = 0 and input i = 1 differ?"""
+    return bool((table ^ table >> (1 << i)) & ring.affine_table(1 | 2 << i, n))
+
+
 def expand_forms_by_substitution(p: Poly) -> Poly:
     """lab.expand_forms by sparse substitution of each letter's two bits."""
     return substitute(p, {form_var(n): f for n, f in lab.form_bank().items()})

@@ -99,6 +99,44 @@ class TestVerdictsAndExitCodes:
         assert unbounded.returncode == r.returncode == 0
         assert r.stdout == unbounded.stdout
 
+    def test_symbolic_budget_pins_at_the_image(self, capsys):
+        # symbolic fe --budget bounds the term count of P's image, 111,584
+        # terms on the shipped wiring, summed over the coefficient keys
+        argv = ["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"]
+        assert cli.main(argv) == 0
+        unbounded = capsys.readouterr().out
+        assert cli.main(argv + ["--budget", "111584"]) == 0
+        assert capsys.readouterr().out == unbounded
+        assert cli.main(argv + ["--budget", "111583"]) == cli.EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("error: ")) == ("", 1)
+
+    def test_symbolic_fe_is_counted_not_built(self, capsys, monkeypatch):
+        # the nonlinear FE of 110,720 terms is neither folded nor read: the
+        # only ring.product call is affine_split's check of P's split
+        callers = []
+        real = ring.product
+        monkeypatch.setattr(ring, "product", lambda *args: callers.append(
+            sys._getframe(1).f_code.co_name) or real(*args))
+        assert cli.main(["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"]) == 0
+        assert capsys.readouterr().out.startswith("fe = <110720 terms, degree 13>\n")
+        assert callers == ["affine_split"]
+
+    def test_expanded_fe_gets_the_default_budget(self, tmp_path, capsys, monkeypatch):
+        # on a random wiring the degree-7 invariant's U passes 20 variables, so
+        # build_fe folds the images; fe.DEFAULT_BUDGET bounds that fold
+        w = cipher.random_wiring(0)
+        lzs = tmp_path / "rand.cfg"
+        lzs.write_text("D = %s\nP = %s\n" % (",".join(map(str, w.d)), ",".join(map(str, w.p))))
+        argv = ["fe", "--lzs", str(lzs), "--invariant", INV7, "--boolfun", ZREF]
+        assert cli.main(argv) == cli.EXIT_FALSE
+        assert capsys.readouterr().out.startswith("fe = <")
+        monkeypatch.setattr(fe_mod, "DEFAULT_BUDGET", 1000)
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("error: ")) == ("", 1)
+        assert cli.main(argv + ["--budget", str(fe_mod.DEFAULT_BUDGET << 20)]) == cli.EXIT_FALSE
+
     def test_verify_thm_supplied_invariant_summary(self):
         steps = run_cli("verify-thm", "--lzs", LZS, "--boolfun", ZREF,
                         "--invariant", INV827)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from invforge.cipher import (
     LanePlan, RoundSystem, Wiring, eval_poly_lanes, random_wiring, round_system, state_var,
     step_lanes,
 )
+from invforge.data import fixture_text
 from invforge.fe import (
     DEFAULT_BUDGET, NonStateVariableError, PreparedInvariant, build_fe, check_candidate,
     check_invariant_empirically, coefficient_system, substitute_coefficients,
@@ -399,6 +401,94 @@ class TestSymbolic:
         rs = round_system(wiring, "symbolic")
         with pytest.raises(TermBudgetError):
             symbolic_fe(PreparedInvariant(invariant_deg7), rs, budget=500)
+
+
+class TestKeyedSymbolic:
+    """Symbolic FEs counted on tables over V, one coefficient key at a time,
+    against the fold: every field is read off add(P, ring.product(images))."""
+
+    @staticmethod
+    def _check(prepared, rs, monkeypatch):
+        """build_fe's report against the fold; returns the path it took."""
+        images = [substitute(f, rs.as_substitution()) for f in prepared.parts]
+        fe = add(prepared.poly, ring.product(images))
+        folds = []
+        real_product = ring.product
+        monkeypatch.setattr(ring, "product",
+                            lambda *args: folds.append(1) or real_product(*args))
+        report = build_fe(prepared, rs, DEFAULT_BUDGET)
+        path = "fold" if folds else "keyed"
+        monkeypatch.undo()
+        assert report.is_zero == (not fe)
+        assert report.depends_on == tuple(ring.var_name(v) for v in sorted(fe.support())
+                                          if v >= ring.N_STATE)
+        assert report.size == (len(fe), fe.degree())
+        assert report.system.lines() == coefficient_system(fe).lines()  # linear or not
+        assert report.fe == fe
+        oracle = fe_mod.FeReport(not fe, report.depends_on, rs.mode, poly=fe)
+        assert cli._fe_record(report) == cli._fe_record(oracle)
+        return path
+
+    def test_keyed_path_matches_the_fold(self, wiring, invariant_deg7, monkeypatch):
+        # on the shipped and conforming wirings the degree-7 invariant's V is
+        # its 16 bits and two of its factor images carry one instance each:
+        # keyed.  Random wirings spread that V past 20 bits: the fold (run on
+        # one of them, about 2.5 s with the oracle).  The small invariants
+        # take tables on the conforming wirings, with 0 to 2 instance-carrying
+        # images, and either path on the random ones
+        assert parse(fixture_text("invariant-deg7-alt.poly")) == invariant_deg7
+        rng = random.Random(3)
+        bank = lab.form_bank()
+        small = [ring.ZERO, ONE, parse(fixture_text("invariant-827.poly"))]
+        for _ in range(4):  # seeded products of 2 to 4 of the forms A..H
+            small.append(ring.product([add(bank[c], ONE) if rng.getrandbits(1) else bank[c]
+                                       for c in rng.sample("ABCDEFGH", rng.randint(2, 4))]))
+        conforming = [wiring] + [random_wiring(s, conforming=True) for s in range(8)]
+        paths = {"keyed": 0, "fold": 0}
+        carrying = set()
+        randoms = [random_wiring(s) for s in range(4)]
+        for w in conforming + randoms:
+            rs = round_system(w, "symbolic")
+            for p in small + ([] if w in randoms[1:] else [invariant_deg7]):
+                prepared = PreparedInvariant(p)
+                path = self._check(prepared, rs, monkeypatch)
+                if p is invariant_deg7:
+                    assert path == ("keyed" if w in conforming else "fold")
+                elif w in conforming:
+                    assert path == "keyed"
+                    carrying.add(sum(bool(substitute(f, rs.as_substitution()).support()
+                                          & fe_mod._COEFS) for f in prepared.parts))
+                paths[path] += 1
+        assert paths == {"keyed": 96, "fold": 5} and carrying == {0, 1, 2}
+
+    @pytest.mark.parametrize("images,factors,path", [
+        # two images carry symbols, each affine in them: keyed
+        ({"a": "b+Z00", "b": "c+Z01*d"}, ["a+1", "b+1"], "keyed"),
+        # three images carry symbols: the fold, though V has 4 bits
+        ({"a": "b+Z00", "b": "c+Z01*d", "c": "d+Z02"}, ["a+1", "b+1", "c+1"], "fold"),
+        # one image holds a product of two symbols: the fold
+        ({"a": "b+Z00*Z01*c"}, ["a+1"], "fold"),
+    ])
+    def test_keyed_rule_on_hand_made_rounds(self, images, factors, path, monkeypatch):
+        rs = RoundSystem("symbolic", _hand_made_round(images).outputs)
+        prepared = PreparedInvariant(ring.product([parse(f) for f in factors]))
+        assert len(prepared.parts) == len(factors) + 1
+        assert self._check(prepared, rs, monkeypatch) == path
+
+    def test_counted_in_little_memory(self, wiring, invariant_deg7):
+        # the 110,720-term FE is never built: at most 2 x 65 tables of 2^16
+        # bits and one output table are held at a time
+        prepared = PreparedInvariant(invariant_deg7)
+        prepared.parts
+        rs = round_system(wiring, "symbolic")
+        tracemalloc.start()
+        try:
+            report = symbolic_fe(prepared, rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.size == (110720, 13) and not report.system.linear
+        assert peak < 4 << 20
 
 
 class TestCoefficientSystem:

@@ -2,8 +2,9 @@
 
 A traced benchmark run fails when a workload never calls one of the layer
 functions invbench/workloads.py lists for it.  These tests run one
-`search` op that has a screen survivor, one `prove` pass and one
-`linear-cycle` op under invbench's own tracer and check the same list.
+`search` op that has a screen survivor, one `prove` pass, one
+`linear-cycle` op and one full `fe --symbolic` op with one budget op
+under invbench's own tracer and check the same list.
 """
 
 import contextlib
@@ -42,14 +43,16 @@ def _reached(tracer, ops):
     t.install()
     try:
         for op in ops:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(list(op["argv"])) in (0, 1), op["argv"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(op["argv"]))
+            assert code in ((3,) if op["kind"] == "budget" else (0, 1)), op["argv"]
     finally:
         t.uninstall()
     return {name for name, (calls, _total, _child) in t.stats.items() if calls}
 
 
-@pytest.mark.parametrize("workload", ["search", "prove", "lincycle"])
+@pytest.mark.parametrize("workload", ["search", "prove", "lincycle", "symbolic"])
 def test_workload_reaches_every_must_call_name(invbench, tmp_path, workload):
     gen, tracer, workloads = invbench
     d = str(tmp_path)
@@ -60,6 +63,8 @@ def test_workload_reaches_every_must_call_name(invbench, tmp_path, workload):
         ops = [workloads.search(d, workloads.SHIPPED_LZS, 5, 5)]
     elif workload == "lincycle":
         ops = workloads.lincycle_pass(d, 1, 0)[:1]
+    elif workload == "symbolic":
+        ops = workloads.symbolic_pass(d, 1, 0)[1:]  # a conforming wiring, then the budget op
     else:
         ops = workloads.prove_pass(d, 1, 0)
     missed = set(workloads.MUST_CALL[workload]) - _reached(tracer, ops)

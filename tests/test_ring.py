@@ -11,7 +11,7 @@ from invforge.ring import (
     ONE, ZERO, NotAFactorError, ParseError, Poly, UnassignedVariableError,
     add, factor_out, mul, parse, render, state_var, substitute, var,
 )
-from reference import anf_bits_per_bit, factor_out_by_substitution
+from reference import anf_bits_per_bit, factor_out_by_substitution, table_depends
 
 # VarId pools of the two text dialects: the state dialect's variables span
 # the monomial bytes of the state bits, F/K/L, the placeholders and Z00..Z63;
@@ -300,15 +300,18 @@ class TestProduct:
     def test_product_table_and_its_dependence(self, ps, extra):
         # over the support and extra unused variables: affine factors take
         # affine_table, the others their ANF; the product's ANF holds a
-        # variable iff its table depends on it
+        # variable iff its table depends on it, and iff the ANF bits meet
+        # that variable's table (some index holds it)
         fold = functools.reduce(mul, ps, ONE)
         variables = sorted(set(_support(ps)) | {60 + i for i in range(extra)})
         assume(len(variables) <= 16)
         n = len(variables)
         table = ring.product_table(ps, variables)
-        assert table == ring.mobius(ring.anf_bits(fold, variables), n)
-        assert [ring.table_depends(table, n, i) for i in range(n)] == [
-            v in fold.support() for v in variables]
+        anf = ring.anf_bits(fold, variables)
+        assert table == ring.mobius(anf, n)
+        held = [v in fold.support() for v in variables]
+        assert [table_depends(table, n, i) for i in range(n)] == held
+        assert [bool(anf & ring.affine_table(2 << i, n)) for i in range(n)] == held
 
     def test_anf_roundtrip_and_decoder(self):
         rng = random.Random(8)
