@@ -82,9 +82,8 @@ def cmd_fe(args) -> Result:
     if args.seed is not None and not args.empirical_trials:
         raise UsageError("--seed seeds the empirical check: it needs --empirical-trials")
     P = fe_mod.PreparedInvariant(P)
-    budget = args.budget or fe_mod.DEFAULT_BUDGET
     if args.symbolic:
-        report = fe_mod.symbolic_fe(P, round_system(w, "symbolic"), budget)
+        report = fe_mod.symbolic_fe(P, round_system(w, "symbolic"), args.budget)
         system = report.system
         rec = _fe_record(report)
         rec["coefficient_system"] = (
@@ -94,7 +93,7 @@ def cmd_fe(args) -> Result:
         return EXIT_OK, rec, report.lines() + system.lines()
     fun = _load_fun(args.boolfun)
     rs = round_system(w, "expanded", fun)
-    report = fe_mod.build_fe(P, rs, budget)
+    report = fe_mod.build_fe(P, rs, args.budget)
     rec = _fe_record(report)
     lines = report.lines()
     if args.empirical_trials:

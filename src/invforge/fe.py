@@ -117,10 +117,13 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     where no symbol occurs), transformed to ANF bits, counted and dropped;
     the budget bounds the image's term count as it is summed.  Otherwise
     ring.product multiplies the images out, budgeting each intermediate.
+    The budget, DEFAULT_BUDGET where none is given, also bounds each
+    image's substitution.
 
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
     """
+    budget = DEFAULT_BUDGET if budget is None else budget
     sub = rs.as_substitution()
     images = [substitute(f, sub, budget) for f in P.parts]
     supports = [g.support() for g in images]
@@ -143,7 +146,7 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     for key, table in stream:
         anf = mobius(table if key else table ^ p_table, n)  # FE = P + image: P is in key 0
         size = anf.bit_count()
-        if budget is not None:  # the budget bounds the image's terms
+        if keyed or 1 << n > budget:  # the budget bounds the image's terms: 2^n at most on one key
             count += size if key else mobius(table, n).bit_count()
             if count > budget:
                 raise TermBudgetError(budget)
@@ -179,7 +182,7 @@ def _keyed_product(a: Dict[int, int], b: Dict[int, int]):
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,
-                budget: int = DEFAULT_BUDGET) -> FeReport:
+                budget: Optional[int] = None) -> FeReport:
     """build_fe over the shared coefficient symbols Z00..Z63, budgeted."""
     if rs.mode != "symbolic":
         raise ValueError("symbolic_fe requires a symbolic-mode round system")

@@ -161,7 +161,7 @@ class Poly:
         mask = 0
         for t in self.terms:
             mask |= t
-        return frozenset(_bits(mask))
+        return frozenset(_ones(mask))
 
     def evaluate(self, assignment: Mapping[int, int]) -> int:
         """GF(2) value under a total assignment of the support."""
@@ -256,20 +256,10 @@ def product_table(ps: Sequence[Poly], variables: Sequence[int]) -> int:
 MAX_DENSE_VARS = 20
 
 
-def _bits(mask: int) -> List[int]:
-    """Ascending positions of the 1 bits of a (small) mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def graded_key(mask: int):
     """Sort key of the canonical term order: degree descending, then
     lexicographic by VarId."""
-    vs = _bits(mask)
+    vs = _ones(mask)
     return (-len(vs), vs)
 
 
@@ -335,7 +325,8 @@ def _affine_vector(p: Poly, index: Mapping[int, int]) -> int:
 
 
 def _ones(table: int) -> List[int]:
-    """Ascending indices of the 1 bits of a truth table, in one linear scan."""
+    """Ascending indices of the 1 bits of a truth table or a monomial mask,
+    in one linear scan."""
     s = bin(table)[::-1]  # s[i] is bit i; the "0b" prefix lands at the end
     out = []
     i = s.find("1")
@@ -417,14 +408,15 @@ def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
 def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) -> Poly:
     """Simultaneous substitution of variables by polynomials.
 
-    Variables absent from the mapping pass through unchanged.  Terms are
-    grouped by the subset of "wide" substituted variables (image with more
-    than one monomial) they contain, so each wide image product is computed
-    once; single-monomial images are applied by direct mask rewriting.
+    Variables absent from the mapping pass through unchanged.  Single-monomial
+    images are applied by direct mask rewriting.  Terms are grouped by the
+    subset of "wide" substituted variables (image with more than one
+    monomial) they contain, and each group is one ring.product of its wide
+    images and the sum of its rewritten rests, smallest factor first.
     """
     if not p.terms:
         return ZERO
-    zero_mask = 0
+    zero_mask = wide_mask = 0
     simple: dict[int, int] = {}
     wide: dict[int, Poly] = {}
     for v, img in mapping.items():
@@ -435,9 +427,7 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
             simple[v] = next(iter(img.terms))
         else:
             wide[v] = img
-    wide_mask = 0
-    for v in wide:
-        wide_mask |= 1 << v
+            wide_mask |= 1 << v
 
     groups: dict[int, list[int]] = {}
     for t in p.terms:
@@ -452,20 +442,9 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
             rest ^= low
         groups.setdefault(t & wide_mask, []).append(new)
 
-    img_cache: dict[int, Poly] = {0: ONE}
-
-    def wide_product(w: int) -> Poly:
-        got = img_cache.get(w)
-        if got is not None:
-            return got
-        low = w & -w
-        part = mul(wide[low.bit_length() - 1], wide_product(w ^ low), budget)
-        img_cache[w] = part
-        return part
-
     acc: frozenset = frozenset()
     for w, rest_masks in groups.items():
-        piece = mul(wide_product(w), Poly(rest_masks), budget)
+        piece = product([wide[v] for v in _ones(w)] + [Poly(rest_masks)], budget)
         acc ^= piece.terms
         if budget is not None and len(acc) > budget:
             raise TermBudgetError(budget)

@@ -3,6 +3,7 @@
 None of these is on a command's path, so they live with the tests.
 """
 
+import sys
 from typing import Dict, List, Sequence, Tuple
 
 from invforge import gf2, lab, ring
@@ -19,6 +20,33 @@ from invforge.ring import (
     ONE, NotAFactorError, Poly, add, add_many, form_var, mul, product, substitute, var,
     var_name,
 )
+
+
+# The functions whose ring.product call is the FE's sparse fold: fe.build_fe
+# folding the images, and FeReport.fe folding them when read.  Any other
+# caller is a substitution's group product (ring.substitute) or a test's own.
+FOLD_CALLERS = ("build_fe", "fe")
+
+
+def spy_products(monkeypatch) -> List[Tuple[str, int]]:
+    """Patch ring.product to record (the calling function's name, the
+    result's term count) for each call; returns the list it appends to."""
+    calls = []
+    real = ring.product
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        out = real(*args, **kwargs)
+        calls.append((caller, len(out)))
+        return out
+
+    monkeypatch.setattr(ring, "product", spy)
+    return calls
+
+
+def folds(calls: Sequence[Tuple[str, int]]) -> int:
+    """How many of spy_products' calls were the FE's sparse fold."""
+    return sum(caller in FOLD_CALLERS for caller, _ in calls)
 
 
 def table_depends(table: int, n: int, i: int) -> bool:

@@ -245,6 +245,10 @@ class TestAbsorbers:
         assert [len(f.support() | g.support()) for f, g, _ in cases] == [22, 22, 20, 17]
 
 
+# the sparse multiplications affine_split must not call (boolfun imports mul by name)
+SPARSE_PRODUCTS = ((ring, "product"), (ring, "mul"), (boolfun, "mul"))
+
+
 class TestAffineSplit:
     def test_full_product(self):
         p = product([parse("a+b"), parse("c+d+1"), parse("e+f")])
@@ -295,6 +299,15 @@ class TestAffineSplit:
                 split += bool(got[0])
         assert split > 50
 
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("affine_split must not search spans, divide, substitute "
+                                 "or multiply sparsely")
+
+        for module, name in names:
+            monkeypatch.setattr(module, name, forbidden)
+
     def test_split_is_one_solve(self, invariant_deg7, monkeypatch):
         solves, tables = [], []
         real_solve, real_table = gf2.solve_affine_ones, boolfun.truth_table
@@ -302,17 +315,26 @@ class TestAffineSplit:
                             lambda *args: solves.append(1) or real_solve(*args))
         monkeypatch.setattr(boolfun, "truth_table",
                             lambda *args: tables.append(1) or real_table(*args))
-
-        def forbidden(*args):
-            raise AssertionError("affine_split must not search spans, divide or substitute")
-
-        monkeypatch.setattr(boolfun, "minimal_affine_factors", forbidden)
-        monkeypatch.setattr(ring, "factor_out", forbidden)
-        monkeypatch.setattr(ring, "substitute", forbidden)
+        self._forbid(monkeypatch, (boolfun, "minimal_affine_factors"), (ring, "factor_out"),
+                     (ring, "substitute"), *SPARSE_PRODUCTS)
         factors, residual = affine_split(invariant_deg7)
+        monkeypatch.undo()  # the checks below multiply
         assert solves == [1] and tables == [1]
         assert len(factors) == 7 and residual == ONE
         assert product(factors) == invariant_deg7
+
+    def test_split_is_checked_on_tables(self, invariant_deg7, monkeypatch):
+        # a residual one term off (its constant flipped) fails the check,
+        # which multiplies nothing sparsely: the degree-7 invariant (seven
+        # factors, residual 1) and ab + 1 (no factor)
+        cases = [invariant_deg7, parse("ab+1")]
+        real = boolfun.poly_from_anf_bits
+        monkeypatch.setattr(boolfun, "poly_from_anf_bits",
+                            lambda anf, variables: real(anf ^ 1, variables))
+        self._forbid(monkeypatch, *SPARSE_PRODUCTS)
+        for p in cases:
+            with pytest.raises(ArithmeticError):
+                affine_split(p)
 
     def test_minimal_factors_and_divisors_match_brute_force(self):
         # oracle: try every affine form over the support, divide by mul

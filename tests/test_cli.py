@@ -12,6 +12,7 @@ import invforge
 from invforge import boolfun, cipher, cli, fe as fe_mod, lab, lincycle, ring
 from invforge.boolfun import affine_factor_solutions, random_boolfun, truth_table
 from invforge.data import fixture_path, fixture_text
+from reference import spy_products
 
 LZS = fixture_path("lzs-265-like.cfg")
 ZREF = fixture_path("z-reference.anf")
@@ -112,15 +113,14 @@ class TestVerdictsAndExitCodes:
         assert (captured.out, captured.err.count("error: ")) == ("", 1)
 
     def test_symbolic_fe_is_counted_not_built(self, capsys, monkeypatch):
-        # the nonlinear FE of 110,720 terms is neither folded nor read: the
-        # only ring.product call is affine_split's check of P's split
-        callers = []
-        real = ring.product
-        monkeypatch.setattr(ring, "product", lambda *args: callers.append(
-            sys._getframe(1).f_code.co_name) or real(*args))
+        # the nonlinear FE of 110,720 terms is neither folded nor read: every
+        # ring.product call is a substitution's group product, the largest of
+        # 258 terms on the shipped wiring
+        calls = spy_products(monkeypatch)
         assert cli.main(["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"]) == 0
         assert capsys.readouterr().out.startswith("fe = <110720 terms, degree 13>\n")
-        assert callers == ["affine_split"]
+        assert calls and {caller for caller, _ in calls} == {"substitute"}
+        assert max(terms for _, terms in calls) <= 300
 
     def test_expanded_fe_gets_the_default_budget(self, tmp_path, capsys, monkeypatch):
         # on a random wiring the degree-7 invariant's U passes 20 variables, so
@@ -136,6 +136,35 @@ class TestVerdictsAndExitCodes:
         captured = capsys.readouterr()
         assert (captured.out, captured.err.count("error: ")) == ("", 1)
         assert cli.main(argv + ["--budget", str(fe_mod.DEFAULT_BUDGET << 20)]) == cli.EXIT_FALSE
+
+    def test_every_command_fe_gets_the_default_budget(self, capsys, monkeypatch):
+        # verify-thm on a supplied invariant and search's exact verdicts build
+        # their FEs under fe.DEFAULT_BUDGET as fe does: at 64 terms (the images
+        # of invariant-827 and of the degree-7 invariant have 93 and 2080 with
+        # z-reference) both exit 3; search's trials 0 and 4 pass the screen
+        monkeypatch.setattr(fe_mod, "DEFAULT_BUDGET", 64)
+        for argv in (["verify-thm", "--lzs", LZS, "--boolfun", ZREF, "--invariant", INV827],
+                     ["search", "--lzs", LZS, "--invariant", INV7, "--trials", "5",
+                      "--seed", "5"]):
+            assert cli.main(argv) == cli.EXIT_BUDGET
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err.count("error: ")) == ("", 1)
+
+    def test_monomial_of_every_state_bit_answers(self, tmp_path, capsys):
+        # P = x1 x2 ... x36 with z-reference: substitution multiplies its one
+        # term's images smallest first, so the 145-term FE answers from a
+        # budget of 146, as without --budget (the default, 4,194,304)
+        inv = tmp_path / "all-state-bits.poly"
+        inv.write_text(ring.STATE_LETTERS + "\n")
+        argv = ["fe", "--lzs", LZS, "--invariant", str(inv), "--boolfun", ZREF]
+        assert cli.main(argv + ["--budget", "146"]) == cli.EXIT_FALSE
+        bounded = capsys.readouterr().out
+        assert bounded.endswith("\nis_zero = false\ndepends_on = F,L\nmode = expanded\n")
+        assert cli.main(argv) == cli.EXIT_FALSE
+        assert capsys.readouterr().out == bounded
+        assert cli.main(argv + ["--budget", "145"]) == cli.EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("error: ")) == ("", 1)
 
     def test_verify_thm_supplied_invariant_summary(self):
         steps = run_cli("verify-thm", "--lzs", LZS, "--boolfun", ZREF,

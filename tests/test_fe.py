@@ -12,7 +12,7 @@ from invforge.boolfun import (
 )
 from invforge.cipher import (
     LanePlan, RoundSystem, Wiring, eval_poly_lanes, random_wiring, round_system, state_var,
-    step_lanes,
+    step, step_lanes,
 )
 from invforge.data import fixture_text
 from invforge.fe import (
@@ -21,6 +21,7 @@ from invforge.fe import (
     symbolic_fe,
 )
 from invforge.ring import ONE, TermBudgetError, add, mul, parse, substitute, var
+from reference import folds, spy_products
 
 
 class TestBuildFe:
@@ -99,13 +100,12 @@ class TestBuildFe:
         # oracle: substitute each affine-split factor, fold the images with
         # mul; build_fe takes tables or the sparse fold, never both
         prepared = PreparedInvariant(invariant_deg7)
-        parts = prepared.parts  # split before the spies: the split's check multiplies too
+        parts = prepared.parts  # split before the spies: the split's check tables too
         paths = []
-        real_table, real_product = ring.product_table, ring.product
+        real_table = ring.product_table
         monkeypatch.setattr(ring, "product_table",
                             lambda *args: paths.append("table") or real_table(*args))
-        monkeypatch.setattr(ring, "product",
-                            lambda *args: paths.append("sparse") or real_product(*args))
+        products = spy_products(monkeypatch)
         wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(4)]
                    + [random_wiring(s) for s in range(4)])
         zeros, taken = 0, []
@@ -116,9 +116,9 @@ class TestBuildFe:
                 images = [substitute(f, sub) for f in parts]
                 oracle = add(invariant_deg7,
                              functools.reduce(mul, sorted(images, key=len), ONE))
-                del paths[:]
+                del paths[:], products[:]
                 report = build_fe(prepared, rs)
-                taken.append(paths[:])
+                taken.append(paths + ["sparse"] * folds(products))
                 assert report.fe == oracle
                 if report.is_zero:
                     zeros += 1
@@ -136,6 +136,26 @@ class TestBuildFe:
         assert build_fe(PreparedInvariant(invariant_deg7), rs, budget=2500).is_zero
         with pytest.raises(TermBudgetError):
             build_fe(PreparedInvariant(invariant_deg7), rs, budget=2079)
+
+    def test_monomial_of_every_state_bit(self, wiring, zref):
+        # P = x1 x2 ... x36 stays unsplit and past 20 variables: its image is
+        # one substitution group, multiplied smallest first, single-monomial
+        # rest included, so the 145-term FE fits a budget of 146.  It matches
+        # step on the 667 states within Hamming distance 2 of all-ones, for
+        # every (F, K, L)
+        P = PreparedInvariant(parse(ring.STATE_LETTERS))
+        report = build_fe(P, round_system(wiring, "expanded", zref), budget=146)
+        assert report.size == (145, 36) and report.depends_on == ("F", "L")
+        full = (1 << 36) - 1
+        states = [full ^ sum(1 << i for i in flips)
+                  for d in range(3) for flips in itertools.combinations(range(36), d)]
+        assert len(states) == 667
+        for s in states:
+            for f, k, l in itertools.product((0, 1), repeat=3):
+                point = {state_var(i): s >> (i - 1) & 1 for i in range(1, 37)}
+                point.update({ring.F_BIT: f, ring.K_BIT: k, ring.L_BIT: l})
+                want = (s == full) ^ (step(s, wiring, zref, f, k, l) == full)
+                assert report.fe.evaluate(point) == want
 
     def test_table_verdict_matches_sparse_oracle(self, wiring, zref, invariant_deg7):
         # (x25+1)(x29+1)(x33+1) takes the table path on the shipped wiring and
@@ -202,21 +222,20 @@ class TestBuildFe:
         # P = ab, a -> a sum of 10 bits, b -> a sum of n - 12 others: |U| = n,
         # tables at 20 variables and the sparse fold at 21
         paths = []
-        real_table, real_product = ring.product_table, ring.product
+        real_table = ring.product_table
         for n, taken in ((20, ["table", "table"]), (21, ["sparse"])):
             rs = _hand_made_round({
                 "a": "+".join(ring.NAMES[v] for v in range(2, 12)),
                 "b": "+".join(ring.NAMES[v] for v in range(12, n))})
             prepared = PreparedInvariant(parse("ab"))
             assert len(_union_support(prepared, rs)) == n
-            assert len(prepared.parts) == 3  # split before the spies: its check multiplies
+            assert len(prepared.parts) == 3  # split before the spies: its check tables
             monkeypatch.setattr(ring, "product_table",
                                 lambda *args: paths.append("table") or real_table(*args))
-            monkeypatch.setattr(ring, "product",
-                                lambda *args: paths.append("sparse") or real_product(*args))
+            products = spy_products(monkeypatch)
             del paths[:]
             report = build_fe(prepared, rs)
-            assert paths == taken
+            assert paths + ["sparse"] * folds(products) == taken
             assert (report.anf is None) == (n > ring.MAX_DENSE_VARS)
             assert len(report.fe) == 10 * (n - 12) + 1
             monkeypatch.undo()
@@ -412,12 +431,9 @@ class TestKeyedSymbolic:
         """build_fe's report against the fold; returns the path it took."""
         images = [substitute(f, rs.as_substitution()) for f in prepared.parts]
         fe = add(prepared.poly, ring.product(images))
-        folds = []
-        real_product = ring.product
-        monkeypatch.setattr(ring, "product",
-                            lambda *args: folds.append(1) or real_product(*args))
+        products = spy_products(monkeypatch)
         report = build_fe(prepared, rs, DEFAULT_BUDGET)
-        path = "fold" if folds else "keyed"
+        path = "fold" if folds(products) else "keyed"
         monkeypatch.undo()
         assert report.is_zero == (not fe)
         assert report.depends_on == tuple(ring.var_name(v) for v in sorted(fe.support())
