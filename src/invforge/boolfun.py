@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import gf2, ring
@@ -105,17 +104,6 @@ def random_boolfun(seed: int) -> BoolFun6:
 # ---------------------------------------------------------------------------
 # Annihilators and absorbers.
 
-@dataclass(frozen=True)
-class AnnihilatorBasis:
-    degree_bound: int
-    variables: Tuple[int, ...]
-    basis: Tuple[Poly, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
 def _monomials_up_to(variables: Sequence[int], bound: int) -> List[Tuple[int, int]]:
     """(ANF index, monomial mask) of each variable subset of size <= bound,
     in graded-lex order."""
@@ -130,7 +118,7 @@ def _monomials_up_to(variables: Sequence[int], bound: int) -> List[Tuple[int, in
     return out
 
 
-def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> AnnihilatorBasis:
+def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Tuple[Poly, ...]:
     """Basis of {g : deg(g) <= degree_bound, f*g = 0} over GF(2).
 
     Works on the truth table of f over the declared (ordered-by-VarId)
@@ -171,18 +159,17 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Annihi
         rows.append(row)
     kernel = gf2.kernel_basis(rows, ncols)
     reduced, _ = gf2.rref(kernel, ncols)
-    basis = tuple(Poly(mask for j, (_, mask) in enumerate(monomials) if (vec >> j) & 1)
-                  for vec in reduced)
-    return AnnihilatorBasis(degree_bound, variables, basis)
+    return tuple(Poly(mask for j, (_, mask) in enumerate(monomials) if (vec >> j) & 1)
+                 for vec in reduced)
 
 
 def is_absorber(f: Poly, g: Poly) -> bool:
     """True iff f*g = f (equivalently f*(g+1) = 0): f's table & ~g's table
     == 0 over their union support where it has at most ring.MAX_DENSE_VARS
-    variables, the product by mul past that."""
+    variables, the product by mul past that, under ring.DEFAULT_BUDGET."""
     variables = sorted(f.support() | g.support())
     if len(variables) > ring.MAX_DENSE_VARS:
-        return mul(f, g) == f
+        return mul(f, g, ring.DEFAULT_BUDGET) == f
     return not truth_table(f, variables) & ~truth_table(g, variables)
 
 

@@ -306,7 +306,8 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6 | LanePlan,
 
 
 class LanePlan:
-    """How to evaluate one polynomial bit-sliced, built once per polynomial.
+    """How to evaluate one polynomial bit-sliced, built once per polynomial
+    and run by eval_poly_lanes.
 
     A term is split into its low part, over the lowest min(n // 2, 8) of the
     n support variables, and its high part.  High parts that occur with the
@@ -345,20 +346,16 @@ class LanePlan:
         self.chain = [(m, m & (m - 1), (m & -m).bit_length() - 1) for m in sorted(needed)]
         self.groups = list(highs_of.items())
 
-    def run(self, lanes: Dict[int, int] | Sequence[int], width_mask: int) -> int:
-        """The polynomial's value in every lane; lanes[v] is variable v's lane."""
-        products = {0: width_mask}
-        for m, parent, v in self.chain:
-            products[m] = products[parent] & lanes[v]
-        get = products.__getitem__
-        acc = 0
-        for lows, highs in self.groups:
-            acc ^= reduce(xor, map(get, lows)) & reduce(xor, map(get, highs))
-        return acc
 
-
-def eval_poly_lanes(p: Poly | LanePlan, lanes: Dict[int, int] | Sequence[int],
+def eval_poly_lanes(plan: LanePlan, lanes: Dict[int, int] | Sequence[int],
                     width_mask: int) -> int:
-    """Bit-sliced evaluation of a polynomial, given as a Poly or its LanePlan,
-    with lanes[v] the lane of variable v; only lanes under width_mask are set."""
-    return (p if isinstance(p, LanePlan) else LanePlan(p)).run(lanes, width_mask)
+    """Bit-sliced value of the planned polynomial in every lane, with lanes[v]
+    the lane of variable v; only lanes under width_mask are set."""
+    products = {0: width_mask}
+    for m, parent, v in plan.chain:
+        products[m] = products[parent] & lanes[v]
+    get = products.__getitem__
+    acc = 0
+    for lows, highs in plan.groups:
+        acc ^= reduce(xor, map(get, lows)) & reduce(xor, map(get, highs))
+    return acc

@@ -97,12 +97,11 @@ def cmd_fe(args) -> Result:
     rec = _fe_record(report)
     lines = report.lines()
     if args.empirical_trials:
-        emp = fe_mod.check_invariant_empirically(P, w, fun,
-                                                 args.empirical_trials,
-                                                 seed=args.seed or 0)
-        rec["empirical"] = {"trials": emp.trials, "rounds": emp.rounds,
-                            "mismatches": emp.mismatches}
-        lines += ["empirical " + ln for ln in emp.lines()]
+        trials = args.empirical_trials
+        mismatches = fe_mod.check_invariant_empirically(P, w, fun, trials, seed=args.seed or 0)
+        rec["empirical"] = {"trials": trials, "rounds": 1, "mismatches": mismatches}
+        lines += ["empirical trials = %d" % trials, "empirical rounds = 1",
+                  "empirical mismatches = %d" % mismatches]
     return EXIT_OK if report.is_zero else EXIT_FALSE, rec, lines
 
 
@@ -144,16 +143,16 @@ def cmd_annihilators(args) -> Result:
     basis = boolfun.annihilators(p, variables, args.degree)
     rec = {
         "kind": "annihilators",
-        "degree_bound": basis.degree_bound,
-        "variables": [ring.var_name(v) for v in basis.variables],
-        "dimension": basis.dimension,
-        "basis": [ring.render(g, _dialect(names)) for g in basis.basis],
+        "degree_bound": args.degree,
+        "variables": [ring.var_name(v) for v in variables],
+        "dimension": len(basis),
+        "basis": [ring.render(g, _dialect(names)) for g in basis],
     }
-    lines = ["degree_bound = %d" % basis.degree_bound,
-             "variables = %s" % ",".join(ring.var_name(v) for v in basis.variables),
-             "dimension = %d" % basis.dimension]
+    lines = ["degree_bound = %d" % args.degree,
+             "variables = %s" % ",".join(rec["variables"]),
+             "dimension = %d" % len(basis)]
     lines += ["basis: %s" % g for g in rec["basis"]]
-    return EXIT_OK if basis.dimension > 0 else EXIT_FALSE, rec, lines
+    return EXIT_OK if basis else EXIT_FALSE, rec, lines
 
 
 def cmd_absorbers(args) -> Result:

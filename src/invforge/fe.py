@@ -13,7 +13,6 @@ from .boolfun import BoolFun6, affine_split
 from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
 from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, coef_var, mobius, substitute
 
-DEFAULT_BUDGET = 1 << 22
 MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
 _COEFS = frozenset(range(COEF_BASE, COEF_BASE + 64))  # the VarIds of Z00..Z63
 _COEF_MASK = sum(1 << v for v in _COEFS)
@@ -117,13 +116,13 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     where no symbol occurs), transformed to ANF bits, counted and dropped;
     the budget bounds the image's term count as it is summed.  Otherwise
     ring.product multiplies the images out, budgeting each intermediate.
-    The budget, DEFAULT_BUDGET where none is given, also bounds each
+    The budget, ring.DEFAULT_BUDGET where none is given, also bounds each
     image's substitution.
 
     In expanded mode is_zero is the attack verdict: P is then a round
     invariant for every key, IV bit and number of rounds.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = ring.DEFAULT_BUDGET if budget is None else budget
     sub = rs.as_substitution()
     images = [substitute(f, sub, budget) for f in P.parts]
     supports = [g.support() for g in images]
@@ -241,25 +240,14 @@ def coefficient_system(fe: Poly) -> CoefficientSystem:
 # ---------------------------------------------------------------------------
 # Empirical confirmation channel (independent of the symbolic path).
 
-@dataclass(frozen=True)
-class EmpiricalReport:
-    trials: int
-    rounds: int
-    mismatches: int
-
-    def lines(self) -> List[str]:
-        return ["trials = %d" % self.trials,
-                "rounds = %d" % self.rounds,
-                "mismatches = %d" % self.mismatches]
-
-
 _CHUNK = 1 << 13  # fixes which states are drawn: changing it changes the output
 
 
 def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
                                 trials: int, seed: int = 0,
-                                rounds: int = 1) -> EmpiricalReport:
-    """Sample random states and per-round random (F, K, L); count violations.
+                                rounds: int = 1) -> int:
+    """Sample random states and per-round random (F, K, L); return the number
+    of trials whose P value changed over the rounds.
 
     Bit-sliced: trial j has its own trajectory and per-round bits, and one
     evaluation of P reads its start in lane j, its image in lane width + j.
@@ -287,4 +275,4 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
                                              for i in range(1, 37)}, (1 << 2 * width) - 1)
         mism += ((both ^ both >> width) & wmask).bit_count()
         remaining -= width
-    return EmpiricalReport(trials, rounds, mism)
+    return mism

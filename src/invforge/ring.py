@@ -91,6 +91,11 @@ class NotAFactorError(ValueError):
     pass
 
 
+# the term budget of every FE a command builds and of is_absorber's sparse
+# product, read at call time
+DEFAULT_BUDGET = 1 << 22
+
+
 class TermBudgetError(RuntimeError):
     """An operation exceeded the configured monomial budget."""
 
@@ -147,11 +152,11 @@ class Poly:
         return Poly._raw(self.terms ^ other.terms)
     __xor__ = __add__  # so code written for lane ints also adds Polys
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        return mul(self, other)
-
     def __repr__(self):
-        return "Poly(%s)" % render(self)
+        try:
+            return "Poly(%s)" % render(self, "forms")
+        except ValueError:  # no dialect reads it back: form letters beside other variables
+            return "Poly(terms=%s)" % sorted(self.terms)
 
     def degree(self) -> int:
         """Largest monomial cardinality; -1 for the zero polynomial."""

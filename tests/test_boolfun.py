@@ -112,13 +112,13 @@ def brute_force_annihilator_dim(tt, n, degree):
 class TestAnnihilators:
     def test_single_variable(self):
         basis = annihilators(parse("a"), [0, 1], 1)
-        assert any(g == parse("a+1") for g in basis.basis)
-        for g in basis.basis:
+        assert any(g == parse("a+1") for g in basis)
+        for g in basis:
             assert mul(parse("a"), g) == ZERO
 
     def test_zero_polynomial(self):
         basis = annihilators(ZERO, [0, 1, 2], 2)
-        assert basis.dimension == 1 + 3 + 3  # every candidate monomial
+        assert len(basis) == 1 + 3 + 3  # every candidate monomial
 
     def test_reference_function_special_annihilators(self, zref):
         zp1 = add(zref.anf_poly(), ONE)
@@ -129,16 +129,17 @@ class TestAnnihilators:
         assert mul(zp1, g2) == ZERO
         # both lie in the computed annihilator space
         from invforge import gf2
-        span_rows, _ = gf2.rref([_poly_vec(g, basis) for g in basis.basis], 64)
+        variables = list(range(6))
+        span_rows, _ = gf2.rref([_poly_vec(g, variables, 3) for g in basis], 64)
         for g in (g1, g2):
-            assert _in_span(span_rows, _poly_vec(g, basis))
+            assert _in_span(span_rows, _poly_vec(g, variables, 3))
 
     def test_every_basis_element_annihilates_fuzz(self):
         rng = random.Random(16)
         for _ in range(25):
             f = poly_from_anf_bits(rng.getrandbits(32), range(5))
             basis = annihilators(f, range(5), 2)
-            for g in basis.basis:
+            for g in basis:
                 assert mul(f, g) == ZERO
 
     def test_matches_exhaustive_oracle_sample(self):
@@ -147,7 +148,7 @@ class TestAnnihilators:
             tt = rng.getrandbits(16)
             f = poly_from_anf_bits(mobius(tt, 4), range(4))
             basis = annihilators(f, range(4), 1)
-            assert basis.dimension == brute_force_annihilator_dim(tt, 4, 1)
+            assert len(basis) == brute_force_annihilator_dim(tt, 4, 1)
 
     def test_degree_bound_error(self):
         with pytest.raises(DegreeBoundError):
@@ -159,12 +160,12 @@ class TestAnnihilators:
             annihilators(parse("a"), list(range(25)), 1)
         with pytest.raises(SystemTooLargeError, match="32768 support points x 65536"):
             annihilators(parse("a"), list(range(16)), 16)
-        assert annihilators(parse("a"), list(range(13)), 1).basis == (parse("a+1"),)
+        assert annihilators(parse("a"), list(range(13)), 1) == (parse("a+1"),)
 
     def test_unused_variables_allowed(self):
         basis = annihilators(parse("a"), [0, 1, 2], 1)
-        assert basis.dimension == 1
-        assert basis.basis[0] == parse("a+1")
+        assert len(basis) == 1
+        assert basis[0] == parse("a+1")
 
     def test_degree3_annihilators_near_systematic(self):
         # recorded observation on a seeded stream: how often does f+1 admit
@@ -176,25 +177,25 @@ class TestAnnihilators:
             f = random_boolfun(seed)
             fp1 = add(f.anf_poly(), ONE)
             basis = annihilators(fp1, range(6), 3)
-            if basis.dimension > 0:
+            if len(basis) > 0:
                 hits += 1
                 if seed % 97 == 0:
-                    for g in basis.basis:
+                    for g in basis:
                         assert mul(fp1, g) == ZERO
         print("degree-3 annihilator frequency for f+1: %d/%d" % (hits, n))
         assert hits > 0  # recorded, not asserted as a specific value
 
 
-def _poly_vec(p, basis):
+def _poly_vec(p, variables, degree_bound):
     monomials = []
-    for d in range(basis.degree_bound + 1):
+    for d in range(degree_bound + 1):
         monomials.extend(
-            m for m in itertools.combinations(range(len(basis.variables)), d))
+            m for m in itertools.combinations(range(len(variables)), d))
     index = {}
     for j, combo in enumerate(monomials):
         mask = 0
         for i in combo:
-            mask |= 1 << basis.variables[i]
+            mask |= 1 << variables[i]
         index[mask] = j
     v = 0
     for t in p.terms:

@@ -225,7 +225,7 @@ class TestStep:
         p = parse("ab+cd+e")
         for _ in range(20):
             vals = {v: rng.getrandbits(8) for v in p.support()}
-            got = eval_poly_lanes(p, vals, 0xFF)
+            got = eval_poly_lanes(LanePlan(p), vals, 0xFF)
             for j in range(8):
                 assign = {v: (vals[v] >> j) & 1 for v in vals}
                 assert ((got >> j) & 1) == p.evaluate(assign)
@@ -269,7 +269,7 @@ class TestEvalPolyLanes:
                 lanes = {v: rng.getrandbits(width + 9) | (1 << width) for v in support}
                 got = eval_poly_lanes(plan, lanes, mask)
                 assert got & ~mask == 0, width
-                assert eval_poly_lanes(p, lanes, mask) == got, width
+                assert eval_poly_lanes(LanePlan(p), lanes, mask) == got, width
                 for j in range(width):
                     bits = {v: lane >> j & 1 for v, lane in lanes.items()}
                     assert got >> j & 1 == p.evaluate(bits), (width, j)
@@ -281,5 +281,5 @@ class TestEvalPolyLanes:
         width = 1 << 14
         lanes = {v: rng.getrandbits(width) for v in range(ring.N_STATE)}
         gc.collect()
-        eval_poly_lanes(invariant_deg7, lanes, (1 << width) - 1)
+        eval_poly_lanes(LanePlan(invariant_deg7), lanes, (1 << width) - 1)
         assert gc.collect() == 0

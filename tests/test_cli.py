@@ -21,6 +21,10 @@ MU = fixture_path("mu.poly")
 INV827 = fixture_path("invariant-827.poly")
 
 
+def _write_wiring(path, w):
+    path.write_text("D = %s\nP = %s\n" % (",".join(map(str, w.d)), ",".join(map(str, w.p))))
+
+
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "invforge", *args],
                           capture_output=True, text=True, input=stdin)
@@ -124,31 +128,46 @@ class TestVerdictsAndExitCodes:
 
     def test_expanded_fe_gets_the_default_budget(self, tmp_path, capsys, monkeypatch):
         # on a random wiring the degree-7 invariant's U passes 20 variables, so
-        # build_fe folds the images; fe.DEFAULT_BUDGET bounds that fold
+        # build_fe folds the images; ring.DEFAULT_BUDGET bounds that fold
         w = cipher.random_wiring(0)
         lzs = tmp_path / "rand.cfg"
-        lzs.write_text("D = %s\nP = %s\n" % (",".join(map(str, w.d)), ",".join(map(str, w.p))))
+        _write_wiring(lzs, w)
         argv = ["fe", "--lzs", str(lzs), "--invariant", INV7, "--boolfun", ZREF]
         assert cli.main(argv) == cli.EXIT_FALSE
         assert capsys.readouterr().out.startswith("fe = <")
-        monkeypatch.setattr(fe_mod, "DEFAULT_BUDGET", 1000)
+        monkeypatch.setattr(ring, "DEFAULT_BUDGET", 1000)
         assert cli.main(argv) == cli.EXIT_BUDGET
         captured = capsys.readouterr()
         assert (captured.out, captured.err.count("error: ")) == ("", 1)
-        assert cli.main(argv + ["--budget", str(fe_mod.DEFAULT_BUDGET << 20)]) == cli.EXIT_FALSE
+        assert cli.main(argv + ["--budget", str(ring.DEFAULT_BUDGET << 20)]) == cli.EXIT_FALSE
 
     def test_every_command_fe_gets_the_default_budget(self, capsys, monkeypatch):
         # verify-thm on a supplied invariant and search's exact verdicts build
-        # their FEs under fe.DEFAULT_BUDGET as fe does: at 64 terms (the images
+        # their FEs under ring.DEFAULT_BUDGET as fe does: at 64 terms (the images
         # of invariant-827 and of the degree-7 invariant have 93 and 2080 with
         # z-reference) both exit 3; search's trials 0 and 4 pass the screen
-        monkeypatch.setattr(fe_mod, "DEFAULT_BUDGET", 64)
+        monkeypatch.setattr(ring, "DEFAULT_BUDGET", 64)
         for argv in (["verify-thm", "--lzs", LZS, "--boolfun", ZREF, "--invariant", INV827],
                      ["search", "--lzs", LZS, "--invariant", INV7, "--trials", "5",
                       "--seed", "5"]):
             assert cli.main(argv) == cli.EXIT_BUDGET
             captured = capsys.readouterr()
             assert (captured.out, captured.err.count("error: ")) == ("", 1)
+
+    def test_absorbers_past_the_table_limit_gets_the_default_budget(
+            self, tmp_path, capsys, monkeypatch):
+        # over 22 variables is_absorber multiplies f*g sparsely: 11 x 11 terms
+        # pass a budget of 64 after the sixth row of the product
+        f, g = tmp_path / "f.poly", tmp_path / "g.poly"
+        f.write_text("+".join(ring.STATE_LETTERS[:11]) + "\n")
+        g.write_text("+".join(ring.STATE_LETTERS[11:22]) + "\n")
+        argv = ["absorbers", "--poly", str(f), "--candidate", str(g)]
+        assert cli.main(argv) == cli.EXIT_FALSE
+        assert capsys.readouterr().out == "absorbs = false\n"
+        monkeypatch.setattr(ring, "DEFAULT_BUDGET", 64)
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("error: ")) == ("", 1)
 
     def test_monomial_of_every_state_bit_answers(self, tmp_path, capsys):
         # P = x1 x2 ... x36 with z-reference: substitution multiplies its one
@@ -444,6 +463,14 @@ class TestErrorContract:
         "state-hex": ([*STEP, "--state", "zzz"], b"", "state must be hexadecimal"),
         "state-range": ([*STEP, "--state", "1000000000"], b"", "of at most 36 bits"),
         "rounds": ([*STEP, "--state", "1", "--rounds", "-1"], b"", "--rounds must be >= 0"),
+        "wiring-no-key": (["validate", "--lzs", "-"], b"# D\nD 1 2\n",
+                          "line 2: expected 'D = ...' or 'P = ...'"),
+        "wiring-non-integer": (["validate", "--lzs", "-"], b"D = 1, x\n",
+                               "line 1: non-integer entry"),
+        "wiring-unknown-key": (["validate", "--lzs", "-"], b"q = 1\n",
+                               "line 1: unknown key 'Q'"),
+        "wiring-p-length": (["validate", "--lzs", "-"], b"D = 1 2 3 4 5 6 7 8 9\nP = 1 2\n",
+                            "P must have 27 entries, got 2"),
         "missing-file": (["validate", "--lzs", "missing.cfg"], b"", "No such file"),
         "non-utf8-file": (["factor", "--poly", "NONUTF8"], b"",
                           "NONUTF8: 'utf-8' codec can't decode byte 0xff"),
@@ -540,6 +567,23 @@ class TestFormatsAndInputs:
         r = run_cli("linear-cycle", "--lzs", LZS, "--max-period", "8")
         assert r.returncode == 0
         assert "period=1" in r.stdout
+
+    def test_linear_cycle_without_functionals(self, tmp_path, capsys):
+        w = cipher.random_wiring(0)
+        lzs = tmp_path / "rand.cfg"
+        _write_wiring(lzs, w)
+        argv = ["linear-cycle", "--lzs", str(lzs), "--max-period", "64"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == "no invariant functionals up to period 64\n"
+        assert cli.main(["--format", "json-lines", *argv]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["entries"] == []
+
+    def test_validate_warns_on_repeated_d(self, tmp_path, capsys):
+        lzs = tmp_path / "repeated-d.cfg"
+        lzs.write_text("D = 1,1,3,4,5,6,7,8,9\nP = %s\n" % ",".join(map(str, range(1, 28))))
+        assert cli.main(["validate", "--lzs", str(lzs)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["wiring: valid", "warning: D entries are not pairwise distinct"]
 
     def test_truth_table_input(self, tmp_path):
         f = tmp_path / "fun.tt"

@@ -1,13 +1,17 @@
-"""invbench's MUST_CALL gate, checked without a benchmark run.
+"""invbench's MUST_CALL gate and output checker, without a benchmark run.
 
 A traced benchmark run fails when a workload never calls one of the layer
 functions invbench/workloads.py lists for it.  These tests run one
 `search` op that has a screen survivor, one `prove` pass, one
 `linear-cycle` op and one full `fe --symbolic` op with one budget op
-under invbench's own tracer and check the same list.
+under invbench's own tracer and check the same list.  A run also fails
+when invbench/check.py rejects an op's output, or cannot call the parts of
+the package it checks with (`cipher.step_lanes` on a BoolFun6, for one);
+one pass of each workload goes through that checker too.
 """
 
 import contextlib
+import importlib
 import io
 import os
 import sys
@@ -21,20 +25,28 @@ INVBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
                         "invbench")
 
 
-@pytest.fixture(scope="module")
-def invbench():
-    """invbench's gen, tracer and workloads modules, imported as run.py does."""
+def _import_invbench(*names):
+    """invbench modules, imported as run.py does."""
     sys.path.insert(0, INVBENCH)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave invbench/ as checked out
     try:
-        import gen
-        import tracer
-        import workloads
+        return tuple(importlib.import_module(name) for name in names)
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(INVBENCH)
-    return gen, tracer, workloads
+
+
+@pytest.fixture(scope="module")
+def invbench():
+    """invbench's gen, tracer and workloads modules."""
+    return _import_invbench("gen", "tracer", "workloads")
+
+
+@pytest.fixture(scope="module")
+def invbench_check():
+    """invbench's output checker module."""
+    return _import_invbench("check")[0]
 
 
 def _reached(tracer, ops):
@@ -69,3 +81,18 @@ def test_workload_reaches_every_must_call_name(invbench, tmp_path, workload):
         ops = workloads.prove_pass(d, 1, 0)
     missed = set(workloads.MUST_CALL[workload]) - _reached(tracer, ops)
     assert not missed, sorted(missed)
+
+
+@pytest.mark.parametrize("workload", ["prove", "search", "symbolic", "lincycle"])
+def test_checker_accepts_one_pass(invbench, invbench_check, tmp_path, workload):
+    gen, _tracer, workloads = invbench
+    d = str(tmp_path / "inputs")
+    gen.write_inputs(os.path.join(os.path.dirname(invforge.__file__), "data"),
+                     d, workload, 1, 1)
+    checker = invbench_check.Checker(invforge, d, 1)
+    make_pass = workloads.WORKLOADS[workload][0]
+    for op in make_pass(d, 1, 0):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(list(op["argv"]))
+        assert getattr(checker, op["kind"])(rc, out.getvalue(), op) is None, op["argv"]

@@ -123,6 +123,14 @@ class TestParseRender:
         with pytest.raises(ValueError, match="mixed"):
             render(add(parse("F", dialect="forms"), parse("a")), "forms")
 
+    def test_repr_never_raises(self):
+        # a lone form F renders in the forms dialect; form letters beside
+        # state bits, which no dialect reads back, as their sorted term masks
+        assert repr(var(ring.form_var("F"))) == "Poly(F)"
+        assert repr(parse("ab+c")) == "Poly(ab+c)"
+        mixed = add(parse("F", dialect="forms"), parse("a"))
+        assert repr(mixed) == "Poly(terms=%s)" % sorted(mixed.terms)
+
     @pytest.mark.parametrize("text,dialect,message,position", [
         ("a+ +b", "state", "empty term", 2),
         ("ab+", "state", "empty term", 3),
