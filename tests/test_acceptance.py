@@ -262,6 +262,10 @@ CORPUS = [
     ("absorbers", "--poly", INV7, "--candidate", INV7_ALT),
     ("absorbers", "--poly", MU, "--candidate", INV827),
     ("--format", "json-lines", "fe", "--lzs", LZS, "--invariant", INV827, "--boolfun", ZREF),
+    # symbolic FEs counted by coefficient key: two keyed images (2,081 keys),
+    # then one (65 keys) printed in full with its linear coefficient system
+    ("--format", "json-lines", "fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"),
+    ("fe", "--lzs", LZS, "--invariant", INV827, "--symbolic"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -286,6 +290,8 @@ CORPUS_STDOUT_SHA256 = [
     "3a77ac2a33652558224a4ed0e1664e5ebcb53c4f77ddb5b4969de982054bcab5",
     "db1bfe4f260e920641dd98de83837e2b492958a94b3029da5ed979abb14dd0fc",
     "0a0f193bcd2ccfe36ef4a899d5a1fa34149d1122e12fd5664793df15a0fa294c",
+    "5d39324acb71107a7337749574bf2ef21ee54fa5007a9c2e256355ee4b65b1ed",
+    "f0f7ddee6cbfd83774db386886db3bca2e56af61957c4fb8e5991a1f83b3cae7",
 ]
 
 
