@@ -28,7 +28,7 @@ class NonStateVariableError(ring.UsageError):
 class FeReport:
     """The verdicts on a fundamental equation: is_zero, and depends_on, the
     non-state variables it holds.  build_fe keeps the FE as poly where it
-    multiplied it out.  Where it counted it on tables over n variables it
+    multiplied it out.  Where it counted it on ANF bits over n variables it
     keeps counts, (terms, layers, n): layers[d] is the OR of the ANF bits
     of the keys with d coefficient symbols; images, P then its parts'
     images; and, where no symbol occurs, anf, the ANF bits with their
@@ -110,12 +110,12 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     Where V, the variables of P and of its parts' images other than the
     coefficient symbols Z00..Z63, number at most ring.MAX_DENSE_VARS, and
     at most two images hold such symbols, each affine in them, the FE is
-    counted on truth tables over V.  Each image splits by key, its
-    coefficient monomial, into tables; the symbol-free images AND into one.
-    The product's tables are formed one output key at a time (key 0 alone
-    where no symbol occurs), transformed to ANF bits, counted and dropped;
-    the budget bounds the image's term count as it is summed.  Otherwise
-    ring.product multiplies the images out, budgeting each intermediate.
+    counted on ANF bits over V: the symbol-free images' table (P's added
+    where no symbol occurs) is transformed once, and ring.mul_anf multiplies
+    it by the other images' sparse cofactors by key, their coefficient
+    monomial, one output key at a time, P's bits joining key 0; each key is
+    counted and dropped, the budget bounding the image's terms as summed.
+    Otherwise ring.product multiplies the images out, budgeting each one.
     The budget, ring.DEFAULT_BUDGET where none is given, also bounds each
     image's substitution.
 
@@ -135,20 +135,24 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
         depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
         return FeReport(not fe, depends_on, rs.mode, poly=fe)
     p_table = ring.product_table(P.parts, variables)
-    stream = {0: ring.product_table([g for g, s in zip(images, supports) if not s & _COEFS],
-                                    variables)}.items()
-    for split in keyed:  # the last product is formed one output key at a time
-        stream = _keyed_product(dict(stream), {k: ring.product_table([c], variables)
-                                               for k, c in split.items()})
+    free = ring.product_table([g for g, s in zip(images, supports) if not s & _COEFS], variables)
+    if keyed:  # free's ANF bits times each keyed image's cofactors, one output key at a time
+        p_anf, stream = mobius(p_table, n), {0: mobius(free, n)}.items()
+        for split in keyed:
+            stream = _keyed_product(dict(stream), split, variables)
+    else:  # one transform: FE = P + image is linear in the tables
+        p_anf, stream = 0, [(0, mobius(free ^ p_table, n))]
     layers = [0, 0, 0]  # by the symbols in a key: the OR of those keys' FE ANF bits
     count = terms = held_coefs = 0
-    for key, table in stream:
-        anf = mobius(table if key else table ^ p_table, n)  # FE = P + image: P is in key 0
+    for key, anf in stream:
         size = anf.bit_count()
         if keyed or 1 << n > budget:  # the budget bounds the image's terms: 2^n at most on one key
-            count += size if key else mobius(table, n).bit_count()
+            count += size if keyed else mobius(free, n).bit_count()
             if count > budget:
                 raise TermBudgetError(budget)
+        if p_anf and not key:  # P is in key 0
+            anf ^= p_anf
+            size = anf.bit_count()
         if size:
             terms += size
             held_coefs |= key
@@ -170,14 +174,14 @@ def _by_key(g: Poly) -> Dict[int, Poly]:
     return {k: Poly(ts) for k, ts in groups.items()}
 
 
-def _keyed_product(a: Dict[int, int], b: Dict[int, int]):
-    """The product of two keyed tables (key -> table), one output key at a time."""
+def _keyed_product(a: Dict[int, int], b: Dict[int, Poly], variables: Tuple[int, ...]):
+    """Keyed ANF bits (key -> bits) times a keyed image (key -> sparse cofactor), by output key."""
     pairs: Dict[int, List[Tuple[int, int]]] = {}
     for j in a:
         for k in b:
             pairs.setdefault(j | k, []).append((j, k))
     for key, ps in pairs.items():
-        yield key, reduce(xor, (a[j] & b[k] for j, k in ps))
+        yield key, reduce(xor, (ring.mul_anf(a[j], b[k], variables) for j, k in ps))
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,

@@ -287,6 +287,22 @@ def mobius(table: int, n: int = 6) -> int:
     return t & ((1 << (1 << n)) - 1)
 
 
+def mul_anf(anf: int, p: Poly, variables: Sequence[int]) -> int:
+    """ANF bits over variables of q*p, where anf holds q's and p is sparse over
+    them: per monomial of p and each x_i in it, q's terms without x_i move onto x_i's."""
+    n, out = len(variables), 0
+    for t in p.terms:
+        acc = anf
+        while t:
+            i = variables.index((t & -t).bit_length() - 1)  # ValueError on an undeclared variable
+            t &= t - 1
+            moved = acc & _zero_bit_mask(i, n)
+            if moved:
+                acc ^= moved ^ moved << (1 << i)
+        out ^= acc
+    return out
+
+
 def restrict(table: int, n: int, i: int, image: int) -> int:
     """Truth table of x -> table(x with input i set to image(x)).
 

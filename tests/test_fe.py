@@ -14,7 +14,7 @@ from invforge.cipher import (
     LanePlan, RoundSystem, Wiring, eval_poly_lanes, random_wiring, round_system, state_var,
     step, step_lanes,
 )
-from invforge.data import fixture_text
+from invforge.data import fixture_path, fixture_text
 from invforge.fe import (
     NonStateVariableError, PreparedInvariant, build_fe, check_candidate,
     check_invariant_empirically, coefficient_system, substitute_coefficients,
@@ -491,9 +491,31 @@ class TestKeyedSymbolic:
         assert len(prepared.parts) == len(factors) + 1
         assert self._check(prepared, rs, monkeypatch) == path
 
+    def test_keys_multiplied_on_anf_bits(self, wiring, zref, invariant_deg7, monkeypatch,
+                                         capsys):
+        # fe --symbolic on the shipped wiring transforms a handful of tables
+        # (P's and the symbol-free images'), not one per coefficient key of
+        # the 2,081; an expanded or placeholder FE makes one transform over V
+        calls = []  # the module each transform was called through
+        real = ring.mobius
+        for module in (ring, fe_mod):
+            monkeypatch.setattr(module, "mobius", lambda table, n=6, module=module:
+                                calls.append(module) or real(table, n))
+        argv = ["fe", "--lzs", fixture_path("lzs-265-like.cfg"), "--invariant",
+                fixture_path("invariant-deg7.poly"), "--symbolic"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("fe = <110720 terms, degree 13>\n")
+        assert 1 <= len(calls) <= 6
+        prepared = PreparedInvariant(invariant_deg7)
+        prepared.parts
+        for rs in (round_system(wiring, "expanded", zref), round_system(wiring, "placeholder")):
+            calls.clear()
+            report = build_fe(prepared, rs)
+            assert report.anf is not None and calls.count(fe_mod) == 1
+
     def test_counted_in_little_memory(self, wiring, invariant_deg7):
-        # the 110,720-term FE is never built: at most 2 x 65 tables of 2^16
-        # bits and one output table are held at a time
+        # the 110,720-term FE is never built: at most 65 ANF ints of 2^16
+        # bits and one output key are held at a time
         prepared = PreparedInvariant(invariant_deg7)
         prepared.parts
         rs = round_system(wiring, "symbolic")
@@ -504,7 +526,7 @@ class TestKeyedSymbolic:
         finally:
             tracemalloc.stop()
         assert report.size == (110720, 13) and not report.system.linear
-        assert peak < 4 << 20
+        assert peak < 2 << 20
 
 
 class TestCoefficientSystem:

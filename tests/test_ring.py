@@ -321,6 +321,25 @@ class TestProduct:
         assert [table_depends(table, n, i) for i in range(n)] == held
         assert [bool(anf & ring.affine_table(2 << i, n)) for i in range(n)] == held
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(range(ring.N_VARS)), max_size=8, unique=True), st.data())
+    def test_mul_anf_is_mul_on_anf_bits(self, variables, data):
+        # q and p over the first `used` variables, in any order, so the list
+        # may be wider than both supports; p ZERO, ONE, a monomial that every
+        # term of q * held holds (each of its steps skipped), and any p
+        used = data.draw(st.integers(0, len(variables)))
+        masks = ring.monomial_masks(variables[:used])
+        terms = st.lists(st.sampled_from(masks), max_size=12)
+        q, p = Poly(data.draw(terms)), Poly(data.draw(terms))
+        held = Poly([data.draw(st.sampled_from(masks))])
+        qh = mul(q, held)
+        for a, b in ((q, ZERO), (q, ONE), (qh, held), (q, p), (qh, p)):
+            anf = ring.anf_bits(a, variables)
+            assert ring.mul_anf(anf, b, variables) == ring.anf_bits(mul(a, b), variables)
+        outside = min(set(range(ring.N_VARS)) - set(variables))
+        with pytest.raises(ValueError):  # p must lie over the variables
+            ring.mul_anf(1, var(outside), variables)
+
     def test_anf_roundtrip_and_decoder(self):
         rng = random.Random(8)
         for n in (0, 1, 5, 11, 14):
