@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_, xor
+from operator import or_
 from typing import Dict, List, Optional, Tuple
 
 from . import ring
@@ -111,9 +111,10 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     coefficient symbols Z00..Z63, number at most ring.MAX_DENSE_VARS, and
     at most two images hold such symbols, each affine in them, the FE is
     counted on ANF bits over V: the symbol-free images' table (P's added
-    where no symbol occurs) is transformed once, and ring.mul_anf multiplies
-    it by the other images' sparse cofactors by key, their coefficient
-    monomial, one output key at a time, P's bits joining key 0; each key is
+    where no symbol occurs) is transformed once, and _keyed_product
+    multiplies it by the other images' sparse cofactors by key, their
+    coefficient monomial, forming each output key once from memoised
+    monomial products (ring.mul_anf), P's bits joining key 0; each key is
     counted and dropped, the budget bounding the image's terms as summed.
     Otherwise ring.product multiplies the images out, budgeting each one.
     The budget, ring.DEFAULT_BUDGET where none is given, also bounds each
@@ -136,10 +137,8 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
         return FeReport(not fe, depends_on, rs.mode, poly=fe)
     p_table = ring.product_table(P.parts, variables)
     free = ring.product_table([g for g, s in zip(images, supports) if not s & _COEFS], variables)
-    if keyed:  # free's ANF bits times each keyed image's cofactors, one output key at a time
-        p_anf, stream = mobius(p_table, n), {0: mobius(free, n)}.items()
-        for split in keyed:
-            stream = _keyed_product(dict(stream), split, variables)
+    if keyed:  # free's ANF bits times the keyed images' cofactors, one output key at a time
+        p_anf, stream = mobius(p_table, n), _keyed_product(mobius(free, n), keyed, variables)
     else:  # one transform: FE = P + image is linear in the tables
         p_anf, stream = 0, [(0, mobius(free ^ p_table, n))]
     layers = [0, 0, 0]  # by the symbols in a key: the OR of those keys' FE ANF bits
@@ -174,14 +173,28 @@ def _by_key(g: Poly) -> Dict[int, Poly]:
     return {k: Poly(ts) for k, ts in groups.items()}
 
 
-def _keyed_product(a: Dict[int, int], b: Dict[int, Poly], variables: Tuple[int, ...]):
-    """Keyed ANF bits (key -> bits) times a keyed image (key -> sparse cofactor), by output key."""
-    pairs: Dict[int, List[Tuple[int, int]]] = {}
-    for j in a:
-        for k in b:
-            pairs.setdefault(j | k, []).append((j, k))
-    for key, ps in pairs.items():
-        yield key, reduce(xor, (ring.mul_anf(a[j], b[k], variables) for j, k in ps))
+def _keyed_product(free: int, keyed: List[Dict[int, Poly]], variables: Tuple[int, ...]):
+    """F's ANF bits (free) times one or two keyed images (key -> sparse
+    cofactor), each output key once, from memos of monomial products.  One
+    image A: key k is F*A_k, by one memo seeded with F.  Two, A and B: key
+    j|k is F*(A_j*B_k + A_k*B_j), and row j's two memos, seeded with F*A_j
+    and F*B_j, form it for each key k < j (k = 0: key j, with the pair
+    (j, j)).  A cofactor's sub-monomials are those of smaller keys."""
+    if len(keyed) == 1:
+        memo = {}
+        for key, cofactor in keyed[0].items():
+            yield key, ring.mul_anf(free, cofactor, variables, memo)
+        return
+    a, b = keyed
+    keys = sorted(a.keys() | b.keys())  # key 0 first: _by_key gives it to both
+    yield 0, ring.mul_anf(ring.mul_anf(free, a[0], variables), b[0], variables)
+    for row, j in enumerate(keys[1:], 1):
+        fa, fb = (ring.mul_anf(free, g.get(j, ring.ZERO), variables) for g in (a, b))
+        by_b, by_a = {}, {}  # F*A_j times B's monomials, F*B_j times A's
+        for k in keys[:row]:
+            b_k = add(b[0], b.get(j, ring.ZERO)) if not k else b.get(k, ring.ZERO)
+            yield j | k, (ring.mul_anf(fa, b_k, variables, by_b)
+                          ^ ring.mul_anf(fb, a.get(k, ring.ZERO), variables, by_a))
 
 
 def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,

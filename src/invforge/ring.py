@@ -287,19 +287,31 @@ def mobius(table: int, n: int = 6) -> int:
     return t & ((1 << (1 << n)) - 1)
 
 
-def mul_anf(anf: int, p: Poly, variables: Sequence[int]) -> int:
+@lru_cache(maxsize=None)
+def _one_bit_mask(i: int, n: int) -> int:
+    """Bitmask of ANF indices over n variables that hold the i-th."""
+    return _zero_bit_mask(i, n) << (1 << i)
+
+
+def mul_anf(anf: int, p: Poly, variables: Sequence[int], memo: dict | None = None) -> int:
     """ANF bits over variables of q*p, where anf holds q's and p is sparse over
-    them: per monomial of p and each x_i in it, q's terms without x_i move onto x_i's."""
+    them.  memo maps a monomial m to q*m's bits, from {0: anf}, and grows
+    with each product made, so calls that pass one memo share q's products.
+    A monomial's product is its lowest variable x_i times the rest's: terms
+    without x_i move onto x_i's, cancelling those there (a shift, an XOR, an AND)."""
+    memo = {} if memo is None else memo
+    memo.setdefault(0, anf)
     n, out = len(variables), 0
     for t in p.terms:
-        acc = anf
-        while t:
-            i = variables.index((t & -t).bit_length() - 1)  # ValueError on an undeclared variable
+        chain = []  # t, then its rests, down to one the memo holds
+        while t not in memo:
+            chain.append(t)
             t &= t - 1
-            moved = acc & _zero_bit_mask(i, n)
-            if moved:
-                acc ^= moved ^ moved << (1 << i)
-        out ^= acc
+        done = memo[t]
+        for m in reversed(chain):
+            i = variables.index((m & -m).bit_length() - 1)  # ValueError on an undeclared variable
+            done = memo[m] = (done ^ done << (1 << i)) & _one_bit_mask(i, n)
+        out ^= done
     return out
 
 

@@ -484,6 +484,15 @@ class TestKeyedSymbolic:
         ({"a": "b+Z00", "b": "c+Z01*d", "c": "d+Z02"}, ["a+1", "b+1", "c+1"], "fold"),
         # one image holds a product of two symbols: the fold
         ({"a": "b+Z00*Z01*c"}, ["a+1"], "fold"),
+        # both images carry Z00 and Z03: the pair (Z00, Z00) joins key Z00
+        ({"a": "b+Z00*c+Z03*d", "b": "c+Z00*d+Z03"}, ["a+1", "b+1"], "keyed"),
+        # a two-term cofactor: Z01 carries c+d
+        ({"a": "b+Z01*c+Z01*d", "b": "c+Z00+Z01*b"}, ["a+1", "b+1"], "keyed"),
+        # Z02 and Z05 in the first image only, Z01 and Z03 in the second
+        # only, Z00 in both
+        ({"a": "b+Z00*c+Z02*d+Z05", "b": "c+Z00+Z01*d+Z03*b*d"}, ["a+1", "b+1"], "keyed"),
+        # only one image carries symbols, the other is symbol-free
+        ({"a": "b+Z00*c+Z01*d+Z03*c*d", "b": "c+d"}, ["a+1", "b+1"], "keyed"),
     ])
     def test_keyed_rule_on_hand_made_rounds(self, images, factors, path, monkeypatch):
         rs = RoundSystem("symbolic", _hand_made_round(images).outputs)
@@ -513,9 +522,23 @@ class TestKeyedSymbolic:
             report = build_fe(prepared, rs)
             assert report.anf is not None and calls.count(fe_mod) == 1
 
+    def test_each_monomial_product_formed_once(self, capsys, monkeypatch):
+        # each variable step of ring.mul_anf reads one _one_bit_mask: on the
+        # shipped wiring a row's two memos form each cofactor monomial once,
+        # 4,756 steps in all, where multiplying every key pair afresh took 12,740
+        steps = []
+        real = ring._one_bit_mask
+        monkeypatch.setattr(ring, "_one_bit_mask", lambda i, n: steps.append(i) or real(i, n))
+        argv = ["fe", "--lzs", fixture_path("lzs-265-like.cfg"), "--invariant",
+                fixture_path("invariant-deg7.poly"), "--symbolic"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("fe = <110720 terms, degree 13>\n")
+        assert 0 < len(steps) <= 5_000
+
     def test_counted_in_little_memory(self, wiring, invariant_deg7):
-        # the 110,720-term FE is never built: at most 65 ANF ints of 2^16
-        # bits and one output key are held at a time
+        # the 110,720-term FE is never built: two memos of at most 68 ANF
+        # ints of 2^16 bits each (one instance's 64 input monomials and key
+        # 0's other terms) and one output key are held at a time
         prepared = PreparedInvariant(invariant_deg7)
         prepared.parts
         rs = round_system(wiring, "symbolic")

@@ -336,9 +336,20 @@ class TestProduct:
         for a, b in ((q, ZERO), (q, ONE), (qh, held), (q, p), (qh, p)):
             anf = ring.anf_bits(a, variables)
             assert ring.mul_anf(anf, b, variables) == ring.anf_bits(mul(a, b), variables)
+        # one memo shared by several p gives each p's fresh product, and it
+        # holds q * m for exactly the monomials m it stores
+        anf, memo = ring.anf_bits(q, variables), {}
+        for b in data.draw(st.lists(terms.map(Poly), max_size=4)) + [held, p, ONE]:
+            assert ring.mul_anf(anf, b, variables, memo) == ring.mul_anf(anf, b, variables)
+        assert memo.keys() >= held.terms | p.terms | {0}
+        for m, bits in memo.items():
+            assert bits == ring.anf_bits(mul(q, Poly([m])), variables)
         outside = min(set(range(ring.N_VARS)) - set(variables))
         with pytest.raises(ValueError):  # p must lie over the variables
             ring.mul_anf(1, var(outside), variables)
+        for m in list(memo):  # also where the memo holds the rest of the monomial
+            with pytest.raises(ValueError):
+                ring.mul_anf(anf, Poly([m | 1 << outside]), variables, memo)
 
     def test_anf_roundtrip_and_decoder(self):
         rng = random.Random(8)
