@@ -135,7 +135,7 @@ def annihilators(f: Poly, variables: Sequence[int], degree_bound: int) -> Tuple[
     outside = f.support().difference(variables)
     if outside:
         raise UsageError("polynomial uses %s outside the declared variables"
-                         % ring.var_name(min(outside)))
+                         % ",".join(ring.var_name(v) for v in sorted(outside)))
     if not 0 <= degree_bound <= n:
         raise DegreeBoundError("degree bound %d is outside 0..%d (the number of variables)"
                                % (degree_bound, n))

@@ -134,8 +134,9 @@ def cmd_annihilators(args) -> Result:
     p = _load_poly(args.poly)
     names = p
     if args.vars is not None:
+        # read as p is, so a lone F names the form letter in a forms polynomial;
         # a blank or comma-only list is the empty product, ONE
-        names = (ring.parse(args.vars.replace(",", "*"), "auto")
+        names = (ring.parse(args.vars.replace(",", "*"), _dialect(p))
                  if args.vars.replace(",", "").strip() else ring.ONE)
         if len(names) != 1 or names == ring.ONE:
             raise UsageError("--vars must list variable names")
@@ -257,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariant", required=True)
     p.add_argument("--boolfun")
     p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="monomial budget (default %d): counted on tables or keys, "
+                        "it bounds the terms of P's image; the sparse fold checks each "
+                        "multiplication's running sum, so it can refuse a budget that "
+                        "every intermediate product fits" % ring.DEFAULT_BUDGET)
     p.add_argument("--empirical-trials", type=int, default=0,
                    help="also run the independent empirical checker")
     p.add_argument("--seed", type=int, default=None,

@@ -110,7 +110,9 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     Where V, the variables of P and of its parts' images other than the
     coefficient symbols Z00..Z63, number at most ring.MAX_DENSE_VARS, and
     at most two images hold such symbols, each affine in them, the FE is
-    counted on ANF bits over V: the symbol-free images' table (P's added
+    counted on ANF bits over V, ordered by how many image terms hold each
+    variable (most first, ties by VarId) where a symbol occurs and by
+    VarId otherwise: the symbol-free images' table (P's added
     where no symbol occurs) is transformed once, and _keyed_product
     multiplies it by the other images' sparse cofactors by key, their
     coefficient monomial, forming each output key once from memoised
@@ -135,6 +137,10 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
         fe = add(P.poly, ring.product(images, budget))
         depends_on = tuple(ring.var_name(v) for v in sorted(fe.support()) if v >= N_STATE)
         return FeReport(not fe, depends_on, rs.mode, poly=fe)
+    if keyed:  # most-held first: an ANF int is as long as its highest index bit
+        image_terms = [t for g in images for t in g.terms]
+        variables = tuple(sorted(variables,
+                                 key=lambda v: (-sum(t >> v & 1 for t in image_terms), v)))
     p_table = ring.product_table(P.parts, variables)
     free = ring.product_table([g for g, s in zip(images, supports) if not s & _COEFS], variables)
     if keyed:  # free's ANF bits times the keyed images' cofactors, one output key at a time
@@ -157,8 +163,9 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
             held_coefs |= key
             layers[key.bit_count()] |= anf
     held = reduce(or_, layers)
-    depends_on = [ring.var_name(v) for i, v in enumerate(variables)  # ANF indices holding i
-                  if v >= N_STATE and held & ring.affine_table(2 << i, n)]
+    depends_on = [ring.var_name(v) for v in sorted(v for i, v in enumerate(variables)
+                                                   if v >= N_STATE  # ANF indices holding i
+                                                   and held & ring.affine_table(2 << i, n))]
     depends_on += [ring.var_name(v) for v in sorted(_COEFS) if held_coefs >> v & 1]
     return FeReport(not terms, tuple(depends_on), rs.mode,
                     anf=None if keyed else (layers[0], variables),

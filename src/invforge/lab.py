@@ -263,7 +263,8 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
     affine candidates and divided out; a polynomial with no affine factor
     yields a single chain with no factors.  A chain that does not re-multiply
     to p raises ArithmeticError.  The candidates of each node are computed
-    once, and kept with the node's truth table, which each division reuses.
+    once, and kept with the node's truth table and its quotients, so each
+    distinct division is made once.
     Raises UsageError for max_trees < 1, p = 0 or p over more than MAX_SPLIT_VARS.
     """
     if max_trees < 1:
@@ -275,7 +276,7 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         raise ring.UsageError("cannot factor a polynomial over %d variables: the affine "
                               "factor search is limited to %d" % (n, MAX_SPLIT_VARS))
     rng = random.Random(seed)
-    pools: Dict[Poly, Tuple[List[Poly], int]] = {}
+    pools: Dict[Poly, Tuple[List[Poly], int, Dict[Poly, Poly]]] = {}
     seen = set()
     found: List[Factorization] = []
     for _ in range(max(8 * max_trees, 16)):
@@ -289,13 +290,15 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
                 sup, vectors, table = minimal_affine_factors(node)
                 # the text only orders the pool; a forms chain may hold a lone F
                 pools[node] = (sorted((vector_to_affine(v, sup) for v in vectors),
-                                      key=lambda f: ring.render(f, "forms")), table)
-            pool, table = pools[node]
+                                      key=lambda f: ring.render(f, "forms")), table, {})
+            pool, table, quotients = pools[node]
             if not pool:
                 break
             ell = pool[rng.randrange(len(pool))]
             factors.append(ell)
-            node = factor_out(node, ell, table)
+            if ell not in quotients:
+                quotients[ell] = factor_out(node, ell, table)
+            node = quotients[ell]
             nodes.append(node)
         key = (frozenset(factors), node)
         if key in seen:

@@ -386,6 +386,17 @@ class TestVerdictsAndExitCodes:
         b1, b2 = (ring.parse(g, "forms") for g in basis)
         assert {b1, b2, b1 + b2} >= {ring.parse("A+1", "forms"), ring.parse("F+1", "forms")}
 
+    @pytest.mark.parametrize("text,names,missing", [
+        ("BF+F", "F", "B"),  # F is the form letter, as in the polynomial
+        ("BF+F", "B", "F"),
+        ("abc", "a", "b,c"),
+    ])
+    def test_annihilators_vars_read_in_the_polynomials_dialect(self, text, names, missing):
+        r = run_cli("annihilators", "--poly", "-", "--degree", "1", "--vars", names,
+                    stdin=text + "\n")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: polynomial uses %s outside the declared variables\n" % missing
+
     def test_factor_of_mu_renders_as_by_auto_detection(self, capsys):
         mu = ring.parse(fixture_text("mu.poly"), "auto")
         for seed in range(4):

@@ -493,6 +493,10 @@ class TestKeyedSymbolic:
         ({"a": "b+Z00*c+Z02*d+Z05", "b": "c+Z00+Z01*d+Z03*b*d"}, ["a+1", "b+1"], "keyed"),
         # only one image carries symbols, the other is symbol-free
         ({"a": "b+Z00*c+Z01*d+Z03*c*d", "b": "c+d"}, ["a+1", "b+1"], "keyed"),
+        # L beside the symbols in more image terms than F, which the others
+        # outnumber: the index order puts L before F, depends_on lists F first
+        ({"a": "b+L*Z00*c+L*Z01+L*d+F*Z02", "b": "c+Z00*L+L*b+F*Z01*d"}, ["a+1", "b+1"],
+         "keyed"),
     ])
     def test_keyed_rule_on_hand_made_rounds(self, images, factors, path, monkeypatch):
         rs = RoundSystem("symbolic", _hand_made_round(images).outputs)
@@ -537,8 +541,9 @@ class TestKeyedSymbolic:
 
     def test_counted_in_little_memory(self, wiring, invariant_deg7):
         # the 110,720-term FE is never built: two memos of at most 68 ANF
-        # ints of 2^16 bits each (one instance's 64 input monomials and key
-        # 0's other terms) and one output key are held at a time
+        # ints (one instance's 64 input monomials and key 0's other terms)
+        # and one output key are held at a time, each int short since the
+        # variables most image terms hold take the low index bits
         prepared = PreparedInvariant(invariant_deg7)
         prepared.parts
         rs = round_system(wiring, "symbolic")
@@ -549,7 +554,7 @@ class TestKeyedSymbolic:
         finally:
             tracemalloc.stop()
         assert report.size == (110720, 13) and not report.system.linear
-        assert peak < 2 << 20
+        assert peak < 1 << 20
 
 
 class TestCoefficientSystem:

@@ -306,11 +306,16 @@ class TestFactorExplorer:
             return minimal_affine_factors(node)
 
         monkeypatch.setattr(lab, "minimal_affine_factors", counting)
+        divisions = []  # each (node, factor) divided once, later chains reuse the quotient
+        real = lab.factor_out
+        monkeypatch.setattr(lab, "factor_out", lambda node, ell, table:
+                            divisions.append((node, ell)) or real(node, ell, table))
         found = explore_factorizations(p, trees, seed=1)
         assert found
         visited = {n for t in found for n in (t.root,) + t.nodes}
         assert visited <= set(calls)
         assert len(calls) == len(set(calls))
+        assert len(divisions) == len(set(divisions))
 
     def test_one_table_per_node(self, monkeypatch, invariant_deg7):
         # each node's table is built once, by its candidate search, and the
