@@ -6,12 +6,12 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import ring
 from .boolfun import BoolFun6, affine_split
 from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
-from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, coef_var, mobius, substitute
+from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, mobius, substitute
 
 MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
 _COEFS = frozenset(range(COEF_BASE, COEF_BASE + 64))  # the VarIds of Z00..Z63
@@ -27,28 +27,33 @@ class NonStateVariableError(ring.UsageError):
 @dataclass(frozen=True, eq=False)
 class FeReport:
     """The verdicts on a fundamental equation: is_zero, and depends_on, the
-    non-state variables it holds.  build_fe keeps the FE as poly where it
-    multiplied it out.  Where it counted it on ANF bits over n variables it
-    keeps counts, (terms, layers, n): layers[d] is the OR of the ANF bits
-    of the keys with d coefficient symbols; images, P then its parts'
-    images; and, where no symbol occurs, anf, the ANF bits with their
-    sorted variables.  fe is the polynomial either way, built on first
-    read (from anf, else by ring.product over images) and kept."""
+    non-state variables it holds.  The FE is poly where build_fe multiplied
+    it out.  Where it counted it by key on ANF bits over variables, counts is
+    (terms, layers), layers[d] the OR of the bits of the keys with d symbols,
+    and rows() forms the keys again from replay.  fe is built on first read."""
 
     is_zero: bool
     depends_on: Tuple[str, ...]
     mode: str
     poly: Optional[Poly] = field(default=None, repr=False)
-    anf: Optional[Tuple[int, Tuple[int, ...]]] = field(default=None, repr=False)
-    counts: Optional[Tuple[int, Tuple[int, int, int], int]] = None
-    images: Tuple[Poly, ...] = field(default=(), repr=False)
+    counts: Optional[Tuple[int, Tuple[int, int, int]]] = None
+    variables: Tuple[int, ...] = ()
+    replay: Optional[tuple] = field(default=None, repr=False)  # (F, keyed images, P's bits)
+
+    def rows(self) -> Iterator[Tuple[int, int]]:
+        """Each nonzero (key, ANF bits over variables) of a counted FE, replayed."""
+        free, keyed, p_anf = self.replay
+        for key, anf in _keyed_product(free, keyed, self.variables):
+            if not key:
+                anf ^= p_anf
+            if anf:
+                yield key, anf
 
     @cached_property
     def fe(self) -> Poly:
-        if self.anf is not None:
-            return ring.poly_from_anf_bits(*self.anf)
-        fold = self.poly is None  # counted with coefficient symbols: fold the images
-        return add(self.images[0], ring.product(self.images[1:])) if fold else self.poly
+        if self.poly is not None:
+            return self.poly
+        return ring.poly_from_anf_rows(self.rows(), self.variables)
 
     @cached_property
     def text(self) -> Optional[str]:
@@ -62,8 +67,8 @@ class FeReport:
     def size(self) -> Tuple[int, int]:
         if not self.counts:
             return len(self.fe), self.fe.degree()
-        terms, layers, n = self.counts  # a degree: d plus the highest weight layer met
-        weights = ring.weight_layers(n)
+        terms, layers = self.counts  # a degree: d plus the highest weight layer met
+        weights = ring.weight_layers(len(self.variables))
         return terms, max((d + max(w for w, mask in enumerate(weights) if bits & mask)
                            for d, bits in enumerate(layers) if bits), default=-1)
 
@@ -117,7 +122,8 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     multiplies it by the other images' sparse cofactors by key, their
     coefficient monomial, forming each output key once from memoised
     monomial products (ring.mul_anf), P's bits joining key 0; each key is
-    counted and dropped, the budget bounding the image's terms as summed.
+    counted and dropped (the report replays them), the budget bounding the
+    image's terms as summed.
     Otherwise ring.product multiplies the images out, budgeting each one.
     The budget, ring.DEFAULT_BUDGET where none is given, also bounds each
     image's substitution.
@@ -143,19 +149,19 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
                                  key=lambda v: (-sum(t >> v & 1 for t in image_terms), v)))
     p_table = ring.product_table(P.parts, variables)
     free = ring.product_table([g for g, s in zip(images, supports) if not s & _COEFS], variables)
-    if keyed:  # free's ANF bits times the keyed images' cofactors, one output key at a time
-        p_anf, stream = mobius(p_table, n), _keyed_product(mobius(free, n), keyed, variables)
+    if keyed:  # F, free's ANF bits, times the keyed images' cofactors; P's bits join key 0
+        f_anf, p_anf = mobius(free, n), mobius(p_table, n)
     else:  # one transform: FE = P + image is linear in the tables
-        p_anf, stream = 0, [(0, mobius(free ^ p_table, n))]
+        f_anf, p_anf = mobius(free ^ p_table, n), 0
     layers = [0, 0, 0]  # by the symbols in a key: the OR of those keys' FE ANF bits
     count = terms = held_coefs = 0
-    for key, anf in stream:
+    for key, anf in _keyed_product(f_anf, keyed, variables):
         size = anf.bit_count()
         if keyed or 1 << n > budget:  # the budget bounds the image's terms: 2^n at most on one key
             count += size if keyed else mobius(free, n).bit_count()
             if count > budget:
                 raise TermBudgetError(budget)
-        if p_anf and not key:  # P is in key 0
+        if not key:  # P is in key 0
             anf ^= p_anf
             size = anf.bit_count()
         if size:
@@ -167,9 +173,8 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
                                                    if v >= N_STATE  # ANF indices holding i
                                                    and held & ring.affine_table(2 << i, n))]
     depends_on += [ring.var_name(v) for v in sorted(_COEFS) if held_coefs >> v & 1]
-    return FeReport(not terms, tuple(depends_on), rs.mode,
-                    anf=None if keyed else (layers[0], variables),
-                    counts=(terms, tuple(layers), n), images=(P.poly, *images))
+    return FeReport(not terms, tuple(depends_on), rs.mode, counts=(terms, tuple(layers)),
+                    variables=variables, replay=(f_anf, tuple(keyed), p_anf))
 
 
 def _by_key(g: Poly) -> Dict[int, Poly]:
@@ -180,16 +185,17 @@ def _by_key(g: Poly) -> Dict[int, Poly]:
     return {k: Poly(ts) for k, ts in groups.items()}
 
 
-def _keyed_product(free: int, keyed: List[Dict[int, Poly]], variables: Tuple[int, ...]):
-    """F's ANF bits (free) times one or two keyed images (key -> sparse
-    cofactor), each output key once, from memos of monomial products.  One
-    image A: key k is F*A_k, by one memo seeded with F.  Two, A and B: key
-    j|k is F*(A_j*B_k + A_k*B_j), and row j's two memos, seeded with F*A_j
-    and F*B_j, form it for each key k < j (k = 0: key j, with the pair
-    (j, j)).  A cofactor's sub-monomials are those of smaller keys."""
-    if len(keyed) == 1:
+def _keyed_product(free: int, keyed: Tuple[Dict[int, Poly], ...], variables: Tuple[int, ...]):
+    """F's ANF bits (free) times no, one or two keyed images (key -> sparse
+    cofactor), each output key once, from memos of monomial products.  No
+    image: key 0 is F.  One image A: key k is F*A_k, by one memo seeded
+    with F.  Two, A and B: key j|k is F*(A_j*B_k + A_k*B_j), and row j's
+    two memos, seeded with F*A_j and F*B_j, form it for each key k < j
+    (k = 0: key j, with the pair (j, j)).  A cofactor's sub-monomials are
+    those of smaller keys."""
+    if len(keyed) < 2:
         memo = {}
-        for key, cofactor in keyed[0].items():
+        for key, cofactor in (keyed[0] if keyed else {0: ring.ONE}).items():
             yield key, ring.mul_anf(free, cofactor, variables, memo)
         return
     a, b = keyed
@@ -210,18 +216,6 @@ def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,
     if rs.mode != "symbolic":
         raise ValueError("symbolic_fe requires a symbolic-mode round system")
     return build_fe(P, rs, budget)
-
-
-def substitute_coefficients(p: Poly, fun: BoolFun6) -> Poly:
-    """Replace every Z00..Z63 symbol by the function's concrete ANF bit."""
-    assignment = {coef_var(j): (ring.ONE if (fun.anf >> j) & 1 else ring.ZERO)
-                  for j in range(64)}
-    return substitute(p, assignment)
-
-
-def check_candidate(fe_symbolic: Poly, fun: BoolFun6) -> bool:
-    """Does a concrete function solve the symbolic FE?"""
-    return not substitute_coefficients(fe_symbolic, fun)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Variable universe.
@@ -422,20 +422,24 @@ def anf_bits(p: Poly, variables: Sequence[int]) -> int:
 
 
 def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
-    """Polynomial over the given variables from an ANF coefficient vector.
+    """Polynomial over the given variables from an ANF coefficient vector."""
+    return poly_from_anf_rows([(0, anf)], variables)
 
-    The set indices come from one scan; each is decoded by two lookups in
-    tables over the low and the high half of the variables.
+
+def poly_from_anf_rows(rows: Iterable[Tuple[int, int]], variables: Sequence[int]) -> Poly:
+    """The sum, over (key, anf) rows, of the monomial key times the
+    polynomial over the given variables with ANF coefficient vector anf.
+
+    Each row's set indices come from one scan; each is decoded by two
+    lookups in tables over the low and the high half of the variables,
+    built once for every row.
     """
     n = len(variables)
     h = n // 2
     low, high = monomial_masks(variables[:h]), monomial_masks(variables[h:])
-    low_mask = (1 << h) - 1
-    terms = [low[i & low_mask] | high[i >> h]
-             for i in _ones(anf & ((1 << (1 << n)) - 1))]
-    if len(set(variables)) == n:
-        return Poly._raw(frozenset(terms))
-    return Poly(terms)
+    low_mask, full = (1 << h) - 1, (1 << (1 << n)) - 1
+    return Poly([low[i & low_mask] | high[i >> h] | key
+                 for key, anf in rows for i in _ones(anf & full)])
 
 
 def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) -> Poly:

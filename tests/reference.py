@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from invforge import gf2, lab, ring
 from invforge.boolfun import (
-    MAX_SPLIT_VARS, affine_factor_solutions, affine_span, truth_table, vector_to_affine,
+    MAX_SPLIT_VARS, BoolFun6, affine_factor_solutions, affine_span, truth_table, vector_to_affine,
 )
 from invforge.cipher import Wiring, round_system
 from invforge.fe import PreparedInvariant, build_fe
@@ -17,15 +17,15 @@ from invforge.lincycle import (
     AffineRound, PeriodEntry, _krylov_span, _prime_factors, _residue, _witness_search,
 )
 from invforge.ring import (
-    ONE, NotAFactorError, Poly, add, add_many, form_var, mul, product, substitute, var,
-    var_name,
+    ONE, ZERO, NotAFactorError, Poly, add, add_many, coef_var, form_var, mul, product,
+    substitute, var, var_name,
 )
 
 
 # The functions whose ring.product call is the FE's sparse fold: fe.build_fe
-# folding the images, and FeReport.fe folding them when read.  Any other
-# caller is a substitution's group product (ring.substitute) or a test's own.
-FOLD_CALLERS = ("build_fe", "fe")
+# folding the images.  Any other caller is a substitution's group product
+# (ring.substitute) or a test's own.
+FOLD_CALLERS = ("build_fe",)
 
 
 def spy_products(monkeypatch) -> List[Tuple[str, int]]:
@@ -47,6 +47,18 @@ def spy_products(monkeypatch) -> List[Tuple[str, int]]:
 def folds(calls: Sequence[Tuple[str, int]]) -> int:
     """How many of spy_products' calls were the FE's sparse fold."""
     return sum(caller in FOLD_CALLERS for caller, _ in calls)
+
+
+def substitute_coefficients(p: Poly, fun: BoolFun6) -> Poly:
+    """Replace every Z00..Z63 symbol by the function's concrete ANF bit."""
+    assignment = {coef_var(j): (ONE if (fun.anf >> j) & 1 else ZERO)
+                  for j in range(64)}
+    return substitute(p, assignment)
+
+
+def check_candidate(fe_symbolic: Poly, fun: BoolFun6) -> bool:
+    """Does a concrete function solve the symbolic FE?"""
+    return not substitute_coefficients(fe_symbolic, fun)
 
 
 def table_depends(table: int, n: int, i: int) -> bool:

@@ -126,6 +126,17 @@ class TestVerdictsAndExitCodes:
         assert calls and {caller for caller, _ in calls} == {"substitute"}
         assert max(terms for _, terms in calls) <= 300
 
+    def test_small_symbolic_fe_is_replayed_not_folded(self, capsys, monkeypatch):
+        # invariant-827's FE is printed in full, 192 terms, with its linear
+        # system of 192 equations: both are read off the replayed keyed rows,
+        # so every ring.product call is a substitution's group product
+        calls = spy_products(monkeypatch)
+        assert cli.main(["fe", "--lzs", LZS, "--invariant", INV827, "--symbolic"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out[0].removeprefix("fe = ").split("+")) == 192
+        assert "coefficient system: linear, 192 equations" in out
+        assert calls and {caller for caller, _ in calls} == {"substitute"}
+
     def test_expanded_fe_gets_the_default_budget(self, tmp_path, capsys, monkeypatch):
         # on a random wiring the degree-7 invariant's U passes 20 variables, so
         # build_fe folds the images; ring.DEFAULT_BUDGET bounds that fold

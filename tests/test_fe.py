@@ -16,12 +16,11 @@ from invforge.cipher import (
 )
 from invforge.data import fixture_path, fixture_text
 from invforge.fe import (
-    NonStateVariableError, PreparedInvariant, build_fe, check_candidate,
-    check_invariant_empirically, coefficient_system, substitute_coefficients,
-    symbolic_fe,
+    NonStateVariableError, PreparedInvariant, build_fe, check_invariant_empirically,
+    coefficient_system, symbolic_fe,
 )
 from invforge.ring import ONE, TermBudgetError, add, mul, parse, substitute, var
-from reference import folds, spy_products
+from reference import check_candidate, folds, spy_products, substitute_coefficients
 
 
 class TestBuildFe:
@@ -65,7 +64,7 @@ class TestBuildFe:
             for fun in (zref, ZERO_FUN, random_boolfun(300 + k), random_boolfun(400 + k)):
                 report = build_fe(P, round_system(w, "expanded", fun))
                 size = report.size
-                if report.anf is not None:
+                if report.poly is None:
                     tabled += 1
                     assert "fe" not in vars(report)
                 assert size == (len(report.fe), report.fe.degree())
@@ -170,7 +169,7 @@ class TestBuildFe:
                     prepared = PreparedInvariant(p)
                     report = build_fe(prepared, rs)
                     tabled = len(_union_support(prepared, rs)) <= ring.MAX_DENSE_VARS
-                    assert (report.anf is not None) == tabled
+                    assert (report.poly is None) == tabled
                     paths["table" if tabled else "sparse"] += 1
                     _assert_matches_oracle(report, prepared, rs)
         assert paths == {"table": 96, "sparse": 12}
@@ -190,7 +189,7 @@ class TestBuildFe:
         assert any(ring.NAMES.index(name) in substitute(f, rs.as_substitution()).support()
                    for f in prepared.parts) == in_images
         report = build_fe(prepared, rs)
-        assert ring.NAMES.index(name) in report.anf[1]
+        assert ring.NAMES.index(name) in report.variables
         assert (report.is_zero, report.depends_on) == (False, ())
         _assert_matches_oracle(report, prepared, rs)
 
@@ -210,11 +209,11 @@ class TestBuildFe:
                 report = build_fe(prepared, rs)
                 _assert_matches_oracle(report, prepared, rs)
                 if not p.support():
-                    assert report.is_zero and report.anf == (0, ())
+                    assert report.is_zero and (list(report.rows()), report.variables) == ([], ())
                     assert report.size == (0, -1)
                 elif p.support() - set().union(*(substitute(f, rs.as_substitution()).support()
                                                  for f in prepared.parts)):
-                    foreign["sparse" if report.anf is None else "table"] += 1
+                    foreign["sparse" if report.poly is not None else "table"] += 1
         assert foreign == {"table": 14, "sparse": 1}
 
     def test_path_choice_at_the_variable_limit(self, monkeypatch):
@@ -235,7 +234,7 @@ class TestBuildFe:
             del paths[:]
             report = build_fe(prepared, rs)
             assert paths + ["sparse"] * folds(products) == taken
-            assert (report.anf is None) == (n > ring.MAX_DENSE_VARS)
+            assert (report.poly is not None) == (n > ring.MAX_DENSE_VARS)
             assert len(report.fe) == 10 * (n - 12) + 1
             monkeypatch.undo()
             _assert_matches_oracle(report, prepared, rs)
@@ -443,6 +442,12 @@ class TestKeyedSymbolic:
         assert report.fe == fe
         oracle = fe_mod.FeReport(not fe, report.depends_on, rs.mode, poly=fe)
         assert cli._fe_record(report) == cli._fe_record(oracle)
+        if path == "keyed":  # the replayed rows are the fold's nonzero cofactors by key
+            rows = list(report.rows())
+            decoded = {key: ring.poly_from_anf_bits(anf, report.variables) for key, anf in rows}
+            assert len(decoded) == len(rows)
+            assert decoded == {key: c for key, c in fe_mod._by_key(fe).items() if c}
+            assert list(report.rows()) == rows
         return path
 
     def test_keyed_path_matches_the_fold(self, wiring, invariant_deg7, monkeypatch):
@@ -524,7 +529,7 @@ class TestKeyedSymbolic:
         for rs in (round_system(wiring, "expanded", zref), round_system(wiring, "placeholder")):
             calls.clear()
             report = build_fe(prepared, rs)
-            assert report.anf is not None and calls.count(fe_mod) == 1
+            assert report.poly is None and calls.count(fe_mod) == 1
 
     def test_each_monomial_product_formed_once(self, capsys, monkeypatch):
         # each variable step of ring.mul_anf reads one _one_bit_mask: on the

@@ -204,7 +204,7 @@ class TestVerifyAttack:
             del reports[:]
             report = verify_attack(w, zref)
             assert report.passed and reports[0].mode == "placeholder"
-            assert reports[0].anf[1] == V
+            assert reports[0].variables == V
 
     def test_both_fe_steps_call_build_fe(self, wiring, zref, monkeypatch):
         modes = []

@@ -5,7 +5,8 @@ class method under src/invforge must be named somewhere in src/ outside
 its own definition.  A reference from inside a kept or an unreferenced
 name does not count, since neither serves a command.  The exceptions are
 KEEP, one reason each.  A test-only reference implementation belongs in
-tests/reference.py instead.
+tests/reference.py instead, and there every module-level function must be
+named by some tests/test_*.py, directly or through another such function.
 """
 
 import ast
@@ -14,11 +15,10 @@ import os
 import invforge
 
 SRC = os.path.dirname(invforge.__file__)
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 KEEP = {
     "ring.Poly.evaluate": "the tests' pointwise oracle for every evaluator",
-    "fe.check_candidate": "the planned exact FE solver checks its solutions with it",
-    "fe.substitute_coefficients": "check_candidate's substitution, for the same solver",
     "cipher.random_wiring": "the planned solve, invariants and degree-d searches "
                             "sample wirings with it",
     "lincycle.synthetic_permutation": "the planned minimal-polynomial period reader "
@@ -35,8 +35,18 @@ def _modules():
                 path = os.path.join(base, f)
                 rel = os.path.relpath(path, SRC)[:-3].replace(os.sep, ".")
                 name = rel[:-len(".__init__")] if rel.endswith(".__init__") else rel
-                with open(path, encoding="utf-8") as fh:
-                    yield name, ast.parse(fh.read(), path)
+                yield name, _parse(path)
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _names(tree):
+    """Every bare name and attribute name under an AST node."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
 def _public(name):
@@ -92,3 +102,19 @@ def test_keep_list_holds_only_unreferenced_names():
     # a kept name that a command starts to use leaves the list
     assert set(KEEP) <= _unreferenced(), sorted(set(KEEP) - _unreferenced())
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def test_every_reference_helper_serves_a_test():
+    # an oracle that no test reaches, directly or through another helper,
+    # checks nothing: delete it rather than let it rot
+    helpers = {node.name: node for node in _parse(os.path.join(TESTS, "reference.py")).body
+               if isinstance(node, ast.FunctionDef)}
+    todo = set().union(*(_names(_parse(os.path.join(TESTS, f))) for f in os.listdir(TESTS)
+                         if f.startswith("test_") and f.endswith(".py"))) & helpers.keys()
+    live = set()
+    while todo:
+        name = todo.pop()
+        live.add(name)
+        todo |= (_names(helpers[name]) & helpers.keys()) - live
+    assert live == helpers.keys(), ("tests/reference.py helpers that no test reaches: %s"
+                                    % ", ".join(sorted(helpers.keys() - live)))
