@@ -248,40 +248,39 @@ def step(state: int, w: Wiring, fun: BoolFun6,
          f_bit: int, k_bit: int, l_bit: int) -> int:
     """One concrete round; independent of the polynomial path.
 
-    Evaluates the displayed equations directly with truth-table lookups.
+    Evaluates the displayed equations directly with truth-table lookups:
+    input x_b is bit b of s, K for b = 0.
     """
-    def x(bit: int) -> int:
-        return k_bit if bit == 0 else (state >> (bit - 1)) & 1
-
-    p = w.p
-    z1 = fun.value(l_bit | (x(p[0]) << 1) | (x(p[1]) << 2)
-                   | (x(p[2]) << 3) | (x(p[3]) << 4) | (x(p[4]) << 5))
-    z2 = fun.value(x(p[6]) | (x(p[7]) << 1) | (x(p[8]) << 2)
-                   | (x(p[9]) << 3) | (x(p[10]) << 4) | (x(p[11]) << 5))
-    z3 = fun.value(x(p[13]) | (x(p[14]) << 1) | (x(p[15]) << 2)
-                   | (x(p[16]) << 3) | (x(p[17]) << 4) | (x(p[18]) << 5))
-    z4 = fun.value(x(p[20]) | (x(p[21]) << 1) | (x(p[22]) << 2)
-                   | (x(p[23]) << 3) | (x(p[24]) << 4) | (x(p[25]) << 5))
+    s = state << 1 | k_bit
+    p, d, tt = w.p, w.d, fun.tt
+    z1 = tt >> (l_bit | (s >> p[0] & 1) << 1 | (s >> p[1] & 1) << 2
+                | (s >> p[2] & 1) << 3 | (s >> p[3] & 1) << 4 | (s >> p[4] & 1) << 5) & 1
+    z2 = tt >> ((s >> p[6] & 1) | (s >> p[7] & 1) << 1 | (s >> p[8] & 1) << 2
+                | (s >> p[9] & 1) << 3 | (s >> p[10] & 1) << 4 | (s >> p[11] & 1) << 5) & 1
+    z3 = tt >> ((s >> p[13] & 1) | (s >> p[14] & 1) << 1 | (s >> p[15] & 1) << 2
+                | (s >> p[16] & 1) << 3 | (s >> p[17] & 1) << 4 | (s >> p[18] & 1) << 5) & 1
+    z4 = tt >> ((s >> p[20] & 1) | (s >> p[21] & 1) << 1 | (s >> p[22] & 1) << 2
+                | (s >> p[23] & 1) << 3 | (s >> p[24] & 1) << 4 | (s >> p[25] & 1) << 5) & 1
 
     out = (state << 1) & _TRIVIAL_MASK
     acc = f_bit
-    out |= (acc ^ x(w.D(9))) << 32                     # y33
+    out |= (acc ^ s >> d[8] & 1) << 32                 # y33
     acc ^= z1
-    out |= (acc ^ x(w.D(8))) << 28                     # y29
-    acc ^= x(p[5])
-    out |= (acc ^ x(w.D(7))) << 24                     # y25
+    out |= (acc ^ s >> d[7] & 1) << 28                 # y29
+    acc ^= s >> p[5] & 1
+    out |= (acc ^ s >> d[6] & 1) << 24                 # y25
     acc ^= z2
-    out |= (acc ^ x(w.D(6))) << 20                     # y21
-    acc ^= x(p[12])
-    out |= (acc ^ x(w.D(5))) << 16                     # y17
+    out |= (acc ^ s >> d[5] & 1) << 20                 # y21
+    acc ^= s >> p[12] & 1
+    out |= (acc ^ s >> d[4] & 1) << 16                 # y17
     acc ^= l_bit ^ z3
-    out |= (acc ^ x(w.D(4))) << 12                     # y13
-    acc ^= x(p[19])
-    out |= (acc ^ x(w.D(3))) << 8                      # y9
+    out |= (acc ^ s >> d[3] & 1) << 12                 # y13
+    acc ^= s >> p[19] & 1
+    out |= (acc ^ s >> d[2] & 1) << 8                  # y9
     acc ^= z4
-    out |= (acc ^ x(w.D(2))) << 4                      # y5
-    acc ^= x(p[26])
-    out |= acc ^ x(w.D(1))                             # y1
+    out |= (acc ^ s >> d[1] & 1) << 4                  # y5
+    acc ^= s >> p[26] & 1
+    out |= acc ^ s >> d[0] & 1                         # y1
     return out
 
 

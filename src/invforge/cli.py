@@ -75,12 +75,14 @@ def cmd_fe(args) -> Result:
         raise UsageError("--budget must be >= 1")
     if not (args.symbolic or args.boolfun):
         raise UsageError("fe requires --boolfun unless --symbolic is given")
-    if args.symbolic and args.empirical_trials:
+    if args.symbolic and args.empirical_trials is not None:
         raise UsageError("--empirical-trials needs --boolfun, not --symbolic")
     if args.symbolic and args.boolfun:
         raise UsageError("--symbolic solves for the function: drop --boolfun or --symbolic")
     if args.seed is not None and not args.empirical_trials:
         raise UsageError("--seed seeds the empirical check: it needs --empirical-trials")
+    if args.empirical_trials is not None and args.empirical_trials < 1:
+        raise UsageError("--empirical-trials must be >= 1")
     P = fe_mod.PreparedInvariant(P)
     if args.symbolic:
         report = fe_mod.symbolic_fe(P, round_system(w, "symbolic"), args.budget)
@@ -96,7 +98,7 @@ def cmd_fe(args) -> Result:
     report = fe_mod.build_fe(P, rs, args.budget)
     rec = _fe_record(report)
     lines = report.lines()
-    if args.empirical_trials:
+    if args.empirical_trials is not None:
         trials = args.empirical_trials
         mismatches = fe_mod.check_invariant_empirically(P, w, fun, trials, seed=args.seed or 0)
         rec["empirical"] = {"trials": trials, "rounds": 1, "mismatches": mismatches}
@@ -263,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "it bounds the terms of P's image; the sparse fold checks each "
                         "multiplication's running sum, so it can refuse a budget that "
                         "every intermediate product fits" % ring.DEFAULT_BUDGET)
-    p.add_argument("--empirical-trials", type=int, default=0,
-                   help="also run the independent empirical checker")
+    p.add_argument("--empirical-trials", type=int, default=None,
+                   help="also run the independent empirical checker on this many "
+                        "sampled states (>= 1; with --boolfun only)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the empirical check (default 0)")
 

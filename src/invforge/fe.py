@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import ring
 from .boolfun import BoolFun6, affine_split
@@ -89,14 +89,28 @@ class PreparedInvariant:
     """A candidate P over state bits only (checked here on support, the set
     of P's variables).  parts, P's affine factors then the residual, is
     split on first use and kept for every FE; lane_plan, P's bit-sliced
-    evaluation plan, is kept the same way for every empirical check."""
+    evaluation plan, is kept the same way for every empirical check.
+    from_parts prepares a P whose parts are known, so nothing is split."""
 
     def __init__(self, poly: Poly):
-        self.support = poly.support()
-        bad = [v for v in self.support if v >= N_STATE]
-        if bad:
-            raise NonStateVariableError(bad)
+        self.support = _state_support(poly.support())
         self.poly = poly
+
+    @classmethod
+    def from_parts(cls, parts: Sequence[Poly]) -> "PreparedInvariant":
+        """P = the product of parts, its affine factors then the residual.
+        support is the parts' union: P must depend on each of their
+        variables, as a product of affine factors with independent linear
+        parts and the residual 1 does.  poly is multiplied out only where a
+        path reads it: the sparse fold or the lane plan."""
+        prepared = cls.__new__(cls)
+        prepared.support = _state_support(frozenset().union(*(p.support() for p in parts)))
+        prepared.parts = tuple(parts)
+        return prepared
+
+    @cached_property
+    def poly(self) -> Poly:
+        return ring.product(self.parts)
 
     @cached_property
     def parts(self) -> Tuple[Poly, ...]:
@@ -106,6 +120,13 @@ class PreparedInvariant:
     @cached_property
     def lane_plan(self) -> LanePlan:
         return LanePlan(self.poly)
+
+
+def _state_support(support: frozenset) -> frozenset:
+    bad = [v for v in support if v >= N_STATE]
+    if bad:
+        raise NonStateVariableError(bad)
+    return support
 
 
 def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None) -> FeReport:

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from . import fe as fe_mod
 from . import ring
 from .boolfun import (
-    MAX_SPLIT_VARS, BoolFun6, is_absorber, minimal_affine_factors, random_boolfun,
-    vector_to_affine,
+    MAX_SPLIT_VARS, BoolFun6, minimal_affine_factors, random_boolfun, vector_to_affine,
 )
 from .cipher import Wiring, round_system
 from .ring import (
@@ -68,14 +67,16 @@ def _s(*ps: Poly) -> Poly:
 A, B, C, D, E, F, G, H = _forms(*"ABCDEFGH")
 
 
-def invariant_factors_forms() -> List[Poly]:
-    """The seven affine factors of the degree-7 invariant, over A..H."""
+def invariant_factors(forms: Sequence[Poly] = (A, B, C, D, E, F, G, H)) -> List[Poly]:
+    """The seven affine factors of the degree-7 invariant over the forms A..H:
+    the letters, or the state-bit sums of form_bank()."""
+    A, B, C, D, E, F, G, H = forms
     return [_s(A, B), _s(C, D), _s(D, F), _s(B, F), _s(E, F), _s(G, F), _s(G, H)]
 
 
 def product_invariant() -> Poly:
     """The degree-7 product invariant, expanded over state bits."""
-    return expand_forms(product(invariant_factors_forms()))
+    return expand_forms(product(invariant_factors()))
 
 
 def core_product_forms() -> Poly:
@@ -184,28 +185,36 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            add(rs_ph.output(9), rs_ph.output(5)) == add(Wv, A_)
            and add(rs_ph.output(25), rs_ph.output(21)) == add(Yv, E_))
 
-    P_state = fe_mod.PreparedInvariant(product_invariant())
+    # P from its published factors: no split, and no 2,080 terms unless the fold reads them
+    P_state = fe_mod.PreparedInvariant.from_parts(
+        invariant_factors((A_, B_, C_, D_, E_, F_, G_, H_)) + [ONE])
     mu_forms = core_product_forms()
     bracket_yw = bracket_with_instances()
     report_ph = fe_mod.build_fe(P_state, rs_ph)
     V = (*LETTER_BITS, PLACEHOLDER_Y, PLACEHOLDER_W)  # ascending, as build_fe's variables
-    table = mobius(form_anf(mu_forms, V), len(V)) & mobius(form_anf(bracket_yw, V), len(V))
+    mu_table = mobius(form_anf(mu_forms, V), len(V))
+    table = mu_table & mobius(form_anf(bracket_yw, V), len(V))
     record("regrouped-difference",
            "one-round difference = mu * bracket with opaque Y, W",
            report_ph.variables == V and list(report_ph.rows()) == [(0, mobius(table, len(V)))])
 
-    args = w.z_args
-    Yex = fun.instantiate(args[1])
-    Wex = fun.instantiate(args[3])
+    # X*I = X iff table(X) & ~table(I) = 0, over the 16 form bits: the instances read
+    # only those, and mu's table over V at Y = W = 0 is its low 2^16 bits
+    n = len(LETTER_BITS)
+    mu_table &= (1 << (1 << n)) - 1
+    Yt, Wt = (mobius(anf_bits(fun.instantiate(w.z_args[i]), LETTER_BITS), n) for i in (1, 3))
+
+    def absorbs(forms, instance):
+        return not ring.product_table(forms, LETTER_BITS) & ~instance
+
     record("absorption",
            "CHF*W = CHF and BDG*Y = BDG",
-           is_absorber(product([C_, H_, F_]), Wex) and is_absorber(product([B_, D_, G_]), Yex))
+           absorbs([C_, H_, F_], Wt) and absorbs([B_, D_, G_], Yt))
 
-    cCHF = product([_s(C_, ONE), _s(H_, ONE), _s(F_, ONE)])
-    cBDG = product([_s(B_, ONE), _s(D_, ONE), _s(G_, ONE)])
     record("complement-absorption",
            "(C+1)(H+1)(F+1)*W and (B+1)(D+1)(G+1)*Y absorb too",
-           is_absorber(cCHF, Wex) and is_absorber(cBDG, Yex))
+           absorbs([_s(C_, ONE), _s(H_, ONE), _s(F_, ONE)], Wt)
+           and absorbs([_s(B_, ONE), _s(D_, ONE), _s(G_, ONE)], Yt))
 
     ok = True
     for factors, bracket in (core_factorization_a(), core_factorization_b()):
@@ -214,10 +223,9 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            "both printed factorizations re-multiply to mu",
            ok)
 
-    mu_state = expand_forms(mu_forms)
     record("core-absorption",
            "Y*mu = mu and W*mu = mu",
-           is_absorber(mu_state, Yex) and is_absorber(mu_state, Wex))
+           not mu_table & ~Yt and not mu_table & ~Wt)
 
     derived = substitute(bracket_yw, {PLACEHOLDER_Y: ONE, PLACEHOLDER_W: ONE})
     final = final_bracket()
@@ -242,18 +250,25 @@ class Factorization:
 
     nodes[k] is the quotient left after dividing out factors[:k+1];
     distinct chains over the same root witness non-unique factorization.
+    table is the root's truth table over its sorted support.
     """
 
     root: Poly
     factors: Tuple[Poly, ...]
     nodes: Tuple[Poly, ...]
+    table: int = field(repr=False)
 
     @property
     def leaf(self) -> Poly:
         return self.nodes[-1] if self.nodes else self.root
 
     def verify(self) -> bool:
-        return product(self.factors + (self.leaf,)) == self.root
+        """Does the AND of the factors' and the leaf's tables give the root's?
+        A chain with a variable outside the root's support is not one the
+        explorer makes, and fails."""
+        sup, chain = self.root.support(), self.factors + (self.leaf,)
+        return (all(f.support() <= sup for f in chain)
+                and ring.product_table(chain, sorted(sup)) == self.table)
 
 
 def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factorization]:
@@ -262,9 +277,9 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
     At each node one factor is drawn uniformly from the minimal-support
     affine candidates and divided out; a polynomial with no affine factor
     yields a single chain with no factors.  A chain that does not re-multiply
-    to p raises ArithmeticError.  The candidates of each node are computed
-    once, and kept with the node's truth table and its quotients, so each
-    distinct division is made once.
+    to p, on tables (Factorization.verify), raises ArithmeticError.  The
+    candidates of each node are computed once, and kept with the node's
+    truth table and its quotients, so each distinct division is made once.
     Raises UsageError for max_trees < 1, p = 0 or p over more than MAX_SPLIT_VARS.
     """
     if max_trees < 1:
@@ -304,7 +319,7 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         if key in seen:
             continue
         seen.add(key)
-        chain = Factorization(p, tuple(factors), tuple(nodes))
+        chain = Factorization(p, tuple(factors), tuple(nodes), pools[p][1])
         if not chain.verify():
             raise ArithmeticError("division chain does not re-multiply to the polynomial")
         found.append(chain)

@@ -166,6 +166,12 @@ def matches_presentation(chain: Factorization, factors: Sequence[Poly],
     return False
 
 
+def verify_by_product(chain: Factorization) -> bool:
+    """Factorization.verify as first written: the chain multiplied out by
+    the sparse fold equals the root."""
+    return product(chain.factors + (chain.leaf,)) == chain.root
+
+
 def render_wiring(w: Wiring) -> str:
     return "D = %s\nP = %s\n" % (",".join(map(str, w.d)), ",".join(map(str, w.p)))
 
@@ -216,6 +222,47 @@ def periods_by_full_system(ar: AffineRound, max_period: int) -> List[PeriodEntry
             witnesses = [_witness_search(basis, excluded)]
         entries.append(PeriodEntry(k, len(basis), tuple(basis), tuple(witnesses)))
     return entries
+
+
+TRIVIAL_OUTPUTS = sum(1 << i for i in range(1, 36) if i % 4)  # the bits y_{i+1} = x_i
+
+
+def step_by_closure(state: int, w: Wiring, fun: BoolFun6,
+                    f_bit: int, k_bit: int, l_bit: int) -> int:
+    """cipher.step as first written: each input read through a per-bit
+    closure, the wiring through Wiring.D and the function through value()."""
+    def x(bit: int) -> int:
+        return k_bit if bit == 0 else (state >> (bit - 1)) & 1
+
+    p = w.p
+    z1 = fun.value(l_bit | (x(p[0]) << 1) | (x(p[1]) << 2)
+                   | (x(p[2]) << 3) | (x(p[3]) << 4) | (x(p[4]) << 5))
+    z2 = fun.value(x(p[6]) | (x(p[7]) << 1) | (x(p[8]) << 2)
+                   | (x(p[9]) << 3) | (x(p[10]) << 4) | (x(p[11]) << 5))
+    z3 = fun.value(x(p[13]) | (x(p[14]) << 1) | (x(p[15]) << 2)
+                   | (x(p[16]) << 3) | (x(p[17]) << 4) | (x(p[18]) << 5))
+    z4 = fun.value(x(p[20]) | (x(p[21]) << 1) | (x(p[22]) << 2)
+                   | (x(p[23]) << 3) | (x(p[24]) << 4) | (x(p[25]) << 5))
+    out = (state << 1) & TRIVIAL_OUTPUTS
+    acc = f_bit
+    out |= (acc ^ x(w.D(9))) << 32                     # y33
+    acc ^= z1
+    out |= (acc ^ x(w.D(8))) << 28                     # y29
+    acc ^= x(p[5])
+    out |= (acc ^ x(w.D(7))) << 24                     # y25
+    acc ^= z2
+    out |= (acc ^ x(w.D(6))) << 20                     # y21
+    acc ^= x(p[12])
+    out |= (acc ^ x(w.D(5))) << 16                     # y17
+    acc ^= l_bit ^ z3
+    out |= (acc ^ x(w.D(4))) << 12                     # y13
+    acc ^= x(p[19])
+    out |= (acc ^ x(w.D(3))) << 8                      # y9
+    acc ^= z4
+    out |= (acc ^ x(w.D(2))) << 4                      # y5
+    acc ^= x(p[26])
+    out |= acc ^ x(w.D(1))                             # y1
+    return out
 
 
 def reference_wiring_steps(w: Wiring) -> Dict[str, bool]:

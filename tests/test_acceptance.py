@@ -266,6 +266,9 @@ CORPUS = [
     # then one (65 keys) printed in full with its linear coefficient system
     ("--format", "json-lines", "fe", "--lzs", LZS, "--invariant", INV7, "--symbolic"),
     ("fe", "--lzs", LZS, "--invariant", INV827, "--symbolic"),
+    # a long concrete trajectory, every round bit set
+    ("step", "--lzs", LZS, "--boolfun", ZREF, "--state", "123456789", "--f", "1", "--k", "1",
+     "--l", "1", "--rounds", "100000"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -292,6 +295,7 @@ CORPUS_STDOUT_SHA256 = [
     "0a0f193bcd2ccfe36ef4a899d5a1fa34149d1122e12fd5664793df15a0fa294c",
     "5d39324acb71107a7337749574bf2ef21ee54fa5007a9c2e256355ee4b65b1ed",
     "f0f7ddee6cbfd83774db386886db3bca2e56af61957c4fb8e5991a1f83b3cae7",
+    "3d78035d4cc9b04a8e3bac108c204cf95aa4a3b6a4d579487401ef706e16b338",
 ]
 
 

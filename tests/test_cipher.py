@@ -15,7 +15,7 @@ from invforge.ring import (
     F_BIT, K_BIT, L_BIT, PLACEHOLDER_W, PLACEHOLDER_Y,
     add, mul, parse, state_var, substitute, var,
 )
-from reference import render_wiring, states_to_lanes
+from reference import render_wiring, states_to_lanes, step_by_closure
 
 
 class TestWiring:
@@ -170,6 +170,25 @@ class TestStep:
                     if p.evaluate(assign):
                         expected |= 1 << i
                 assert step(s, w, fun, fb, kb, lb) == expected
+
+    def test_matches_the_closure_step(self, wiring, zref):
+        # random_wiring(3) has D(8) = 0 and random_wiring(104) D(6) = 0, so
+        # the key bit is read at input 0 there
+        rng = random.Random(26)
+        wirings = [wiring, random_wiring(3), random_wiring(104)]
+        wirings += [random_wiring(s, conforming=True) for s in range(5)]
+        wirings += [random_wiring(s + 200) for s in range(5)]
+        funs = [zref, ZERO_FUN] + [random_boolfun(s + 80) for s in range(4)]
+        for w in wirings:
+            for fun in funs:
+                for _ in range(50):
+                    s = rng.getrandbits(36)
+                    bits = [rng.getrandbits(1) for _ in range(3)]
+                    assert step(s, w, fun, *bits) == step_by_closure(s, w, fun, *bits)
+        s = t = 0x123456789
+        for _ in range(2000):  # a trajectory, which reaches states a uniform draw rarely does
+            s, t = step(s, wiring, zref, 1, 0, 1), step_by_closure(t, wiring, zref, 1, 0, 1)
+            assert s == t
 
     def test_scalar_vs_lanes(self, wiring):
         # random_wiring(3) has D(8) = 0 and random_wiring(104) D(6) = 0, so the

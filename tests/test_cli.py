@@ -319,7 +319,7 @@ class TestVerdictsAndExitCodes:
         monkeypatch.setattr(lab, "product_invariant", lambda: built.append(1) or real())
         assert cli.main(["verify-thm", "--lzs", LZS, "--boolfun", ZREF]) == 0
         assert capsys.readouterr().out.endswith("ALL STEPS PASS\n")
-        assert len(built) == 1
+        assert len(built) == 0
 
     def test_fe_refuses_empirical_trials_with_symbolic(self, capsys):
         argv = ["fe", "--lzs", LZS, "--invariant", INV7, "--symbolic",
@@ -337,6 +337,18 @@ class TestVerdictsAndExitCodes:
         assert cli.main(["fe", "--lzs", LZS, "--invariant", INV827, *argv]) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "--seed" in err and "--empirical-trials" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    @pytest.mark.parametrize("mode", [["--boolfun", ZREF], ["--symbolic"]],
+                             ids=["expanded", "symbolic"])
+    def test_fe_refuses_empirical_trials_below_one(self, monkeypatch, capsys, trials, mode):
+        # refused before any FE work, naming the flag
+        monkeypatch.setattr(fe_mod, "build_fe", _forbidden)
+        monkeypatch.setattr(fe_mod, "PreparedInvariant", _forbidden)
+        argv = ["fe", "--lzs", LZS, "--invariant", INV827, *mode, "--empirical-trials", trials]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --empirical-trials")
 
     def test_fe_refuses_boolfun_with_symbolic(self, capsys):
         argv = ["fe", "--lzs", LZS, "--invariant", INV827, "--symbolic",

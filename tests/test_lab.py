@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from invforge.lab import (
 from invforge.ring import ONE, ZERO, add, mul, parse, product, substitute
 from reference import (
     affine_divisors, alternate_invariant, expand_forms_by_substitution, matches_presentation,
-    reference_function_steps, reference_wiring_steps,
+    reference_function_steps, reference_wiring_steps, verify_by_product,
 )
 
 ONE_FUN = BoolFun6((1 << 64) - 1)
@@ -215,11 +216,60 @@ class TestVerifyAttack:
         assert modes == ["placeholder", "expanded"]
 
     def test_both_fe_steps_share_one_split(self, wiring, zref, monkeypatch):
-        splits = []
-        real = fe_mod.affine_split
+        # P comes from its seven published factors: there is nothing to split
+        splits, prepared = [], []
+        real, real_build = fe_mod.affine_split, fe_mod.build_fe
         monkeypatch.setattr(fe_mod, "affine_split", lambda p: splits.append(p) or real(p))
+        monkeypatch.setattr(fe_mod, "build_fe",
+                            lambda P, rs, *a: prepared.append(P) or real_build(P, rs, *a))
         assert verify_attack(wiring, zref).passed
-        assert splits == [product_invariant()]
+        assert splits == []
+        factors = [expand_forms(parse(f, "forms"))
+                   for f in ("A+B", "C+D", "D+F", "B+F", "E+F", "G+F", "G+H")]
+        assert len(prepared) == 2 and prepared[0] is prepared[1]
+        assert prepared[0].parts == (*factors, ONE)
+        assert product(prepared[0].parts) == product_invariant()
+
+    def test_fe_reports_match_the_split_invariant(self, wiring, zref, monkeypatch):
+        # both reports verify_attack builds from the published factors equal
+        # those built from the expanded invariant split by affine_split,
+        # failing FE steps included
+        reports = []
+        real = fe_mod.build_fe
+
+        def spy(P, rs, *args):
+            reports.append((rs, real(P, rs, *args)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(fe_mod, "build_fe", spy)
+        split = PreparedInvariant(product_invariant())
+        funs = [zref, random_boolfun(41), random_boolfun(42)]
+        verdicts = set()
+        for w in [wiring] + [random_wiring(s, conforming=True) for s in range(16)]:
+            for fun in funs:
+                del reports[:]
+                chain = verify_attack(w, fun)
+                verdicts.add(chain.steps[-1].passed)
+                assert [rs.mode for rs, _ in reports] == ["placeholder", "expanded"]
+                for rs, got in reports:
+                    want = real(split, rs)
+                    assert (got.is_zero, got.depends_on, got.variables, got.mode) == \
+                        (want.is_zero, want.depends_on, want.variables, want.mode)
+                    assert list(got.rows()) == list(want.rows())
+        assert verdicts == {True, False}
+
+    def test_prepared_from_parts_reads_its_polynomial_lazily(self, wiring, zref):
+        bank = form_bank()
+        parts = (*lab.invariant_factors([bank[n] for n in "ABCDEFGH"]), ONE)
+        P = PreparedInvariant.from_parts(parts)
+        assert P.support == product_invariant().support()
+        assert "poly" not in vars(P)
+        build_fe(P, round_system(wiring, "expanded", zref))
+        assert "poly" not in vars(P)
+        assert P.poly == product_invariant()
+        assert fe_mod.check_invariant_empirically(P, wiring, zref, 64) == 0
+        with pytest.raises(fe_mod.NonStateVariableError):
+            PreparedInvariant.from_parts([ring.var(ring.F_BIT), ONE])
 
 
 class TestFactorExplorer:
@@ -338,6 +388,39 @@ class TestFactorExplorer:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             explore_factorizations(ZERO, 4, seed=0)
+
+    def test_explorer_multiplies_nothing(self, invariant_deg7, monkeypatch):
+        # chains are divided and checked on truth tables, never multiplied out
+        cases = ((core_product_forms(), 8), (invariant_deg7, 2), (parse("abcdefgh"), 4))
+        for module in (ring, lab, boolfun):
+            for name in ("mul", "product"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _forbidden)
+        for p, trees in cases:
+            found = explore_factorizations(p, trees, seed=3)
+            assert found and all(t.verify() for t in found)
+
+    def test_verify_matches_the_sparse_product(self, invariant_deg7):
+        # verify() on tables agrees with the product of the chain, and a
+        # chain with one factor or its leaf swapped fails
+        cases = 0
+        for p, trees in ((core_product_forms(), 8), (invariant_deg7, 2),
+                         (parse("abcdefgh"), 4), (parse("ab+c"), 2)):
+            for chain in explore_factorizations(p, trees, seed=5):
+                assert chain.verify() and verify_by_product(chain)
+                swaps = [replace(chain, nodes=chain.nodes[:-1] + (add(chain.leaf, ONE),))
+                         for _ in chain.nodes[:1]]  # a chain with no factor: the leaf is the root
+                for k, f in enumerate(chain.factors):
+                    other = next(g for g in chain.factors + (add(f, ONE),) if g != f)
+                    swaps.append(replace(chain, factors=chain.factors[:k] + (other,)
+                                         + chain.factors[k + 1:]))
+                for bad in swaps:
+                    cases += 1
+                    assert not bad.verify() and not verify_by_product(bad)
+        assert cases > 20
+        chain = explore_factorizations(parse("ab"), 1, seed=0)[0]
+        outside = replace(chain, factors=(parse("c"),) + chain.factors[1:])
+        assert not outside.verify() and not verify_by_product(outside)
 
     def test_affine_divisors_of_pair_product(self):
         fa, _ = core_factorization_a()

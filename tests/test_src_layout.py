@@ -19,6 +19,8 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 
 KEEP = {
     "ring.Poly.evaluate": "the tests' pointwise oracle for every evaluator",
+    "boolfun.BoolFun6.value": "the tests' pointwise read of a truth table, and the "
+                              "closure step oracle's function lookup",
     "cipher.random_wiring": "the planned solve, invariants and degree-d searches "
                             "sample wirings with it",
     "lincycle.synthetic_permutation": "the planned minimal-polynomial period reader "
