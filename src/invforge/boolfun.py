@@ -60,10 +60,6 @@ class BoolFun6:
     def value(self, point: int) -> int:
         return (self.tt >> (point & 63)) & 1
 
-    def anf_poly(self) -> Poly:
-        """ANF over the formal argument letters a..f."""
-        return poly_from_anf_bits(self.anf, FORMAL_VARS)
-
     def instantiate(self, args: Sequence[int]) -> Poly:
         """Compose with an ordered list of 6 single variables (VarIds).
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_, xor
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import xor
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .boolfun import BoolFun6
 from .ring import (
     F_BIT, K_BIT, L_BIT, PLACEHOLDERS,
-    Poly, UsageError, coef_var, monomial_masks, state_var, var,
+    Poly, UsageError, _ones, coef_var, monomial_masks, state_var, var,
 )
 
 # wiring constraints under which the degree-7 product attack applies
@@ -292,50 +292,38 @@ def step_lanes(lanes: List[int], w: Wiring, fun: BoolFun6 | LanePlan,
     lanes[i] holds bit x_{i+1} of every state; the per-round bits are lanes
     too, so each trajectory can see its own F/K/L.  The function instances
     are evaluated through their ANF, which keeps this path independent of
-    the truth-table lookups in step(); fun may be the LanePlan of that ANF,
-    so that many rounds share one plan.  The schedule is _outputs(), shared
+    the truth-table lookups in step(): its terms are the ANF's indices,
+    letter i the i-th argument.  fun may be the LanePlan of that ANF, so
+    that many rounds share one plan.  The schedule is _outputs(), shared
     with round_system(); tests check it against step().
     """
-    anf = fun if isinstance(fun, LanePlan) else LanePlan(fun.anf_poly())
+    anf = fun if isinstance(fun, LanePlan) else LanePlan(_ones(fun.anf))
     by_var = lanes[::-1] + [f_lane, k_lane, l_lane]  # indexed by VarId
-    # the formal inputs a..f are VarIds 0..5: a list of argument lanes is indexed by VarId
     inst = [eval_poly_lanes(anf, [by_var[v] for v in args], width_mask)
             for args in w.z_args]
     return _outputs(w, (k_lane, *lanes).__getitem__, f_lane, l_lane, inst)
 
 
 class LanePlan:
-    """How to evaluate one polynomial bit-sliced, built once per polynomial
-    and run by eval_poly_lanes.
-
-    A term is split into its low part, over the lowest min(n // 2, 8) of the
-    n support variables, and its high part.  High parts that occur with the
-    same set of low parts form one group, whose value is the XOR of those
-    low parts' lane products ANDed with the XOR of its high parts' ones:
-    the degree-7 product invariant's 2,080 terms make 3 groups.  chain
-    lists every sub-monomial the groups need, and the ones they are built
-    from, in increasing order as (mask, mask less its lowest variable, that
-    variable), so each lane product is one AND.
-    """
+    """How to evaluate one polynomial over n letters (a term is a small int,
+    bit i letter i) bit-sliced, built once and run by eval_poly_lanes.  High
+    parts, over letters min(n // 2, 8) and up, that occur with the same set of
+    low parts form a group: the XOR of those low parts' lane products ANDed
+    with the XOR of its high parts' (the degree-7 invariant's 2,080 terms make
+    3 groups).  chain lists every sub-monomial the groups need in increasing
+    order as (mask, mask less its lowest letter, that letter): one AND each."""
 
     __slots__ = ("chain", "groups")
 
-    def __init__(self, p: Poly):
-        terms = p.terms
-        support = reduce(or_, terms, 0)
-        low_mask = 0
-        for _ in range(min(support.bit_count() // 2, 8)):
-            rest = support ^ low_mask
-            low_mask |= rest & -rest
-        lows_of: Dict[int, List[int]] = {}
+    def __init__(self, terms: Collection[int]):
+        low_mask = (1 << min(max(terms, default=0).bit_length() // 2, 8)) - 1
+        high_mask, lows_of = ~low_mask, {}
         for t in terms:
-            low = t & low_mask
-            lows_of.setdefault(t ^ low, []).append(low)
+            lows_of.setdefault(t & high_mask, []).append(t & low_mask)
         highs_of: Dict[FrozenSet[int], List[int]] = {}
-        needed = set(lows_of)
         for high, lows in lows_of.items():
-            needed.update(lows)
             highs_of.setdefault(frozenset(lows), []).append(high)
+        needed = set(lows_of).union(*highs_of)
         for m in list(needed):
             m &= m - 1
             while m not in needed:
@@ -346,10 +334,9 @@ class LanePlan:
         self.groups = list(highs_of.items())
 
 
-def eval_poly_lanes(plan: LanePlan, lanes: Dict[int, int] | Sequence[int],
-                    width_mask: int) -> int:
-    """Bit-sliced value of the planned polynomial in every lane, with lanes[v]
-    the lane of variable v; only lanes under width_mask are set."""
+def eval_poly_lanes(plan: LanePlan, lanes: Sequence[int], width_mask: int) -> int:
+    """Bit-sliced value of the planned polynomial in every lane, with lanes[i]
+    the lane of letter i; only lanes under width_mask are set."""
     products = {0: width_mask}
     for m, parent, v in plan.chain:
         products[m] = products[parent] & lanes[v]

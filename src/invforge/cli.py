@@ -43,8 +43,8 @@ def _load_wiring(path: str) -> Wiring:
     return parse_wiring(_read(path))
 
 
-def _load_poly(path: str) -> Poly:
-    return ring.parse(_read(path), dialect="auto")
+def _load_poly(path: str, local: bool = False):  # local: (P over its letters, its VarIds)
+    return (ring.parse_local if local else ring.parse)(_read(path), dialect="auto")
 
 
 def _dialect(p: Poly) -> str:
@@ -70,7 +70,7 @@ def _fe_record(report: fe_mod.FeReport) -> dict:
 
 def cmd_fe(args) -> Result:
     w = _load_wiring(args.lzs)
-    P = _load_poly(args.invariant)
+    P = _load_poly(args.invariant, local=True)
     if args.budget is not None and args.budget < 1:
         raise UsageError("--budget must be >= 1")
     if not (args.symbolic or args.boolfun):
@@ -83,7 +83,7 @@ def cmd_fe(args) -> Result:
         raise UsageError("--seed seeds the empirical check: it needs --empirical-trials")
     if args.empirical_trials is not None and args.empirical_trials < 1:
         raise UsageError("--empirical-trials must be >= 1")
-    P = fe_mod.PreparedInvariant(P)
+    P = fe_mod.PreparedInvariant(*P)
     if args.symbolic:
         report = fe_mod.symbolic_fe(P, round_system(w, "symbolic"), args.budget)
         system = report.system
@@ -110,15 +110,15 @@ def cmd_fe(args) -> Result:
 def cmd_verify_thm(args) -> Result:
     w = _load_wiring(args.lzs)
     fun = _load_fun(args.boolfun)
-    P = _load_poly(args.invariant) if args.invariant else None
-    if P is None or P == lab.product_invariant():  # verify_attack builds its own
+    P = args.invariant and fe_mod.PreparedInvariant(*_load_poly(args.invariant, local=True))
+    if not P or P.poly == lab.product_invariant():  # verify_attack builds its own
         try:
             chain = lab.verify_attack(w, fun)
         except lab.HypothesisError as exc:
             return EXIT_FALSE, {"kind": "verify", "error": str(exc)}, ["error: %s" % exc]
     else:  # a supplied non-default invariant gets the end-to-end verdict only
         rs = round_system(w, "expanded", fun)
-        report = fe_mod.build_fe(fe_mod.PreparedInvariant(P), rs)
+        report = fe_mod.build_fe(P, rs)
         chain = lab.ChainReport((lab.StepResult(
             "fundamental-equation", "supplied invariant",
             report.is_zero and not report.depends_on),), report)
@@ -209,8 +209,10 @@ def cmd_linear_cycle(args) -> Result:
 
 def cmd_search(args) -> Result:
     w = _load_wiring(args.lzs)
-    P = _load_poly(args.invariant)
-    report = lab.search_random_functions(w, P, args.trials, args.seed)
+    P = _load_poly(args.invariant, local=True)
+    if args.trials < 1:  # before P's variables are checked, as search_random_functions did
+        raise UsageError("trials must be >= 1")
+    report = lab.search_random_functions(w, fe_mod.PreparedInvariant(*P), args.trials, args.seed)
     rec = {
         "kind": "search",
         "trials": report.trials,

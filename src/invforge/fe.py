@@ -10,7 +10,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import ring
 from .boolfun import BoolFun6, affine_split
-from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, state_var, step_lanes
+from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, step_lanes
 from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, mobius, substitute
 
 MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
@@ -86,40 +86,45 @@ class FeReport:
 
 
 class PreparedInvariant:
-    """A candidate P over state bits only (checked here on support, the set
-    of P's variables).  parts, P's affine factors then the residual, is
-    split on first use and kept for every FE; lane_plan, P's bit-sliced
-    evaluation plan, is kept the same way for every empirical check.
-    from_parts prepares a P whose parts are known, so nothing is split."""
+    """A candidate P over state bits only (checked here on support, the set of
+    P's variables), held as local, P over its letters, and variables, P's
+    VarIds ascending, as ring.parse_local and ring.localize give them.  parts
+    (P's affine factors, then the residual) and lane_plan are built from local
+    on first use and kept for every FE and every empirical check; poly, P over
+    VarIds, is renamed from local only where it is read.  from_parts prepares
+    a P whose parts are known, so nothing is split."""
 
-    def __init__(self, poly: Poly):
-        self.support = _state_support(poly.support())
-        self.poly = poly
+    def __init__(self, local: Poly, variables: Sequence[int]):
+        self.support = _state_support(frozenset(variables))
+        self.local, self.variables = local, tuple(variables)
 
     @classmethod
     def from_parts(cls, parts: Sequence[Poly]) -> "PreparedInvariant":
-        """P = the product of parts, its affine factors then the residual.
-        support is the parts' union: P must depend on each of their
-        variables, as a product of affine factors with independent linear
-        parts and the residual 1 does.  poly is multiplied out only where a
-        path reads it: the sparse fold or the lane plan."""
+        """P = the product of parts, its affine factors then the residual,
+        multiplied out only where read.  support is the parts' union: P must
+        depend on each of their variables, as a product of affine factors
+        with independent linear parts and the residual 1 does."""
         prepared = cls.__new__(cls)
         prepared.support = _state_support(frozenset().union(*(p.support() for p in parts)))
-        prepared.parts = tuple(parts)
+        prepared.variables, prepared.parts = tuple(sorted(prepared.support)), tuple(parts)
         return prepared
 
     @cached_property
+    def local(self) -> Poly:  # from_parts: P multiplied out
+        return ring.localize(ring.product(self.parts))[0]
+
+    @cached_property
     def poly(self) -> Poly:
-        return ring.product(self.parts)
+        return ring.rename(self.local, self.variables)
 
     @cached_property
     def parts(self) -> Tuple[Poly, ...]:
-        factors, residual = affine_split(self.poly)
-        return (*factors, residual)
+        factors, residual = affine_split(self.local)
+        return tuple(ring.rename(p, self.variables) for p in (*factors, residual))
 
     @cached_property
     def lane_plan(self) -> LanePlan:
-        return LanePlan(self.poly)
+        return LanePlan(self.local.terms)
 
 
 def _state_support(support: frozenset) -> frozenset:
@@ -290,15 +295,15 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
 
     Bit-sliced: trial j has its own trajectory and per-round bits, and one
     evaluation of P reads its start in lane j, its image in lane width + j.
-    Independent of build_fe: it reads P.poly (through P.lane_plan), not P.parts,
-    and evaluates the instances through one LanePlan of the function's ANF for
-    every round of every batch.  Shared with build_fe: the round's schedule,
-    which tests check against step().  It must report 0 mismatches whenever
-    build_fe says is_zero.
+    Independent of build_fe: it reads P.local (through P.lane_plan), not
+    P.parts, and evaluates the instances through one LanePlan of the
+    function's ANF for every round of every batch.  Shared with build_fe:
+    the round's schedule, which tests check against step().  It must report
+    0 mismatches whenever build_fe says is_zero.
     """
     if trials < 1:
         raise ring.UsageError("trials must be >= 1")
-    anf = LanePlan(fun.anf_poly())
+    anf = LanePlan(ring._ones(fun.anf))
     rng = random.Random(seed)
     mism = 0
     remaining = trials
@@ -310,8 +315,8 @@ def check_invariant_empirically(P: PreparedInvariant, w: Wiring, fun: BoolFun6,
             lanes = step_lanes(lanes, w, anf,
                                rng.getrandbits(width), rng.getrandbits(width),
                                rng.getrandbits(width), wmask)
-        both = eval_poly_lanes(P.lane_plan, {state_var(i): start[i - 1] | lanes[i - 1] << width
-                                             for i in range(1, 37)}, (1 << 2 * width) - 1)
+        both = eval_poly_lanes(P.lane_plan, [start[35 - v] | lanes[35 - v] << width  # x_{36-v}
+                                             for v in P.variables], (1 << 2 * width) - 1)
         mism += ((both ^ both >> width) & wmask).bit_count()
         remaining -= width
     return mism

@@ -15,7 +15,7 @@ from .boolfun import (
 )
 from .cipher import Wiring, round_system
 from .ring import (
-    N_STATE, ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
+    N_STATE, NAMES, ONE, PLACEHOLDER_W, PLACEHOLDER_Y,
     Poly, add, add_many, anf_bits, factor_out, form_var, mobius, mul, product,
     state_var, substitute, var,
 )
@@ -271,6 +271,11 @@ class Factorization:
                 and ring.product_table(chain, sorted(sup)) == self.table)
 
 
+def pool_key(vec: int, sup: Sequence[int]) -> str:
+    """render(vector_to_affine(vec, sup), "forms") without the Poly: it orders a pool."""
+    return "+".join([NAMES[v] for i, v in enumerate(sup) if vec >> i + 1 & 1] + ["1"][:vec & 1])
+
+
 def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factorization]:
     """Randomized division chains; returns up to max_trees distinct chains.
 
@@ -303,9 +308,8 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         while True:
             if node not in pools:
                 sup, vectors, table = minimal_affine_factors(node)
-                # the text only orders the pool; a forms chain may hold a lone F
-                pools[node] = (sorted((vector_to_affine(v, sup) for v in vectors),
-                                      key=lambda f: ring.render(f, "forms")), table, {})
+                pools[node] = ([vector_to_affine(v, sup) for v in
+                                sorted(vectors, key=lambda v: pool_key(v, sup))], table, {})
             pool, table, quotients = pools[node]
             if not pool:
                 break
@@ -374,7 +378,8 @@ def is_hit(w: Wiring, P: fe_mod.PreparedInvariant, fun: BoolFun6,
     return fe_mod.build_fe(P, round_system(w, "expanded", fun)).is_zero
 
 
-def search_random_functions(w: Wiring, P: Poly, trials: int, seed: int) -> SearchReport:
+def search_random_functions(w: Wiring, P: fe_mod.PreparedInvariant, trials: int,
+                            seed: int) -> SearchReport:
     """Seeded stream of random functions; a hit is an exact FE = 0 verdict.
 
     Trial i uses the function seeded by seed+i, so results are
@@ -382,11 +387,10 @@ def search_random_functions(w: Wiring, P: Poly, trials: int, seed: int) -> Searc
     """
     if trials < 1:
         raise ring.UsageError("trials must be >= 1")
-    prepared = fe_mod.PreparedInvariant(P)
     hits = []
     for i in range(trials):
         fun = random_boolfun(seed + i)
-        if is_hit(w, prepared, fun, screen_seed=seed ^ 0x5EED ^ i):
+        if is_hit(w, P, fun, screen_seed=seed ^ 0x5EED ^ i):
             hits.append((i, fun.tt))
     lo, hi = wilson_interval(len(hits), trials)
     return SearchReport(trials, tuple(hits), len(hits) / trials, lo, hi)

@@ -421,6 +421,23 @@ def anf_bits(p: Poly, variables: Sequence[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+def rename(p: Poly, variables: Sequence[int]) -> Poly:
+    """p over letters, bit i of a term read as VarId variables[i], a table per chunk."""
+    span, out = max(1, min(8, len(p.terms).bit_length())), [0] * len(p.terms)
+    for i in range(0, len(variables), span):
+        table = monomial_masks(variables[i:i + span])
+        out = [m | table[t >> i & len(table) - 1] for m, t in zip(out, p.terms)]
+    return Poly._raw(frozenset(out))
+
+
+def localize(p: Poly) -> Tuple[Poly, Tuple[int, ...]]:
+    """(p over its letters, its VarIds): rename's inverse, VarId v the count of those below."""
+    variables = tuple(sorted(p.support()))
+    if variables != tuple(range(len(variables))):  # else p is over its own letters already
+        p = rename(p, [sum(u < v for u in variables) for v in range(variables[-1] + 1)])
+    return p, variables
+
+
 def poly_from_anf_bits(anf: int, variables: Sequence[int]) -> Poly:
     """Polynomial over the given variables from an ANF coefficient vector."""
     return poly_from_anf_rows([(0, anf)], variables)
@@ -544,36 +561,46 @@ _TOKEN_RE = {"state": re.compile(r"Z[0-9][0-9]|\S"), "forms": re.compile(r"\S")}
 def sniff_dialect(text: str) -> str:
     """Forms dialect iff a capital in A-E, G, H occurs (those letters are
     invalid in the state dialect); otherwise state."""
-    return "forms" if re.search(r"[A-EGH]", text) else "state"
+    return "forms" if any(c in text for c in "ABCDEGH") else "state"
 
 
 def parse(text: str, dialect: str = "state") -> Poly:
     """Parse polynomial text; inverse of render on canonical polynomials."""
+    return rename(*parse_local(text, dialect))
+
+
+def parse_local(text: str, dialect: str = "state") -> Tuple[Poly, Tuple[int, ...]]:
+    """parse(text) as localize gives it, read over the names in the text, so
+    that a run of distinct letters is the sum of their bits (small ints)."""
     if dialect == "auto":
         dialect = sniff_dialect(text)
     if dialect not in _NAME_BITS:
         raise ValueError("unknown dialect: %r" % dialect)
-    names = _NAME_BITS[dialect]
-    terms = []
-    start = 0
-    for term in text.split("+"):
-        mask = 0
-        try:  # the common term: a run of single-letter names
-            for c in term:
-                mask |= names[c]
-        except KeyError:
-            mask = 0
-        if not mask:  # any other term, the empty one included
-            mask = _term_mask(term, start, dialect)
-        if mask is not None:
-            terms.append(mask)
-        start += len(term) + 1
-    return Poly(terms)  # Poly() folds repeated terms mod 2
+    named = [n for n in _NAME_BITS[dialect] if n[0] in text and n in text]
+    letters = {n: 1 << i for i, n in enumerate(named)}
+    get, runs = letters.__getitem__, text.rstrip().split("+")
+    try:  # the common text: runs of distinct letters, each term the sum of their bits
+        terms = [sum(map(get, term)) for term in runs]
+    except KeyError:
+        terms = [0]
+    if 0 in terms or sum(map(int.bit_count, terms)) + len(runs) - 1 != len(text.rstrip()):
+        terms, start = [], 0
+        for term in text.split("+"):
+            try:
+                mask = sum(map(get, term))
+            except KeyError:
+                mask = 0
+            if not mask or mask.bit_count() != len(term):  # the empty term included
+                mask = _term_mask(term, start, dialect, letters)
+            if mask is not None:
+                terms.append(mask)
+            start += len(term) + 1
+    p, held = localize(Poly(terms))  # Poly() folds repeated terms mod 2
+    return p, tuple(_NAME_BITS[dialect][named[i]].bit_length() - 1 for i in held)
 
 
-def _term_mask(term: str, start: int, dialect: str) -> int | None:
-    """Monomial of one '+'-separated term at offset start of the text, or
-    None for the constant 0."""
+def _term_mask(term: str, start: int, dialect: str, names: Mapping[str, int]) -> int | None:
+    """Monomial over names of one '+'-separated term at offset start, or None for 0."""
     tokens = [(start + m.start(), m.group())
               for m in _TOKEN_RE[dialect].finditer(term)]
     factors = [(pos, tok) for pos, tok in tokens if tok != "*"]
@@ -583,7 +610,6 @@ def _term_mask(term: str, start: int, dialect: str) -> int | None:
         if len(factors) > 1:
             raise ParseError("constant may not be multiplied implicitly", factors[1][0])
         return None if factors[0][1] == "0" else 0
-    names = _NAME_BITS[dialect]
     mask, prev = 0, "*"
     for pos, tok in tokens:
         if tok != "*":

@@ -3,6 +3,7 @@
 None of these is on a command's path, so they live with the tests.
 """
 
+import re
 import sys
 from typing import Dict, List, Sequence, Tuple
 
@@ -98,6 +99,29 @@ def affine_divisors(p: Poly) -> frozenset:
     if len(basis) > 14:
         raise ValueError("affine divisor span has dimension %d > 14" % len(basis))
     return frozenset(vector_to_affine(v, sup) for v in affine_span(basis) if v >> 1)
+
+
+def parse_per_character(text: str, dialect: str = "state") -> Poly:
+    """ring.parse as it was: the dialect by a regular expression, each term
+    that is a run of single-letter names ORed from their VarId masks one
+    character at a time, any other term read by ring._term_mask."""
+    if dialect == "auto":
+        dialect = "forms" if re.search(r"[A-EGH]", text) else "state"
+    names = ring._NAME_BITS[dialect]
+    terms, start = [], 0
+    for term in text.split("+"):
+        mask = 0
+        try:
+            for c in term:
+                mask |= names[c]
+        except KeyError:
+            mask = 0
+        if not mask:  # any other term, the empty one included
+            mask = ring._term_mask(term, start, dialect, names)
+        if mask is not None:
+            terms.append(mask)
+        start += len(term) + 1
+    return Poly(terms)
 
 
 def anf_bits_per_bit(p: Poly, variables: Sequence[int]) -> int:
@@ -297,7 +321,7 @@ def reference_function_steps(w: Wiring, fun) -> Dict[str, bool]:
     CHF, BDG = (product([bank[n] for n in names]) for names in ("CHF", "BDG"))
     cCHF, cBDG = (product([add(bank[n], ONE) for n in names]) for names in ("CHF", "BDG"))
     mu = expand_forms_by_substitution(lab.core_product_forms())
-    fe = build_fe(PreparedInvariant(lab.product_invariant()),
+    fe = build_fe(PreparedInvariant(*ring.localize(lab.product_invariant())),
                   round_system(w, "expanded", fun))
     return {
         "absorption": mul(CHF, W) == CHF and mul(BDG, Y) == BDG,

@@ -60,7 +60,7 @@ def test_criterion_1_theorem_reproduction(wiring, zref, invariant_deg7):
     with _Timer(1, "theorem reproduction", 10):
         chain = lab.verify_attack(wiring, zref)
         assert chain.passed
-        report = build_fe(PreparedInvariant(invariant_deg7),
+        report = build_fe(PreparedInvariant(*ring.localize(invariant_deg7)),
                           round_system(wiring, "expanded", zref))
         assert report.is_zero
         assert report.depends_on == ()
@@ -176,7 +176,11 @@ def test_criterion_6_cross_path_consistency():
             lane_map[ring.F_BIT] = fb
             lane_map[ring.K_BIT] = kb
             lane_map[ring.L_BIT] = lb
-            poly_out = [eval_poly_lanes(LanePlan(p), lane_map, wmask) for p in outputs]
+            poly_out = []
+            for p in outputs:  # each over its own letters, in VarId order
+                local, support = ring.localize(p)
+                poly_out.append(eval_poly_lanes(LanePlan(local.terms),
+                                                [lane_map[v] for v in support], wmask))
             for j, s in enumerate(states):
                 got = step(s, w, fun, (fb >> j) & 1, (kb >> j) & 1, (lb >> j) & 1)
                 for i in range(36):
@@ -185,7 +189,7 @@ def test_criterion_6_cross_path_consistency():
 
 def test_criterion_7_multi_round_invariance(wiring, zref, invariant_deg7):
     with _Timer(7, "256-round invariance", 60):
-        mismatches = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,
+        mismatches = check_invariant_empirically(PreparedInvariant(*ring.localize(invariant_deg7)), wiring,
                                                  zref, trials=10000, seed=7, rounds=256)
         assert mismatches == 0
 
@@ -226,7 +230,7 @@ def test_criterion_9_second_invariant_regression(wiring, zref, invariant_deg7):
         alt = alternate_invariant()
         assert alt == invariant_deg7
         assert parse(fixture_text("invariant-deg7-alt.poly")) == alt
-        report = build_fe(PreparedInvariant(alt), round_system(wiring, "expanded", zref))
+        report = build_fe(PreparedInvariant(*ring.localize(alt)), round_system(wiring, "expanded", zref))
         assert report.is_zero and report.depends_on == ()
         r = subprocess.run([sys.executable, "-m", "invforge", "verify-thm",
                             "--lzs", LZS, "--boolfun", ZREF,

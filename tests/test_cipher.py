@@ -4,7 +4,7 @@ import random
 import pytest
 
 from invforge import ring
-from invforge.boolfun import ZERO_FUN, parse_anf, random_boolfun
+from invforge.boolfun import FORMAL_VARS, ZERO_FUN, parse_anf, random_boolfun
 from invforge.cipher import (
     LanePlan, Wiring, WiringError, eval_poly_lanes, parse_wiring, random_wiring,
     round_system, step, step_lanes, validate,
@@ -242,9 +242,10 @@ class TestStep:
     def test_eval_poly_lanes(self):
         rng = random.Random(27)
         p = parse("ab+cd+e")
+        local, variables = ring.parse_local("ab+cd+e")
         for _ in range(20):
             vals = {v: rng.getrandbits(8) for v in p.support()}
-            got = eval_poly_lanes(LanePlan(p), vals, 0xFF)
+            got = eval_poly_lanes(LanePlan(local.terms), [vals[v] for v in variables], 0xFF)
             for j in range(8):
                 assign = {v: (vals[v] >> j) & 1 for v in vals}
                 assert ((got >> j) & 1) == p.evaluate(assign)
@@ -271,24 +272,54 @@ def evaluator_cases():
         "random-5-vars": random_poly(state_fkl[:5], 20, 5),
     }
     for seed in (0, 1, 2):
-        cases["function-anf-%d" % seed] = random_boolfun(70 + seed).anf_poly()
+        cases["function-anf-%d" % seed] = random_boolfun(70 + seed).instantiate(FORMAL_VARS)
     return [pytest.param(p, id=name) for name, p in cases.items()]
 
 
+def plan_texts():
+    """Texts whose local plans must agree with Poly.evaluate: constants,
+    terms that cancel and random polynomials over 0 to 20 state bits."""
+    rng = random.Random(63)
+    texts = ["0", "1", "a+a", "ab+ab+c", "1+a+bc+dFK", "Z00*a+Z00", "a + b*c"]
+    for n in (0, 1, 2, 5, 13, 20):
+        bits = rng.sample(range(ring.N_STATE), n)
+        p = ring.Poly(sum(1 << v for v in bits if rng.getrandbits(1))
+                      for _ in range(rng.randint(1, 60)))
+        texts.append(ring.render(p))
+    return texts
+
+
 class TestEvalPolyLanes:
+    @pytest.mark.parametrize("text", plan_texts())
+    def test_plan_of_a_read_text(self, text):
+        local, variables = ring.parse_local(text)
+        p = parse(text)
+        assert list(variables) == sorted(p.support()) and ring.rename(local, variables) == p
+        assert all(0 <= t < 1 << len(variables) for t in local.terms)
+        rng = random.Random(text)
+        lanes = [rng.getrandbits(64) for _ in variables]
+        got = eval_poly_lanes(LanePlan(local.terms), lanes, (1 << 64) - 1)
+        for j in range(64):
+            bits = {v: lane >> j & 1 for v, lane in zip(variables, lanes)}
+            assert got >> j & 1 == p.evaluate(bits), j
+
     @pytest.mark.parametrize("p", evaluator_cases())
     def test_every_lane_matches_pointwise_evaluation(self, p):
         rng = random.Random(len(p))
-        support = sorted(p.support())
-        plan = LanePlan(p)  # one plan serves every width and lane map
+        local, support = ring.localize(p)  # p over its own letters, letter i = support[i]
+        assert list(support) == sorted(p.support()) and ring.rename(local, support) == p
+        local = local.terms
+        assert all(0 <= t < 1 << len(support) for t in local)
+        plan = LanePlan(local)  # one plan serves every width and lane map
         for width, maps in ((1, 3), (8, 3), (257, 3), (8193, 1)):
             mask = (1 << width) - 1
             for _ in range(maps):
                 # every lane carries bits above the mask, which must not leak out
                 lanes = {v: rng.getrandbits(width + 9) | (1 << width) for v in support}
-                got = eval_poly_lanes(plan, lanes, mask)
+                got = eval_poly_lanes(plan, [lanes[v] for v in support], mask)
                 assert got & ~mask == 0, width
-                assert eval_poly_lanes(LanePlan(p), lanes, mask) == got, width
+                assert eval_poly_lanes(LanePlan(local), [lanes[v] for v in support],
+                                       mask) == got, width
                 for j in range(width):
                     bits = {v: lane >> j & 1 for v, lane in lanes.items()}
                     assert got >> j & 1 == p.evaluate(bits), (width, j)
@@ -298,7 +329,8 @@ class TestEvalPolyLanes:
         # runs, which raises the empirical check's peak memory
         rng = random.Random(62)
         width = 1 << 14
-        lanes = {v: rng.getrandbits(width) for v in range(ring.N_STATE)}
+        local, support = ring.localize(invariant_deg7)
+        lanes = [rng.getrandbits(width) for _ in support]
         gc.collect()
-        eval_poly_lanes(LanePlan(invariant_deg7), lanes, (1 << width) - 1)
+        eval_poly_lanes(LanePlan(local.terms), lanes, (1 << width) - 1)
         assert gc.collect() == 0

@@ -557,6 +557,34 @@ class TestErrorContract:
         assert err.splitlines()[-1].startswith("ValueError: "), err
 
 
+class TestEdgeInvariants:
+    """--invariant texts whose local reading has no letters, drops one, or
+    is refused: search, fe and verify-thm agree on each."""
+
+    HIT = {"1", "0", "a+a"}  # constant: a hit on every trial, an FE of 0
+    NON_STATE = "invariant candidate uses non-state variables: "
+    ERROR = {"x1": "unknown variable '1' (at position 1)", "": "empty term (at position 0)",
+             "ab+F": NON_STATE + "F", "Z00*a": NON_STATE + "Z00", "AB+C": NON_STATE + "A,B,C"}
+    PASS = "step fundamental-equation:  PASS  (supplied invariant)\nALL STEPS PASS\n"
+
+    @pytest.mark.parametrize("text", sorted(HIT | ERROR.keys() | {"a + b", "ab+ab+c"}))
+    def test_search_fe_and_verify_thm(self, monkeypatch, capsys, text):
+        runs = [["search", "--lzs", LZS, "--invariant", "-", "--trials", "3"],
+                ["fe", "--lzs", LZS, "--invariant", "-", "--boolfun", ZREF],
+                ["verify-thm", "--lzs", LZS, "--boolfun", ZREF, "--invariant", "-"]]
+        for argv, hit in zip(runs, ("hits = 3\n", "fe = 0\n", self.PASS)):
+            monkeypatch.setattr(sys, "stdin", _stdin(text.encode() + b"\n"))
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            if text in self.ERROR:
+                assert (code, out, err) == (cli.EXIT_USAGE, "", "error: %s\n" % self.ERROR[text])
+            elif text in self.HIT:
+                assert (code, err) == (cli.EXIT_OK, "") and hit in out, (argv, out)
+            else:  # not invariant on the shipped wiring
+                assert (code, err) == (cli.EXIT_OK if argv[0] == "search" else cli.EXIT_FALSE,
+                                       "") and hit not in out, (argv, out)
+
+
 class TestFormatsAndInputs:
     def test_json_lines_mirror(self):
         r = run_cli("--format", "json-lines", "fe", "--lzs", LZS,

@@ -8,7 +8,7 @@ import pytest
 from invforge import cli, lab, ring
 from invforge import fe as fe_mod
 from invforge.boolfun import (
-    MAX_SPLIT_VARS, ZERO_FUN, parse_anf, random_boolfun,
+    FORMAL_VARS, MAX_SPLIT_VARS, ZERO_FUN, parse_anf, random_boolfun,
 )
 from invforge.cipher import (
     LanePlan, RoundSystem, Wiring, eval_poly_lanes, random_wiring, round_system, state_var,
@@ -26,29 +26,29 @@ from reference import check_candidate, folds, spy_products, substitute_coefficie
 class TestBuildFe:
     def test_single_bit_not_invariant(self, wiring, zref):
         rs = round_system(wiring, "expanded", zref)
-        report = build_fe(PreparedInvariant(parse("V")), rs)  # V = x1
+        report = build_fe(PreparedInvariant(*ring.localize(parse("V"))), rs)  # V = x1
         assert not report.is_zero
         assert report.mode == "expanded"
 
     def test_theorem_invariant(self, wiring, zref, invariant_deg7):
         rs = round_system(wiring, "expanded", zref)
-        report = build_fe(PreparedInvariant(invariant_deg7), rs)
+        report = build_fe(PreparedInvariant(*ring.localize(invariant_deg7)), rs)
         assert report.is_zero
         assert report.depends_on == ()
 
     def test_827_invariant_does_not_transfer(self, wiring, zref):
         p = parse("a+b+c+ac+d+bd+e+ce+f+df+g+ag+eg+h+bh+fh")
-        report = build_fe(PreparedInvariant(p), round_system(wiring, "expanded", zref))
+        report = build_fe(PreparedInvariant(*ring.localize(p)), round_system(wiring, "expanded", zref))
         assert not report.is_zero
 
     def test_rejects_non_state_variables(self, wiring, zref):
         rs = round_system(wiring, "expanded", zref)
         with pytest.raises(NonStateVariableError):
-            build_fe(PreparedInvariant(parse("a+F")), rs)
+            build_fe(PreparedInvariant(*ring.localize(parse("a+F"))), rs)
 
     def test_dependence_fields(self, wiring):
         rs = round_system(wiring, "placeholder")
-        report = build_fe(PreparedInvariant(parse("V")), rs)
+        report = build_fe(PreparedInvariant(*ring.localize(parse("V"))), rs)
         assert "F" in report.depends_on
 
     def test_size_and_degree_read_off_the_table(self, wiring, zref, invariant_deg7):
@@ -56,7 +56,7 @@ class TestBuildFe:
         # wirings, whose images lie on P's 16 bits, for every function, and
         # the zero function's 18 and 19 bits on the random ones), terms and
         # degree come from the FE's ANF bits without building fe
-        P = PreparedInvariant(invariant_deg7)
+        P = PreparedInvariant(*ring.localize(invariant_deg7))
         wirings = ([wiring] + [random_wiring(s, conforming=True) for s in range(3)]
                    + [random_wiring(s) for s in range(2)])
         tabled = 0
@@ -85,7 +85,7 @@ class TestBuildFe:
                        round_system(w, "expanded", zref),
                        round_system(w, "expanded", random_boolfun(80 + k))]
             for p in products + plain + [wide]:
-                prepared = PreparedInvariant(p)
+                prepared = PreparedInvariant(*ring.localize(p))
                 if p in products:
                     assert len(prepared.parts) == 4 and prepared.parts[-1] == ONE
                 else:
@@ -98,7 +98,7 @@ class TestBuildFe:
             self, wiring, zref, invariant_deg7, monkeypatch):
         # oracle: substitute each affine-split factor, fold the images with
         # mul; build_fe takes tables or the sparse fold, never both
-        prepared = PreparedInvariant(invariant_deg7)
+        prepared = PreparedInvariant(*ring.localize(invariant_deg7))
         parts = prepared.parts  # split before the spies: the split's check tables too
         paths = []
         real_table = ring.product_table
@@ -131,9 +131,9 @@ class TestBuildFe:
         # the image of the 2080-term invariant has 2080 terms; the sparse fold's
         # intermediates grew past 2500, the table path builds none
         rs = round_system(wiring, "expanded", zref)
-        assert build_fe(PreparedInvariant(invariant_deg7), rs, budget=2500).is_zero
+        assert build_fe(PreparedInvariant(*ring.localize(invariant_deg7)), rs, budget=2500).is_zero
         with pytest.raises(TermBudgetError):
-            build_fe(PreparedInvariant(invariant_deg7), rs, budget=2079)
+            build_fe(PreparedInvariant(*ring.localize(invariant_deg7)), rs, budget=2079)
 
     def test_monomial_of_every_state_bit(self, wiring, zref):
         # P = x1 x2 ... x36 stays unsplit and past 20 variables: its image is
@@ -141,7 +141,7 @@ class TestBuildFe:
         # rest included, so the 145-term FE fits a budget of 146.  It matches
         # step on the 667 states within Hamming distance 2 of all-ones, for
         # every (F, K, L)
-        P = PreparedInvariant(parse(ring.STATE_LETTERS))
+        P = PreparedInvariant(*ring.localize(parse(ring.STATE_LETTERS)))
         report = build_fe(P, round_system(wiring, "expanded", zref), budget=146)
         assert report.size == (145, 36) and report.depends_on == ("F", "L")
         full = (1 << 36) - 1
@@ -166,7 +166,7 @@ class TestBuildFe:
             for fun in (zref, ZERO_FUN, random_boolfun(90 + k), random_boolfun(190 + k)):
                 rs = round_system(w, "expanded", fun)
                 for p in invariants:
-                    prepared = PreparedInvariant(p)
+                    prepared = PreparedInvariant(*ring.localize(p))
                     report = build_fe(prepared, rs)
                     tabled = len(_union_support(prepared, rs)) <= ring.MAX_DENSE_VARS
                     assert (report.poly is None) == tabled
@@ -185,7 +185,7 @@ class TestBuildFe:
     def test_table_path_on_hand_made_rounds(self, images, factors, name, in_images):
         # rounds that map a few state bits to the given images and fix the others
         rs = _hand_made_round(images)
-        prepared = PreparedInvariant(ring.product([parse(f) for f in factors]))
+        prepared = PreparedInvariant(*ring.localize(ring.product([parse(f) for f in factors])))
         assert any(ring.NAMES.index(name) in substitute(f, rs.as_substitution()).support()
                    for f in prepared.parts) == in_images
         report = build_fe(prepared, rs)
@@ -205,7 +205,7 @@ class TestBuildFe:
         foreign = {"table": 0, "sparse": 0}
         for rs in systems:
             for p in invariants:
-                prepared = PreparedInvariant(p)
+                prepared = PreparedInvariant(*ring.localize(p))
                 report = build_fe(prepared, rs)
                 _assert_matches_oracle(report, prepared, rs)
                 if not p.support():
@@ -225,7 +225,7 @@ class TestBuildFe:
             rs = _hand_made_round({
                 "a": "+".join(ring.NAMES[v] for v in range(2, 12)),
                 "b": "+".join(ring.NAMES[v] for v in range(12, n))})
-            prepared = PreparedInvariant(parse("ab"))
+            prepared = PreparedInvariant(*ring.localize(parse("ab")))
             assert len(_union_support(prepared, rs)) == n
             assert len(prepared.parts) == 3  # split before the spies: its check tables
             monkeypatch.setattr(ring, "product_table",
@@ -270,7 +270,7 @@ def _assert_matches_oracle(report, prepared, rs):
 def two_evaluation_mismatches(P, w, fun, trials, seed, rounds):
     """The empirical check as it was: P on the states, then P on their images."""
     states = [state_var(i) for i in range(1, 37)]
-    plan = LanePlan(P)
+    plan = LanePlan(P.terms)  # over VarIds: lanes by VarId, not in P's letters' order
     rng = random.Random(seed)
     mism = 0
     remaining = trials
@@ -304,55 +304,76 @@ class TestEmpirical:
         for trials, rounds, (k, w), P in cases:
             for fun in (zref, random_boolfun(90 + k)):
                 seed = trials + rounds
-                got = check_invariant_empirically(PreparedInvariant(P), w, fun,
+                got = check_invariant_empirically(PreparedInvariant(*ring.localize(P)), w, fun,
                                                   trials, seed, rounds)
                 want = two_evaluation_mismatches(P, w, fun, trials, seed, rounds)
                 assert got == want
                 nonzero += want > 0
         assert nonzero > 0
 
+    def test_read_invariants_match_the_two_evaluation_loop(self, wiring, zref):
+        # constants, terms that cancel, and random invariants over 0 to 20 state bits
+        rng = random.Random(44)
+        texts = ["0", "1", "a+a", "ab+ab+c", "a + b", "x"]
+        texts += [ring.render(ring.Poly(rng.getrandbits(36) & rng.getrandbits(36) & mask
+                                        for _ in range(rng.randint(1, 40))))
+                  for mask in (0, 1, 0xF00F, (1 << 20) - 1 << 8) for _ in range(2)]
+        for t in texts:
+            P = PreparedInvariant(*ring.parse_local(t))
+            assert P.variables == tuple(sorted(parse(t).support()))
+            for fun, rounds in ((zref, 1), (random_boolfun(95), 2)):
+                got = check_invariant_empirically(P, wiring, fun, 300, 9, rounds)
+                assert got == two_evaluation_mismatches(parse(t), wiring, fun, 300, 9, rounds)
+
     @pytest.mark.parametrize("trials,calls", [(1, 1), (128, 1),
                                               (fe_mod._CHUNK, 1),
                                               (fe_mod._CHUNK + 1, 2)])
     def test_one_evaluation_per_chunk(self, wiring, zref, invariant_deg7,
                                       monkeypatch, trials, calls):
-        P = PreparedInvariant(invariant_deg7)
+        P = PreparedInvariant(*ring.parse_local(fixture_text("invariant-deg7.poly")))
         runs, plans = [], []
         real_eval, real_init = fe_mod.eval_poly_lanes, LanePlan.__init__
         monkeypatch.setattr(fe_mod, "eval_poly_lanes",
                             lambda plan, *args: runs.append(plan) or real_eval(plan, *args))
         monkeypatch.setattr(LanePlan, "__init__",
-                            lambda plan, p: plans.append(p) or real_init(plan, p))
+                            lambda plan, terms: plans.append(terms) or real_init(plan, terms))
+        monkeypatch.setattr(PreparedInvariant, "poly",  # P over VarIds is never renamed
+                            property(lambda P: pytest.fail("P.poly was read")))
         check_invariant_empirically(P, wiring, zref, trials, rounds=3)
-        assert sum(plan is P.lane_plan for plan in runs) == calls
-        # P's plan and the function's, each built once for every chunk and round
-        assert sorted(plans, key=len) == [zref.anf_poly(), invariant_deg7]
+        assert len(runs) == calls and all(plan is P.lane_plan for plan in runs)
+        # P's plan and the function's, each built once for every chunk and round:
+        # P's from its local polynomial, every term below 2^n over its n letters
+        fun_terms, p_terms = sorted(plans, key=len)
+        assert p_terms is P.local.terms and len(P.variables) == 16
+        assert all(0 <= t < 1 << 16 for t in p_terms)
+        assert ring.rename(P.local, P.variables) == invariant_deg7
+        assert sorted(fun_terms) == sorted(zref.instantiate(FORMAL_VARS).terms)  # a..f: 0..5
 
     def test_theorem_invariant_clean(self, wiring, zref, invariant_deg7):
-        mismatches = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,
+        mismatches = check_invariant_empirically(PreparedInvariant(*ring.localize(invariant_deg7)), wiring,
                                                  zref, trials=10**6, seed=5)
         assert mismatches == 0
 
     def test_single_bit_mismatches(self, wiring, zref):
-        mismatches = check_invariant_empirically(PreparedInvariant(parse("V")), wiring, zref,
+        mismatches = check_invariant_empirically(PreparedInvariant(*ring.localize(parse("V"))), wiring, zref,
                                                  trials=1000, seed=6)
         assert mismatches > 0
 
     def test_zero_rounds_identity(self, wiring, zref):
         rng = random.Random(42)
         p = ring.Poly([rng.getrandbits(36) for _ in range(30)])
-        mismatches = check_invariant_empirically(PreparedInvariant(p), wiring, zref, trials=5000,
+        mismatches = check_invariant_empirically(PreparedInvariant(*ring.localize(p)), wiring, zref, trials=5000,
                                                  seed=7, rounds=0)
         assert mismatches == 0
 
     def test_trials_validation(self, wiring, zref):
         with pytest.raises(ValueError):
-            check_invariant_empirically(PreparedInvariant(parse("a")), wiring, zref,
+            check_invariant_empirically(PreparedInvariant(*ring.localize(parse("a"))), wiring, zref,
                                         trials=0)
 
     def test_multi_round_preservation(self, wiring, zref, invariant_deg7):
         for rounds in (2, 17, 64):
-            mismatches = check_invariant_empirically(PreparedInvariant(invariant_deg7), wiring,
+            mismatches = check_invariant_empirically(PreparedInvariant(*ring.localize(invariant_deg7)), wiring,
                                                      zref, trials=4000, seed=rounds,
                                                      rounds=rounds)
             assert mismatches == 0
@@ -361,13 +382,13 @@ class TestEmpirical:
 class TestSymbolic:
     def test_requires_symbolic_mode(self, wiring, zref):
         with pytest.raises(ValueError):
-            symbolic_fe(PreparedInvariant(parse("a")),
+            symbolic_fe(PreparedInvariant(*ring.localize(parse("a"))),
                         round_system(wiring, "expanded", zref))
 
     def test_trivially_shifted_bits_are_coefficient_free(self, wiring):
         rs = round_system(wiring, "symbolic")
         # b + c touches only x35, x34, whose images are single variables
-        report = symbolic_fe(PreparedInvariant(parse("b+c")), rs)
+        report = symbolic_fe(PreparedInvariant(*ring.localize(parse("b+c"))), rs)
         assert all(v < ring.COEF_BASE for v in report.fe.support())
 
     def test_mode_consistency_medium(self, wiring, zref):
@@ -376,8 +397,8 @@ class TestSymbolic:
                           add(bank["G"], bank["H"])])
         rs_sym = round_system(wiring, "symbolic")
         rs_exp = round_system(wiring, "expanded", zref)
-        sym = symbolic_fe(PreparedInvariant(p), rs_sym)
-        exp = build_fe(PreparedInvariant(p), rs_exp)
+        sym = symbolic_fe(PreparedInvariant(*ring.localize(p)), rs_sym)
+        exp = build_fe(PreparedInvariant(*ring.localize(p)), rs_exp)
         assert substitute_coefficients(sym.fe, zref) == exp.fe
         # seeded random wirings whose four instances each repeat an argument,
         # so the expanded ANF merges x*x = x, with random functions
@@ -396,11 +417,11 @@ class TestSymbolic:
 
     def test_mode_consistency_theorem(self, wiring, zref, invariant_deg7):
         rs_sym = round_system(wiring, "symbolic")
-        sym = symbolic_fe(PreparedInvariant(invariant_deg7), rs_sym)
+        sym = symbolic_fe(PreparedInvariant(*ring.localize(invariant_deg7)), rs_sym)
         assert len(sym.fe) > 0
         assert check_candidate(sym.fe, zref)
         other = random_boolfun(4040)
-        exp_other = build_fe(PreparedInvariant(invariant_deg7),
+        exp_other = build_fe(PreparedInvariant(*ring.localize(invariant_deg7)),
                              round_system(wiring, "expanded", other))
         assert check_candidate(sym.fe, other) == exp_other.is_zero
 
@@ -408,17 +429,17 @@ class TestSymbolic:
         # two of the basis factors' images carry a function instance, so the
         # sparse intermediates stay within the default budget
         w = random_wiring(0)
-        sym = symbolic_fe(PreparedInvariant(invariant_deg7), round_system(w, "symbolic"))
+        sym = symbolic_fe(PreparedInvariant(*ring.localize(invariant_deg7)), round_system(w, "symbolic"))
         for seed in (1, 2):
             fun = random_boolfun(seed)
             assert (substitute_coefficients(sym.fe, fun)
-                    == build_fe(PreparedInvariant(invariant_deg7),
+                    == build_fe(PreparedInvariant(*ring.localize(invariant_deg7)),
                                 round_system(w, "expanded", fun)).fe)
 
     def test_budget_overflow(self, wiring, invariant_deg7):
         rs = round_system(wiring, "symbolic")
         with pytest.raises(TermBudgetError):
-            symbolic_fe(PreparedInvariant(invariant_deg7), rs, budget=500)
+            symbolic_fe(PreparedInvariant(*ring.localize(invariant_deg7)), rs, budget=500)
 
 
 class TestKeyedSymbolic:
@@ -471,7 +492,7 @@ class TestKeyedSymbolic:
         for w in conforming + randoms:
             rs = round_system(w, "symbolic")
             for p in small + ([] if w in randoms[1:] else [invariant_deg7]):
-                prepared = PreparedInvariant(p)
+                prepared = PreparedInvariant(*ring.localize(p))
                 path = self._check(prepared, rs, monkeypatch)
                 if p is invariant_deg7:
                     assert path == ("keyed" if w in conforming else "fold")
@@ -505,7 +526,7 @@ class TestKeyedSymbolic:
     ])
     def test_keyed_rule_on_hand_made_rounds(self, images, factors, path, monkeypatch):
         rs = RoundSystem("symbolic", _hand_made_round(images).outputs)
-        prepared = PreparedInvariant(ring.product([parse(f) for f in factors]))
+        prepared = PreparedInvariant(*ring.localize(ring.product([parse(f) for f in factors])))
         assert len(prepared.parts) == len(factors) + 1
         assert self._check(prepared, rs, monkeypatch) == path
 
@@ -524,7 +545,7 @@ class TestKeyedSymbolic:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.startswith("fe = <110720 terms, degree 13>\n")
         assert 1 <= len(calls) <= 6
-        prepared = PreparedInvariant(invariant_deg7)
+        prepared = PreparedInvariant(*ring.localize(invariant_deg7))
         prepared.parts
         for rs in (round_system(wiring, "expanded", zref), round_system(wiring, "placeholder")):
             calls.clear()
@@ -549,7 +570,7 @@ class TestKeyedSymbolic:
         # ints (one instance's 64 input monomials and key 0's other terms)
         # and one output key are held at a time, each int short since the
         # variables most image terms hold take the low index bits
-        prepared = PreparedInvariant(invariant_deg7)
+        prepared = PreparedInvariant(*ring.localize(invariant_deg7))
         prepared.parts
         rs = round_system(wiring, "symbolic")
         tracemalloc.start()
@@ -567,19 +588,19 @@ class TestCoefficientSystem:
         rs = round_system(wiring, "symbolic")
         # a single non-trivial output bit: FE is affine in the coefficients
         # d = x33, image y33 = F + x_{D(9)}
-        report = symbolic_fe(PreparedInvariant(parse("d")), rs)
+        report = symbolic_fe(PreparedInvariant(*ring.localize(parse("d"))), rs)
         system = coefficient_system(report.fe)
         assert system.linear
 
     def test_nonlinear_detection(self, wiring, invariant_deg7):
         rs = round_system(wiring, "symbolic")
-        report = symbolic_fe(PreparedInvariant(invariant_deg7), rs)
+        report = symbolic_fe(PreparedInvariant(*ring.localize(invariant_deg7)), rs)
         system = coefficient_system(report.fe)
         assert not system.linear  # distinct instances multiply: quadratic terms
 
     def test_single_instance_linear(self, wiring):
         rs = round_system(wiring, "symbolic")
         # image x34: no instance at all
-        report = symbolic_fe(PreparedInvariant(parse("b")), rs)
+        report = symbolic_fe(PreparedInvariant(*ring.localize(parse("b"))), rs)
         system = coefficient_system(report.fe)
         assert system.linear

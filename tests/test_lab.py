@@ -134,7 +134,7 @@ class TestVerifyAttack:
         for seed in (0, 1, 2, 77):
             fun = random_boolfun(seed)
             report = verify_attack(wiring, fun)
-            fe = build_fe(PreparedInvariant(lab.product_invariant()),
+            fe = build_fe(PreparedInvariant(*ring.localize(lab.product_invariant())),
                           round_system(wiring, "expanded", fun))
             assert report.passed == (fe.is_zero and not fe.depends_on)
 
@@ -242,7 +242,7 @@ class TestVerifyAttack:
             return reports[-1][1]
 
         monkeypatch.setattr(fe_mod, "build_fe", spy)
-        split = PreparedInvariant(product_invariant())
+        split = PreparedInvariant(*ring.localize(product_invariant()))
         funs = [zref, random_boolfun(41), random_boolfun(42)]
         verdicts = set()
         for w in [wiring] + [random_wiring(s, conforming=True) for s in range(16)]:
@@ -273,6 +273,23 @@ class TestVerifyAttack:
 
 
 class TestFactorExplorer:
+    @pytest.mark.parametrize("pool", [
+        list(range(ring.FORM_BASE)),  # state dialect: a..V, F, K, L, Z..W, Z00..Z63
+        [*ring.PLACEHOLDERS, *range(ring.FORM_BASE, ring.N_VARS)],  # forms dialect
+    ], ids=["state", "forms"])
+    def test_pool_key_is_the_forms_rendering(self, pool):
+        rng = random.Random(len(pool))
+        for _ in range(300):
+            variables = sorted(rng.sample(pool, rng.randint(1, 12)))
+            vectors = [rng.randrange(2, 2 << len(variables)) for _ in range(8)]
+            keys = [lab.pool_key(v, variables) for v in vectors]
+            texts = [ring.render(boolfun.vector_to_affine(v, variables), "forms")
+                     for v in vectors]
+            assert keys == texts  # the same text, so the pool's order is the same
+            assert sorted(vectors, key=lambda v: lab.pool_key(v, variables)) == sorted(
+                vectors, key=lambda v: ring.render(boolfun.vector_to_affine(v, variables),
+                                                   "forms"))
+
     def test_mu_has_14_terms_degree_5(self):
         mu = core_product_forms()
         assert mu.degree() == 5
@@ -452,17 +469,17 @@ class TestFactorExplorer:
 
 class TestSearch:
     def test_planted_reference_function_detected(self, wiring, zref, invariant_deg7):
-        assert lab.is_hit(wiring, PreparedInvariant(invariant_deg7), zref)
+        assert lab.is_hit(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), zref)
 
     def test_random_function_rejected_by_screen(self, wiring, invariant_deg7):
-        assert not lab.is_hit(wiring, PreparedInvariant(invariant_deg7),
+        assert not lab.is_hit(wiring, PreparedInvariant(*ring.localize(invariant_deg7)),
                               random_boolfun(123))
 
     @pytest.mark.parametrize("wiring_seed", [None, 0])
     def test_screen_never_changes_the_verdict(self, wiring, zref, invariant_deg7,
                                               wiring_seed):
         w = wiring if wiring_seed is None else random_wiring(wiring_seed, conforming=True)
-        P = PreparedInvariant(invariant_deg7)
+        P = PreparedInvariant(*ring.localize(invariant_deg7))
         for fun in [zref] + [random_boolfun(seed) for seed in range(200)]:
             exact = build_fe(P, round_system(w, "expanded", fun)).is_zero
             assert lab.is_hit(w, P, fun) == exact
@@ -475,7 +492,7 @@ class TestSearch:
         real_build = fe_mod.build_fe
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda *args: exact.append(1) or real_build(*args))
-        report = search_random_functions(wiring, invariant_deg7, 400, 0)
+        report = search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), 400, 0)
         assert (len(exact), report.hits) == (16, ())
 
     @pytest.mark.parametrize("trials,seed,survivors,splits", [(5, 5, 2, 1), (3, 6, 0, 0)])
@@ -488,18 +505,18 @@ class TestSearch:
                             lambda p: split_calls.append(p) or real_split(p))
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda *args: exact.append(1) or real_build(*args))
-        search_random_functions(wiring, invariant_deg7, trials, seed)
+        search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), trials, seed)
         assert (len(exact), len(split_calls)) == (survivors, splits)
 
     def test_search_deterministic(self, wiring, invariant_deg7):
-        a = search_random_functions(wiring, invariant_deg7, trials=12, seed=5)
-        b = search_random_functions(wiring, invariant_deg7, trials=12, seed=5)
+        a = search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), trials=12, seed=5)
+        b = search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), trials=12, seed=5)
         assert a == b
         assert a.trials == 12
 
     def test_zero_function_verdict_computed(self, wiring, invariant_deg7):
         from invforge.boolfun import ZERO_FUN
-        report = build_fe(PreparedInvariant(invariant_deg7),
+        report = build_fe(PreparedInvariant(*ring.localize(invariant_deg7)),
                           round_system(wiring, "expanded", ZERO_FUN))
         assert not report.is_zero  # computed, frozen: the degenerate
         # function is not a hit for this invariant and wiring
@@ -516,7 +533,8 @@ class TestSearch:
         for w in (wiring, random_wiring(1, conforming=True)):
             for trials, seed, survivors in ((5, 5, 2), (100, 3, 5), (200, 1000, 14)):
                 del exact[:]
-                report = search_random_functions(w, invariant_deg7, trials, seed)
+                report = search_random_functions(w, PreparedInvariant(*ring.localize(invariant_deg7)),
+                                                 trials, seed)
                 assert (len(exact), report.hits) == (survivors, ())
 
     def test_wilson_interval(self):

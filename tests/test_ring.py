@@ -11,7 +11,9 @@ from invforge.ring import (
     ONE, ZERO, NotAFactorError, ParseError, Poly, UnassignedVariableError,
     add, factor_out, mul, parse, render, state_var, substitute, var,
 )
-from reference import anf_bits_per_bit, factor_out_by_substitution, table_depends
+from reference import (
+    anf_bits_per_bit, factor_out_by_substitution, parse_per_character, table_depends,
+)
 
 # VarId pools of the two text dialects: the state dialect's variables span
 # the monomial bytes of the state bits, F/K/L, the placeholders and Z00..Z63;
@@ -173,6 +175,35 @@ class TestParseRender:
         run = parse("+".join(terms), dialect)
         assert parse("+".join(" * ".join(t) for t in terms), dialect) == run
         assert parse("+".join(" ".join(t) for t in terms), dialect) == run
+
+    @given(st.sampled_from(["state", "forms", "auto"]), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_parse_matches_the_per_character_parser(self, dialect, data):
+        # well-formed texts, and texts with one character inserted, deleted or replaced
+        names = [n for n in ring.NAMES if n in ring._NAME_BITS[
+            "forms" if dialect == "forms" else "state"]] + ["0", "1"]
+        terms = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=5),
+                                   min_size=1, max_size=6))
+        text = "+".join(data.draw(st.sampled_from(["", "*", " ", " * "])).join(t)
+                        for t in terms)
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(text)))
+            kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            c = data.draw(st.sampled_from(list("+* \n01Z9?aAF") + names[:3]))
+            text = text[:at] + ("" if kind == "delete" else c) + text[at + (kind != "insert"):]
+        try:
+            want = parse_per_character(text, dialect)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse(text, dialect)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position)
+            with pytest.raises(ParseError):
+                ring.parse_local(text, dialect)
+            return
+        assert parse(text, dialect) == want
+        local, variables = ring.parse_local(text, dialect)
+        assert list(variables) == sorted(want.support())
+        assert ring.rename(local, variables) == want
 
     def test_duplicate_letters_collapse(self):
         assert parse("aa") == parse("a")
