@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import gf2, ring
 from .ring import Poly, UsageError, _ones, anf_bits, mobius, mul, poly_from_anf_bits
@@ -183,13 +183,8 @@ def affine_factor_solutions(table: int, n: int) -> List[int]:
 
 
 def vector_to_affine(vec: int, variables: Sequence[int]) -> Poly:
-    terms = []
-    if vec & 1:
-        terms.append(0)
-    for i, v in enumerate(variables):
-        if (vec >> (i + 1)) & 1:
-            terms.append(1 << v)
-    return Poly(terms)
+    """The affine form of vec over variables, as ring.affine_table reads it."""
+    return Poly([1 << v for i, v in enumerate(variables) if vec >> i + 1 & 1] + [0][:vec & 1])
 
 
 def affine_span(basis: Sequence[int]) -> List[int]:
@@ -201,19 +196,16 @@ def affine_span(basis: Sequence[int]) -> List[int]:
     return span
 
 
-def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int], Optional[int]]:
+def minimal_affine_factors(p: Poly) -> Tuple[List[int], List[int], int]:
     """(support, vectors, table) of the nonconstant affine factors of smallest support.
 
     The affine ell dividing p are exactly those with ell = 1 wherever p = 1
     (the set 1 + Ann_1(p)); the whole solution span, at most 2^16 vectors
-    within MAX_SPLIT_VARS variables, is searched on table, p's truth table
-    over its sorted support.  Vectors are over that support as in
-    vector_to_affine.  No vectors when p is zero or constant, and neither
-    vectors nor table (None) over more than MAX_SPLIT_VARS variables.
+    for p over at most MAX_SPLIT_VARS variables, is searched on table, p's
+    truth table over its sorted support.  Vectors are over that support as
+    in vector_to_affine.  No vectors when p is zero or constant.
     """
     sup = sorted(p.support())
-    if len(sup) > MAX_SPLIT_VARS:
-        return sup, [], None
     table = truth_table(p, sup)
     best, out = len(sup) + 1, []
     for vec in affine_span(affine_factor_solutions(table, len(sup))):

@@ -210,9 +210,7 @@ def cmd_linear_cycle(args) -> Result:
 def cmd_search(args) -> Result:
     w = _load_wiring(args.lzs)
     P = _load_poly(args.invariant, local=True)
-    if args.trials < 1:  # before P's variables are checked, as search_random_functions did
-        raise UsageError("trials must be >= 1")
-    report = lab.search_random_functions(w, fe_mod.PreparedInvariant(*P), args.trials, args.seed)
+    report = lab.search_random_functions(w, P, args.trials, args.seed)
     rec = {
         "kind": "search",
         "trials": report.trials,

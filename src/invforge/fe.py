@@ -197,7 +197,7 @@ def build_fe(P: PreparedInvariant, rs: RoundSystem, budget: Optional[int] = None
     held = reduce(or_, layers)
     depends_on = [ring.var_name(v) for v in sorted(v for i, v in enumerate(variables)
                                                    if v >= N_STATE  # ANF indices holding i
-                                                   and held & ring.affine_table(2 << i, n))]
+                                                   and held & ring._one_bit_mask(i, n))]
     depends_on += [ring.var_name(v) for v in sorted(_COEFS) if held_coefs >> v & 1]
     return FeReport(not terms, tuple(depends_on), rs.mode, counts=(terms, tuple(layers)),
                     variables=variables, replay=(f_anf, tuple(keyed), p_anf))

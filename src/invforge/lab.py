@@ -46,7 +46,7 @@ def form_anf(p: Poly, variables: Sequence[int]) -> int:
     anf, n = anf_bits(p, [letters.get(v, v) for v in variables]), len(variables)
     for lo, hi in FORM_BITS.values():
         i, j = index[state_var(lo)], index[state_var(hi)]
-        anf ^= (anf & ring.affine_table(2 << i, n)) >> (1 << i) << (1 << j)
+        anf ^= (anf & ring._one_bit_mask(i, n)) >> (1 << i) << (1 << j)
     return anf
 
 
@@ -296,7 +296,7 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         raise ring.UsageError("cannot factor a polynomial over %d variables: the affine "
                               "factor search is limited to %d" % (n, MAX_SPLIT_VARS))
     rng = random.Random(seed)
-    pools: Dict[Poly, Tuple[List[Poly], int, Dict[Poly, Poly]]] = {}
+    pools: Dict[Poly, Tuple[List[int], List[int], int, Dict[int, Poly]]] = {}
     seen = set()
     found: List[Factorization] = []
     for _ in range(max(8 * max_trees, 16)):
@@ -308,22 +308,21 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
         while True:
             if node not in pools:
                 sup, vectors, table = minimal_affine_factors(node)
-                pools[node] = ([vector_to_affine(v, sup) for v in
-                                sorted(vectors, key=lambda v: pool_key(v, sup))], table, {})
-            pool, table, quotients = pools[node]
+                pools[node] = (sup, sorted(vectors, key=lambda v: pool_key(v, sup)), table, {})
+            sup, pool, table, quotients = pools[node]
             if not pool:
                 break
-            ell = pool[rng.randrange(len(pool))]
-            factors.append(ell)
-            if ell not in quotients:
-                quotients[ell] = factor_out(node, ell, table)
-            node = quotients[ell]
+            vec = pool[rng.randrange(len(pool))]
+            factors.append(vector_to_affine(vec, sup))
+            if vec not in quotients:
+                quotients[vec] = factor_out(table, vec, sup)
+            node = quotients[vec]
             nodes.append(node)
         key = (frozenset(factors), node)
         if key in seen:
             continue
         seen.add(key)
-        chain = Factorization(p, tuple(factors), tuple(nodes), pools[p][1])
+        chain = Factorization(p, tuple(factors), tuple(nodes), pools[p][2])
         if not chain.verify():
             raise ArithmeticError("division chain does not re-multiply to the polynomial")
         found.append(chain)
@@ -378,15 +377,16 @@ def is_hit(w: Wiring, P: fe_mod.PreparedInvariant, fun: BoolFun6,
     return fe_mod.build_fe(P, round_system(w, "expanded", fun)).is_zero
 
 
-def search_random_functions(w: Wiring, P: fe_mod.PreparedInvariant, trials: int,
+def search_random_functions(w: Wiring, invariant: Tuple[Poly, Tuple[int, ...]], trials: int,
                             seed: int) -> SearchReport:
     """Seeded stream of random functions; a hit is an exact FE = 0 verdict.
 
-    Trial i uses the function seeded by seed+i, so results are
-    byte-reproducible.
+    invariant is P as read, (P over its letters, its VarIds).  Trial i uses
+    the function seeded by seed+i, so results are byte-reproducible.
     """
     if trials < 1:
         raise ring.UsageError("trials must be >= 1")
+    P = fe_mod.PreparedInvariant(*invariant)
     hits = []
     for i in range(trials):
         fun = random_boolfun(seed + i)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
@@ -244,8 +245,9 @@ def product_table(ps: Sequence[Poly], variables: Sequence[int]) -> int:
     index = {v: i for i, v in enumerate(variables)}
     table = (1 << (1 << n)) - 1
     for p in ps:
-        if p.degree() <= 1:
-            table &= affine_table(_affine_vector(p, index), n)
+        if p.degree() <= 1:  # its vector as affine_table reads it
+            vec = sum(2 << index[t.bit_length() - 1] if t else 1 for t in p.terms)
+            table &= affine_table(vec, n)
         else:
             table &= mobius(anf_bits(p, variables), n)
     return table
@@ -348,15 +350,6 @@ def affine_table(vec: int, n: int) -> int:
     return out
 
 
-def _affine_vector(p: Poly, index: Mapping[int, int]) -> int:
-    """p, of degree <= 1, as the vector affine_table reads: bit 0 its
-    constant term, bit index[v] + 1 its coefficient of v."""
-    vec = 0
-    for t in p.terms:
-        vec ^= 2 << index[t.bit_length() - 1] if t else 1
-    return vec
-
-
 def _ones(table: int) -> List[int]:
     """Ascending indices of the 1 bits of a truth table or a monomial mask,
     in one linear scan."""
@@ -383,58 +376,60 @@ def monomial_masks(variables: Sequence[int]) -> List[int]:
     return masks
 
 
-def anf_bits(p: Poly, variables: Sequence[int]) -> int:
-    """ANF coefficient vector of p over an ordered variable list.
-
-    Each monomial is read a chunk of VarIds at a time.  A chunk starts at a
-    declared variable and spans at most 8 VarIds, fewer when p has few
-    terms, so that no chunk's table outgrows 2 * len(p).  The table, built
-    per call by doubling, maps the chunk's bits to their ANF index bits.
-    """
-    pos = {v: 1 << i for i, v in enumerate(variables)}
-    span = min(8, len(p.terms).bit_length())
-    declared, chunks, base = 0, [], -span
-    for v in sorted(pos):
-        declared |= 1 << v
-        bit = pos[v]
-        if v >= base + span:
-            base, table = v, [0, bit]
-            chunks.append((base, table))
+def _relabel(terms: frozenset, variables: Sequence[int] | Mapping[int, int]) -> Iterable[int]:
+    """The terms with each bit i moved to bit variables[i], where variables, a
+    list or a dict, need hold only the bits that some term holds; the terms
+    themselves where those bits are 0..k-1 and none moves.  A term is read a
+    chunk at a time: a chunk starts at a held bit and spans at most 8 bits,
+    fewer when there are few terms, so that no chunk's table, built by
+    doubling over its held bits, outgrows 2 * len(terms)."""
+    held = reduce(or_, terms, 0)
+    if not held & held + 1 and all(variables[i] == i for i in range(held.bit_length())):
+        return terms
+    span, lookups = min(8, len(terms).bit_length()), []
+    while held:
+        i = (held & -held).bit_length() - 1
+        held ^= 1 << i
+        bit = 1 << variables[i]
+        if lookups and i < base + span:
+            table *= 1 << (i - prev - 1)  # the bits in between, which no term holds
+            table += [m | bit for m in table]
         else:
-            table *= 1 << (v - prev - 1)  # the undeclared VarIds in between
-            table += [idx | bit for idx in table]
-        prev = v
-    lookups = [(base, len(table) - 1, table) for base, table in chunks]
+            base, table = i, [0, bit]
+            lookups.append((base, table))
+        prev = i
+    mask, out = (1 << span) - 1, []  # a chunk's bits past its last held one are 0
+    for t in terms:
+        m = 0
+        for base, table in lookups:
+            m |= table[t >> base & mask]
+        out.append(m)
+    return out
+
+
+def anf_bits(p: Poly, variables: Sequence[int]) -> int:
+    """ANF coefficient vector of p over an ordered variable list: bit idx for
+    each term, idx the term with each VarId moved to its list position."""
     buf = bytearray(((1 << len(variables)) + 7) >> 3)
-    support = 0
-    for t in p.terms:
-        support |= t
-        idx = 0
-        for shift, mask, table in lookups:
-            idx |= table[t >> shift & mask]
-        buf[idx >> 3] |= 1 << (idx & 7)
-    outside = support & ~declared
-    if outside:
-        low = outside & -outside
+    try:
+        for idx in _relabel(p.terms, {v: i for i, v in enumerate(variables)}):
+            buf[idx >> 3] |= 1 << (idx & 7)
+    except KeyError as missing:  # the lowest VarId p holds and the list does not
         raise ValueError("polynomial uses %s outside the declared variables"
-                         % var_name(low.bit_length() - 1))
+                         % var_name(missing.args[0])) from None
     return int.from_bytes(buf, "little")
 
 
 def rename(p: Poly, variables: Sequence[int]) -> Poly:
-    """p over letters, bit i of a term read as VarId variables[i], a table per chunk."""
-    span, out = max(1, min(8, len(p.terms).bit_length())), [0] * len(p.terms)
-    for i in range(0, len(variables), span):
-        table = monomial_masks(variables[i:i + span])
-        out = [m | table[t >> i & len(table) - 1] for m, t in zip(out, p.terms)]
-    return Poly._raw(frozenset(out))
+    """p over letters, bit i of a term read as VarId variables[i]."""
+    return Poly._raw(frozenset(_relabel(p.terms, variables)))
 
 
 def localize(p: Poly) -> Tuple[Poly, Tuple[int, ...]]:
     """(p over its letters, its VarIds): rename's inverse, VarId v the count of those below."""
     variables = tuple(sorted(p.support()))
     if variables != tuple(range(len(variables))):  # else p is over its own letters already
-        p = rename(p, [sum(u < v for u in variables) for v in range(variables[-1] + 1)])
+        p = rename(p, {v: i for i, v in enumerate(variables)})
     return p, variables
 
 
@@ -505,36 +500,19 @@ def substitute(p: Poly, mapping: Mapping[int, Poly], budget: int | None = None) 
     return Poly._raw(acc)
 
 
-def factor_out(p: Poly, ell: Poly, table: int | None = None) -> Poly:
-    """Quotient q with ell*q = p, for a verified affine factor ell.
+def factor_out(table: int, vec: int, variables: Sequence[int]) -> Poly:
+    """Quotient q with ell*q = p, where table is p's truth table over the
+    variables and vec, as affine_table reads it, a nonconstant affine ell.
 
-    Works on truth tables over the variables of p and ell, at most
-    MAX_DENSE_VARS of them; table, where the caller holds it, is p's.
-    Requires (ell+1)*p = 0, that is p = 0 wherever ell = 0.  The pivot is
-    the lowest VarId with linear coefficient 1 in ell; restricting p to
-    pivot = pivot + ell + 1 forces ell to 1 and eliminates the pivot from
-    the quotient.  The identity ell*q = p is re-checked on the tables.
+    ell divides p iff p = 0 wherever ell = 0.  Restricting p's table at
+    ell's lowest input i to x_i + ell + 1, which is ell + 1 where restrict
+    reads it (x_i = 0), forces ell to 1 and eliminates x_i from the quotient.
     """
-    if ell.degree() > 1:
-        raise NotAFactorError("factor is not affine: %s" % render(ell, "forms"))
-    variables = sorted(p.support() | ell.support())
-    n = len(variables)
-    if n > MAX_DENSE_VARS:
-        raise ValueError("cannot divide over %d variables: the truth tables are "
-                         "limited to %d" % (n, MAX_DENSE_VARS))
-    vec = _affine_vector(ell, {v: i for i, v in enumerate(variables)})
-    tp = mobius(anf_bits(p, variables), n) if table is None else table
-    tl = affine_table(vec, n)
-    if tp & ~tl:
-        raise NotAFactorError("%s does not divide the polynomial" % render(ell, "forms"))
-    linear = vec >> 1
-    if not linear:
-        return p  # ell == 1
-    i = (linear & -linear).bit_length() - 1  # the pivot's input
-    tq = restrict(tp, n, i, tl ^ affine_table(1 | 2 << i, n))  # pivot + ell + 1
-    if tl & tq != tp:  # pragma: no cover - guaranteed by the precondition
-        raise NotAFactorError("division check failed for %s" % render(ell, "forms"))
-    return poly_from_anf_bits(mobius(tq, n), variables)
+    n, linear, tl = len(variables), vec >> 1, affine_table(vec, len(variables))
+    if not linear or table & ~tl:
+        raise NotAFactorError("not a nonconstant affine factor of the polynomial")
+    i = (linear & -linear).bit_length() - 1
+    return poly_from_anf_bits(mobius(restrict(table, n, i, ~tl), n), variables)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def anf_bits_per_bit(p: Poly, variables: Sequence[int]) -> int:
     return anf
 
 
+def factor_out_on_tables(p: Poly, ell: Poly) -> Poly:
+    """ring.factor_out on p's truth table and ell's vector, ell affine, over
+    the sorted union of their supports."""
+    variables = sorted(p.support() | ell.support())
+    vec = sum(2 << variables.index(t.bit_length() - 1) if t else 1 for t in ell.terms)
+    return ring.factor_out(truth_table(p, variables), vec, variables)
+
+
 def factor_out_by_substitution(p: Poly, ell: Poly) -> Poly:
     """Sparse division: check (ell+1)*p = 0 by mul, substitute the pivot (the
     lowest VarId of ell) by pivot + ell + 1, check ell*q = p by mul."""

@@ -472,6 +472,8 @@ class TestErrorContract:
                         "over 17 variables: the affine factor search is limited to 16"),
         "search-trials": (["search", "--lzs", LZS, "--invariant", INV7, "--trials", "0"], b"",
                           "trials must be >= 1"),
+        "search-trials-non-state": (["search", "--lzs", LZS, "--invariant", "-", "--trials", "0"],
+                                    b"ab+F\n", "trials must be >= 1"),  # before P's variables
         "empirical-trials": ([*FE_ZREF, "--empirical-trials", "-5"], b"",
                              "trials must be >= 1"),
         "max-period-0": (["linear-cycle", "--lzs", LZS, "--max-period", "0"], b"",

@@ -5,7 +5,7 @@ import pytest
 
 from invforge import boolfun, fe as fe_mod, lab, ring
 from invforge.boolfun import (
-    ZERO_FUN, BoolFun6, minimal_affine_factors, random_boolfun,
+    ZERO_FUN, BoolFun6, minimal_affine_factors, random_boolfun, vector_to_affine,
 )
 from invforge.cipher import (
     W_INPUT_BITS, Y_INPUT_BITS, Wiring, random_wiring, round_system,
@@ -19,8 +19,9 @@ from invforge.lab import (
 )
 from invforge.ring import ONE, ZERO, add, mul, parse, product, substitute
 from reference import (
-    affine_divisors, alternate_invariant, expand_forms_by_substitution, matches_presentation,
-    reference_function_steps, reference_wiring_steps, verify_by_product,
+    affine_divisors, alternate_invariant, expand_forms_by_substitution, factor_out_by_substitution,
+    factor_out_on_tables, matches_presentation, reference_function_steps, reference_wiring_steps,
+    verify_by_product,
 )
 
 ONE_FUN = BoolFun6((1 << 64) - 1)
@@ -373,10 +374,11 @@ class TestFactorExplorer:
             return minimal_affine_factors(node)
 
         monkeypatch.setattr(lab, "minimal_affine_factors", counting)
-        divisions = []  # each (node, factor) divided once, later chains reuse the quotient
+        divisions = []  # each (node, factor vector) divided once, later chains reuse the quotient
         real = lab.factor_out
-        monkeypatch.setattr(lab, "factor_out", lambda node, ell, table:
-                            divisions.append((node, ell)) or real(node, ell, table))
+        monkeypatch.setattr(lab, "factor_out", lambda table, vec, variables:
+                            divisions.append((tuple(variables), table, vec))
+                            or real(table, vec, variables))
         found = explore_factorizations(p, trees, seed=1)
         assert found
         visited = {n for t in found for n in (t.root,) + t.nodes}
@@ -450,10 +452,14 @@ class TestFactorExplorer:
             affine_divisors(parse("abcdefghijklmnop"))
 
     def test_division_by_printed_factor(self):
-        from invforge.ring import factor_out
+        # mu's table over its support, divided by the vector of C + H + 1
         mu = core_product_forms()
         fa, _ = core_factorization_a()
-        q = factor_out(mu, fa[0])
+        sup, vectors, table = minimal_affine_factors(mu)
+        vec = 1 | 2 << sup.index(ring.form_var("C")) | 2 << sup.index(ring.form_var("H"))
+        assert vector_to_affine(vec, sup) == fa[0] and vec in vectors
+        q = ring.factor_out(table, vec, sup)
+        assert q == factor_out_on_tables(mu, fa[0]) == factor_out_by_substitution(mu, fa[0])
         assert mul(fa[0], q) == mu
         assert ring.form_var("C") not in q.support()
 
@@ -492,7 +498,7 @@ class TestSearch:
         real_build = fe_mod.build_fe
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda *args: exact.append(1) or real_build(*args))
-        report = search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), 400, 0)
+        report = search_random_functions(wiring, ring.localize(invariant_deg7), 400, 0)
         assert (len(exact), report.hits) == (16, ())
 
     @pytest.mark.parametrize("trials,seed,survivors,splits", [(5, 5, 2, 1), (3, 6, 0, 0)])
@@ -505,12 +511,12 @@ class TestSearch:
                             lambda p: split_calls.append(p) or real_split(p))
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda *args: exact.append(1) or real_build(*args))
-        search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), trials, seed)
+        search_random_functions(wiring, ring.localize(invariant_deg7), trials, seed)
         assert (len(exact), len(split_calls)) == (survivors, splits)
 
     def test_search_deterministic(self, wiring, invariant_deg7):
-        a = search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), trials=12, seed=5)
-        b = search_random_functions(wiring, PreparedInvariant(*ring.localize(invariant_deg7)), trials=12, seed=5)
+        a = search_random_functions(wiring, ring.localize(invariant_deg7), trials=12, seed=5)
+        b = search_random_functions(wiring, ring.localize(invariant_deg7), trials=12, seed=5)
         assert a == b
         assert a.trials == 12
 
@@ -533,8 +539,7 @@ class TestSearch:
         for w in (wiring, random_wiring(1, conforming=True)):
             for trials, seed, survivors in ((5, 5, 2), (100, 3, 5), (200, 1000, 14)):
                 del exact[:]
-                report = search_random_functions(w, PreparedInvariant(*ring.localize(invariant_deg7)),
-                                                 trials, seed)
+                report = search_random_functions(w, ring.localize(invariant_deg7), trials, seed)
                 assert (len(exact), report.hits) == (survivors, ())
 
     def test_wilson_interval(self):

@@ -12,7 +12,8 @@ from invforge.ring import (
     add, factor_out, mul, parse, render, state_var, substitute, var,
 )
 from reference import (
-    anf_bits_per_bit, factor_out_by_substitution, parse_per_character, table_depends,
+    anf_bits_per_bit, factor_out_by_substitution, factor_out_on_tables, parse_per_character,
+    table_depends,
 )
 
 # VarId pools of the two text dialects: the state dialect's variables span
@@ -478,20 +479,27 @@ class TestSubstitute:
 
 
 class TestFactorOut:
+    # factor_out divides a truth table by an affine vector; factor_out_on_tables
+    # passes it p's table and ell's vector over their sorted support
     def test_accept_example(self):
         p = parse("ab+b")
         ell = parse("a+1")
-        q = factor_out(p, ell)
-        assert q == parse("b")
+        q = factor_out(ring.mobius(ring.anf_bits(p, [0, 1]), 2), 0b011, [0, 1])
+        assert q == parse("b") == factor_out_on_tables(p, ell)
         assert mul(ell, q) == p
 
     def test_reject_example(self):
         with pytest.raises(NotAFactorError):
-            factor_out(parse("a"), parse("b"))
+            factor_out_on_tables(parse("a"), parse("b"))
+        with pytest.raises(NotAFactorError):  # a + 1 is 0 at a = 0, where ab + b is not
+            factor_out(ring.mobius(ring.anf_bits(parse("ab+b"), [0, 1]), 2), 0b010, [0, 1])
 
-    def test_non_affine_rejected(self):
-        with pytest.raises(NotAFactorError):
-            factor_out(parse("ab"), parse("ab"))
+    def test_constant_vector_rejected(self):
+        # 0 and 1 are no factor to divide out, whatever the table
+        for table in (0, 0b0110, 0b1111):
+            for vec in (0, 1):
+                with pytest.raises(NotAFactorError):
+                    factor_out(table, vec, [0, 1])
 
     def test_remultiplication_fuzz(self):
         rng = random.Random(6)
@@ -505,51 +513,75 @@ class TestFactorOut:
             p = mul(ell, q0)
             if not p:
                 continue
-            q = factor_out(p, ell)
+            q = factor_out_on_tables(p, ell)
             assert mul(ell, q) == p
             hits += 1
 
     def test_pivot_eliminated(self):
         p = mul(parse("a+b"), parse("c+d"))
-        q = factor_out(p, parse("a+b"))
+        q = factor_out_on_tables(p, parse("a+b"))
         assert 0 not in q.support()  # lowest VarId of the factor is gone
+        assert mul(parse("a+b"), q) == p
 
     def test_matches_substitution_in_both_dialects(self):
         rng = random.Random(61)
-        divided = refused = 0
+        divided = refused = constant = 0
         for pool in (STATE_DIALECT_VARS, FORMS_DIALECT_VARS):
             for _ in range(200):
                 variables = sorted(rng.sample(pool, rng.randrange(1, 11)))
                 n = len(variables)
-                ell = vector_to_affine(rng.getrandbits(n + 1), variables)
+                vec = rng.getrandbits(n + 1)
+                ell = vector_to_affine(vec, variables)
                 p = ring.poly_from_anf_bits(rng.getrandbits(1 << n), variables)
                 if rng.random() < 0.7:
                     p = mul(ell, p)
+                table = ring.mobius(ring.anf_bits(p, variables), n)
+                if not vec >> 1:
+                    with pytest.raises(NotAFactorError):
+                        factor_out(table, vec, variables)
+                    constant += 1
+                    continue
                 try:
                     want = factor_out_by_substitution(p, ell)
                 except NotAFactorError:
                     with pytest.raises(NotAFactorError):
-                        factor_out(p, ell)
+                        factor_out(table, vec, variables)
                     refused += 1
                     continue
-                assert factor_out(p, ell) == want
+                assert factor_out(table, vec, variables) == want
                 divided += 1
-        assert divided > 250 and refused > 50
+        assert divided > 250 and refused > 50 and constant > 0
 
-    def test_refuses_more_than_max_dense_vars(self):
+    def test_wide_polynomial_never_divided(self, monkeypatch):
+        # factor_out makes no width check of its own: the explorer, its one
+        # caller, refuses p over more than MAX_SPLIT_VARS variables first
+        from invforge import lab
+        from invforge.boolfun import MAX_SPLIT_VARS
+
+        def forbidden(*args):
+            raise AssertionError("no table or division past the split limit")
+
+        monkeypatch.setattr(lab, "factor_out", forbidden)
+        monkeypatch.setattr(lab, "minimal_affine_factors", forbidden)
         n = ring.MAX_DENSE_VARS + 1
-        p = mul(parse("a+1"), Poly([(1 << n) - 2]))  # b...u, times a + 1
-        with pytest.raises(ValueError, match="over %d variables" % n) as err:
-            factor_out(p, parse("a+1"))
-        assert not isinstance(err.value, NotAFactorError)
+        for width in (MAX_SPLIT_VARS + 1, n):
+            p = mul(parse("a+1"), Poly([(1 << width) - 2]))  # b..., times a + 1
+            with pytest.raises(ring.UsageError, match="over %d variables" % width):
+                lab.explore_factorizations(p, 1, seed=0)
 
 
 class TestTruthTableDivision:
     def test_anf_bits_matches_per_bit_reading(self):
-        # variables in any order, from every monomial byte
+        # variables in any order, from every monomial byte; the identity list
+        # range(n), over which each term is its own index; and 1-5 terms over
+        # VarIds spread across the universe, a few of them in each chunk.
+        # rename(*localize(p)) gives p back on each
         rng = random.Random(62)
         groups = [range(ring.N_STATE), (ring.F_BIT, ring.K_BIT, ring.L_BIT),
                   range(ring.COEF_BASE, ring.FORM_BASE), range(ring.FORM_BASE, ring.N_VARS)]
+        cases = [(1 << 0b11 | 1 << 0b10100 | 1 << 0b101000,
+                  [0, 1, 2, ring.K_BIT, ring.coef_var(5), ring.coef_var(63)])]
+        assert ring.poly_from_anf_bits(*cases[0]) == parse("ab+Z05*c+Z63*K")
         for _ in range(200):
             variables = [v for g in groups for v in rng.sample(g, rng.randrange(4))]
             rng.shuffle(variables)
@@ -558,9 +590,17 @@ class TestTruthTableDivision:
             sparse = 0
             for _ in range(rng.randrange(6)):
                 sparse |= 1 << rng.randrange(1 << n)
-            for anf in (dense, sparse):
-                p = ring.poly_from_anf_bits(anf, variables)
-                assert ring.anf_bits(p, variables) == anf_bits_per_bit(p, variables) == anf
+            identity = range(rng.randrange(13))
+            spread = rng.sample(range(ring.N_VARS), rng.randrange(1, 9))
+            few = 0
+            for _ in range(rng.randrange(1, 6)):
+                few |= 1 << rng.randrange(1 << len(spread))
+            cases += [(dense, variables), (sparse, variables),
+                      (rng.getrandbits(1 << len(identity)), identity), (few, spread)]
+        for anf, variables in cases:
+            p = ring.poly_from_anf_bits(anf, variables)
+            assert ring.anf_bits(p, variables) == anf_bits_per_bit(p, variables) == anf
+            assert ring.rename(*ring.localize(p)) == p
 
     def test_anf_bits_names_the_undeclared_variable(self):
         p = parse("ab+Z05*c")
@@ -592,6 +632,8 @@ class TestTruthTableDivision:
         for n in range(9):
             variables = sorted(rng.sample(range(ring.N_VARS), n))
             vecs = {0, 1, *(2 << i for i in range(n)), *(rng.getrandbits(n + 1) for _ in range(8))}
+            for i in range(n):  # x_i's table: the points, or ANF indices, that hold input i
+                assert ring.affine_table(2 << i, n) == ring._one_bit_mask(i, n)
             for vec in vecs:
                 table = ring.affine_table(vec, n)
                 ell = vector_to_affine(vec, variables)
