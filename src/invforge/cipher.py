@@ -79,26 +79,9 @@ class Wiring:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    errors: Tuple[str, ...]
-    warnings: Tuple[str, ...]
-    hypotheses: Dict[str, bool]
-
-    def lines(self) -> List[str]:
-        out = ["wiring: %s" % ("valid" if self.ok else "invalid")]
-        out += ["error: %s" % e for e in self.errors]
-        out += ["warning: %s" % w for w in self.warnings]
-        for key in sorted(self.hypotheses):
-            out.append("hypothesis %s (%s): %s"
-                       % (key, HYPOTHESES[key], "holds" if self.hypotheses[key] else "fails"))
-        return out
-
-
-def validate(w: Wiring) -> ValidationReport:
-    """Range checks plus duplicate-P warning and attack-hypothesis flags."""
-    errors: List[str] = []
+def validate(w: Wiring) -> Tuple[str, ...]:
+    """The wiring's warnings: repeated P entries, and D entries that are not
+    pairwise distinct.  Wiring itself refuses every range error."""
     warnings: List[str] = []
     seen: Dict[int, List[int]] = {}
     for j, v in enumerate(w.p, 1):
@@ -109,13 +92,12 @@ def validate(w: Wiring) -> ValidationReport:
                             % (v, ",".join(map(str, js))))
     if len(set(w.d)) != 9:
         warnings.append("D entries are not pairwise distinct")
-    return ValidationReport(not errors, tuple(errors), tuple(warnings), w.hypotheses())
+    return tuple(warnings)
 
 
 def parse_wiring(text: str) -> Wiring:
-    """Line-oriented key file: 'D = ...' and 'P = ...' lists, '#' comments."""
-    d: Optional[Tuple[int, ...]] = None
-    p: Optional[Tuple[int, ...]] = None
+    """Line-oriented key file: one 'D = ...' and one 'P = ...' list, '#' comments."""
+    lists: Dict[str, Tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,15 +110,14 @@ def parse_wiring(text: str) -> Wiring:
             values = tuple(int(tok) for tok in rest.replace(",", " ").split())
         except ValueError:
             raise WiringError("line %d: non-integer entry" % lineno) from None
-        if key == "D":
-            d = values
-        elif key == "P":
-            p = values
-        else:
+        if key not in ("D", "P"):
             raise WiringError("line %d: unknown key %r" % (lineno, key))
-    if d is None or p is None:
+        if key in lists:
+            raise WiringError("line %d: repeated key %r" % (lineno, key))
+        lists[key] = values
+    if len(lists) < 2:
         raise WiringError("wiring file must define both D and P")
-    return Wiring(d, p)
+    return Wiring(lists["D"], lists["P"])
 
 
 def random_wiring(seed: int, conforming: bool = False) -> Wiring:

@@ -3,8 +3,9 @@
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error
 (ring.UsageError or OSError), 3 term-budget overflow, 4 internal error: any
 other exception, traceback on stderr.  Each cmd_* returns its result and
-main alone prints it.  '-' reads any path flag from stdin.  Identical
-invocations (including --seed) produce byte-identical output.
+main alone prints it.  The library returns plain values: this module alone
+writes them as text and as JSON.  '-' reads any path flag from stdin.
+Identical invocations (including --seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import boolfun, fe as fe_mod, lab, lincycle, ring
-from .cipher import Wiring, parse_wiring, round_system, step, validate
+from .cipher import HYPOTHESES, Wiring, parse_wiring, round_system, step, validate
 from .ring import Poly, TermBudgetError, UsageError
 
 EXIT_OK = 0
@@ -24,6 +25,8 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
 
 # what a command returns for main to print: (exit code, JSON record, text lines)
 Result = Tuple[int, dict, List[str]]
@@ -57,15 +60,29 @@ def _load_fun(path: str) -> boolfun.BoolFun6:
 
 
 def _fe_record(report: fe_mod.FeReport) -> dict:
+    """The FE's record; its "fe" is "0", the FE rendered up to MAX_RENDER_TERMS
+    terms, or None past that, where size alone is reported."""
+    terms, degree = report.size
+    if report.is_zero:
+        text = "0"
+    else:
+        text = ring.render(report.fe) if terms <= MAX_RENDER_TERMS else None
     return {
         "kind": "fe",
         "is_zero": report.is_zero,
         "depends_on": list(report.depends_on),
         "mode": report.mode,
-        "terms": report.size[0],
-        "degree": report.size[1],
-        "fe": report.text,
+        "terms": terms,
+        "degree": degree,
+        "fe": text,
     }
+
+
+def _fe_lines(rec: dict) -> List[str]:
+    return ["fe = %s" % (rec["fe"] or "<%d terms, degree %d>" % (rec["terms"], rec["degree"])),
+            "is_zero = %s" % ("true" if rec["is_zero"] else "false"),
+            "depends_on = %s" % (",".join(rec["depends_on"]) or "-"),
+            "mode = %s" % rec["mode"]]
 
 
 def cmd_fe(args) -> Result:
@@ -86,18 +103,20 @@ def cmd_fe(args) -> Result:
     P = fe_mod.PreparedInvariant(*P)
     if args.symbolic:
         report = fe_mod.symbolic_fe(P, round_system(w, "symbolic"), args.budget)
-        system = report.system
         rec = _fe_record(report)
-        rec["coefficient_system"] = (
-            {"linear": True,
-             "equations": [[ring.render(c), ring.render(e)] for c, e in system.equations]}
-            if system.linear else {"linear": False})
-        return EXIT_OK, rec, report.lines() + system.lines()
+        lines = _fe_lines(rec)
+        if report.system is None:  # () is a linear system of no equations
+            rec["coefficient_system"] = {"linear": False}
+            return EXIT_OK, rec, lines + ["coefficient system: nonlinear in Zij"]
+        equations = [[ring.render(c), ring.render(e)] for c, e in report.system]
+        rec["coefficient_system"] = {"linear": True, "equations": equations}
+        lines.append("coefficient system: linear, %d equations" % len(equations))
+        return EXIT_OK, rec, lines + ["  [%s] %s = 0" % tuple(eq) for eq in equations]
     fun = _load_fun(args.boolfun)
     rs = round_system(w, "expanded", fun)
     report = fe_mod.build_fe(P, rs, args.budget)
     rec = _fe_record(report)
-    lines = report.lines()
+    lines = _fe_lines(rec)
     if args.empirical_trials is not None:
         trials = args.empirical_trials
         mismatches = fe_mod.check_invariant_empirically(P, w, fun, trials, seed=args.seed or 0)
@@ -113,23 +132,25 @@ def cmd_verify_thm(args) -> Result:
     P = args.invariant and fe_mod.PreparedInvariant(*_load_poly(args.invariant, local=True))
     if not P or P.poly == lab.product_invariant():  # verify_attack builds its own
         try:
-            chain = lab.verify_attack(w, fun)
+            steps, _ = lab.verify_attack(w, fun)
         except lab.HypothesisError as exc:
             return EXIT_FALSE, {"kind": "verify", "error": str(exc)}, ["error: %s" % exc]
     else:  # a supplied non-default invariant gets the end-to-end verdict only
-        rs = round_system(w, "expanded", fun)
-        report = fe_mod.build_fe(P, rs)
-        chain = lab.ChainReport((lab.StepResult(
-            "fundamental-equation", "supplied invariant",
-            report.is_zero and not report.depends_on),), report)
+        report = fe_mod.build_fe(P, round_system(w, "expanded", fun))
+        steps = (("fundamental-equation", "supplied invariant",
+                  report.is_zero and not report.depends_on),)
+    failures = sum(not passed for _, _, passed in steps)
     rec = {
         "kind": "verify",
-        "steps": [{"key": s.key, "description": s.description, "passed": s.passed}
-                  for s in chain.steps],
-        "passed": chain.passed,
+        "steps": [{"key": key, "description": description, "passed": passed}
+                  for key, description, passed in steps],
+        "passed": not failures,
     }
-    lines = chain.lines() if args.report == "steps" else [chain.lines()[-1]]
-    return EXIT_OK if chain.passed else EXIT_FALSE, rec, lines
+    lines = ["step %-22s %s  (%s)" % (key + ":", "PASS" if passed else "FAIL", description)
+             for key, description, passed in steps]
+    lines.append("STEP FAILURES: %d" % failures if failures else "ALL STEPS PASS")
+    return (EXIT_FALSE if failures else EXIT_OK, rec,
+            lines if args.report == "steps" else lines[-1:])
 
 
 def cmd_annihilators(args) -> Result:
@@ -210,15 +231,19 @@ def cmd_linear_cycle(args) -> Result:
 def cmd_search(args) -> Result:
     w = _load_wiring(args.lzs)
     P = _load_poly(args.invariant, local=True)
-    report = lab.search_random_functions(w, P, args.trials, args.seed)
+    hits = lab.search_random_functions(w, P, args.trials, args.seed)
+    low, high = lab.wilson_interval(len(hits), args.trials)
     rec = {
         "kind": "search",
-        "trials": report.trials,
-        "hits": [{"trial": idx, "tt": "%016x" % tt} for idx, tt in report.hits],
-        "frequency": report.frequency,
-        "wilson95": [report.wilson_low, report.wilson_high],
+        "trials": args.trials,
+        "hits": [{"trial": idx, "tt": "%016x" % tt} for idx, tt in hits],
+        "frequency": len(hits) / args.trials,
+        "wilson95": [low, high],
     }
-    return EXIT_OK, rec, report.lines()
+    lines = ["trials = %d" % args.trials, "hits = %d" % len(hits)]
+    lines += ["hit trial=%d tt=%s" % (h["trial"], h["tt"]) for h in rec["hits"]]
+    lines += ["frequency = %.6g" % rec["frequency"], "wilson95 = [%.6g, %.6g]" % (low, high)]
+    return EXIT_OK, rec, lines
 
 
 def cmd_step(args) -> Result:
@@ -238,11 +263,14 @@ def cmd_step(args) -> Result:
 
 
 def cmd_validate(args) -> Result:
-    w = _load_wiring(args.lzs)
-    rep = validate(w)
-    rec = {"kind": "validate", "ok": rep.ok, "errors": list(rep.errors),
-           "warnings": list(rep.warnings), "hypotheses": rep.hypotheses}
-    return EXIT_OK if rep.ok else EXIT_FALSE, rec, rep.lines()
+    w = _load_wiring(args.lzs)  # refuses range errors and repeated keys (exit 2)
+    warnings, hypotheses = validate(w), w.hypotheses()
+    rec = {"kind": "validate", "ok": True, "errors": [], "warnings": list(warnings),
+           "hypotheses": hypotheses}
+    lines = ["wiring: valid"] + ["warning: %s" % msg for msg in warnings]
+    lines += ["hypothesis %s (%s): %s" % (key, HYPOTHESES[key], "holds" if holds else "fails")
+              for key, holds in sorted(hypotheses.items())]
+    return EXIT_OK, rec, lines
 
 
 @lru_cache(maxsize=None)

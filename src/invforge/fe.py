@@ -13,7 +13,6 @@ from .boolfun import BoolFun6, affine_split
 from .cipher import LanePlan, RoundSystem, Wiring, eval_poly_lanes, step_lanes
 from .ring import COEF_BASE, N_STATE, Poly, TermBudgetError, add, mobius, substitute
 
-MAX_RENDER_TERMS = 512  # larger FEs are reported by size and degree only
 _COEFS = frozenset(range(COEF_BASE, COEF_BASE + 64))  # the VarIds of Z00..Z63
 _COEF_MASK = sum(1 << v for v in _COEFS)
 
@@ -30,7 +29,8 @@ class FeReport:
     non-state variables it holds.  The FE is poly where build_fe multiplied
     it out.  Where it counted it by key on ANF bits over variables, counts is
     (terms, layers), layers[d] the OR of the bits of the keys with d symbols,
-    and rows() forms the keys again from replay.  fe is built on first read."""
+    and rows() forms the keys again from replay.  fe, size and system are
+    formed on first read."""
 
     is_zero: bool
     depends_on: Tuple[str, ...]
@@ -56,14 +56,6 @@ class FeReport:
         return ring.poly_from_anf_rows(self.rows(), self.variables)
 
     @cached_property
-    def text(self) -> Optional[str]:
-        """The FE as printed: "0", its rendering up to MAX_RENDER_TERMS
-        terms, or None past that, where size alone is reported."""
-        if self.is_zero:
-            return "0"
-        return ring.render(self.fe) if self.size[0] <= MAX_RENDER_TERMS else None
-
-    @cached_property
     def size(self) -> Tuple[int, int]:
         if not self.counts:
             return len(self.fe), self.fe.degree()
@@ -73,16 +65,10 @@ class FeReport:
                            for d, bits in enumerate(layers) if bits), default=-1)
 
     @cached_property
-    def system(self) -> "CoefficientSystem":
+    def system(self) -> Optional[Tuple[Tuple[Poly, Poly], ...]]:
         """coefficient_system(fe), without fe where a term holds two symbols."""
         nonlinear = self.counts and self.counts[1][2]
-        return CoefficientSystem(False, ()) if nonlinear else coefficient_system(self.fe)
-
-    def lines(self) -> List[str]:
-        return ["fe = %s" % (self.text or "<%d terms, degree %d>" % self.size),
-                "is_zero = %s" % ("true" if self.is_zero else "false"),
-                "depends_on = %s" % (",".join(self.depends_on) or "-"),
-                "mode = %s" % self.mode]
+        return None if nonlinear else coefficient_system(self.fe)
 
 
 class PreparedInvariant:
@@ -248,37 +234,17 @@ def symbolic_fe(P: PreparedInvariant, rs: RoundSystem,
 # Coefficient-wise linear system extraction.
 
 
-@dataclass(frozen=True)
-class CoefficientSystem:
-    """FE = 0 as per-monomial conditions on the coefficient symbols.
-
-    Only available when no products of distinct function instances occur;
-    the equations are then affine in Z00..Z63, one per carrier monomial.
-    """
-
-    linear: bool
-    equations: Tuple[Tuple[Poly, Poly], ...]  # (carrier monomial, affine Zij condition)
-
-    def lines(self) -> List[str]:
-        if not self.linear:
-            return ["coefficient system: nonlinear in Zij"]
-        out = ["coefficient system: linear, %d equations" % len(self.equations)]
-        for carrier, cond in self.equations:
-            out.append("  [%s] %s = 0" % (ring.render(carrier), ring.render(cond)))
-        return out
-
-
-def coefficient_system(fe: Poly) -> CoefficientSystem:
+def coefficient_system(fe: Poly) -> Optional[Tuple[Tuple[Poly, Poly], ...]]:
+    """FE = 0 as (carrier monomial, condition) pairs in graded order, each
+    condition affine in Z00..Z63; None where a term holds two symbols, as
+    where distinct function instances multiply."""
     if any((t & _COEF_MASK).bit_count() >= 2 for t in fe.terms):
-        return CoefficientSystem(False, ())
+        return None
     groups: Dict[int, List[int]] = {}
     for t in fe.terms:
         groups.setdefault(t & ~_COEF_MASK, []).append(t & _COEF_MASK)
-    eqs = []
-    for carrier in sorted(groups, key=ring.graded_key):
-        cond = Poly(groups[carrier])
-        eqs.append((Poly((carrier,)), cond))
-    return CoefficientSystem(True, tuple(eqs))
+    return tuple((Poly((carrier,)), Poly(groups[carrier]))
+                 for carrier in sorted(groups, key=ring.graded_key))
 
 
 # ---------------------------------------------------------------------------

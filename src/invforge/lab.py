@@ -133,35 +133,10 @@ class HypothesisError(ValueError):
         self.failed = tuple(failed)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    key: str
-    description: str
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    steps: Tuple[StepResult, ...]
-    fe_report: fe_mod.FeReport
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.steps)
-
-    def lines(self) -> List[str]:
-        out = []
-        for s in self.steps:
-            out.append("step %-22s %s  (%s)" % (s.key + ":",
-                                                "PASS" if s.passed else "FAIL",
-                                                s.description))
-        out.append("ALL STEPS PASS" if self.passed else "STEP FAILURES: %d"
-                   % sum(1 for s in self.steps if not s.passed))
-        return out
-
-
-def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
-    """Re-derive the attack mechanically, one exact identity per step.
+def verify_attack(w: Wiring, fun: BoolFun6
+                  ) -> Tuple[Tuple[Tuple[str, str, bool], ...], fe_mod.FeReport]:
+    """Re-derive the attack mechanically, one exact identity per step: the
+    (key, description, passed) steps, and the report of the expanded FE.
 
     Raises HypothesisError when the wiring lacks the required D/P structure.
     """
@@ -170,10 +145,10 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
     if failed:
         raise HypothesisError(failed)
 
-    steps: List[StepResult] = []
+    steps: List[Tuple[str, str, bool]] = []
 
     def record(key, description, ok):
-        steps.append(StepResult(key, description, bool(ok)))
+        steps.append((key, description, bool(ok)))
 
     bank = form_bank()
     A_, B_, C_, D_, E_, F_, G_, H_ = (bank[n] for n in "ABCDEFGH")
@@ -238,7 +213,7 @@ def verify_attack(w: Wiring, fun: BoolFun6) -> ChainReport:
            "FE reduces to 0 with no F/K/L dependence",
            report.is_zero and not report.depends_on)
 
-    return ChainReport(tuple(steps), report)
+    return tuple(steps), report
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +307,6 @@ def explore_factorizations(p: Poly, max_trees: int, seed: int) -> List[Factoriza
 # ---------------------------------------------------------------------------
 # Random function search.
 
-@dataclass(frozen=True)
-class SearchReport:
-    trials: int
-    hits: Tuple[Tuple[int, int], ...]  # (trial index, truth table)
-    frequency: float
-    wilson_low: float
-    wilson_high: float
-
-    def lines(self) -> List[str]:
-        out = ["trials = %d" % self.trials, "hits = %d" % len(self.hits)]
-        for idx, tt in self.hits:
-            out.append("hit trial=%d tt=%016x" % (idx, tt))
-        out.append("frequency = %.6g" % self.frequency)
-        out.append("wilson95 = [%.6g, %.6g]" % (self.wilson_low, self.wilson_high))
-        return out
-
-
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
     """Wilson score interval; its bound at 0 hits is exactly 0, and at
     hits = trials exactly 1, where centre and half cancel only up to
@@ -378,8 +336,9 @@ def is_hit(w: Wiring, P: fe_mod.PreparedInvariant, fun: BoolFun6,
 
 
 def search_random_functions(w: Wiring, invariant: Tuple[Poly, Tuple[int, ...]], trials: int,
-                            seed: int) -> SearchReport:
+                            seed: int) -> Tuple[Tuple[int, int], ...]:
     """Seeded stream of random functions; a hit is an exact FE = 0 verdict.
+    Returns the (trial index, truth table) of each hit.
 
     invariant is P as read, (P over its letters, its VarIds).  Trial i uses
     the function seeded by seed+i, so results are byte-reproducible.
@@ -392,5 +351,4 @@ def search_random_functions(w: Wiring, invariant: Tuple[Poly, Tuple[int, ...]], 
         fun = random_boolfun(seed + i)
         if is_hit(w, P, fun, screen_seed=seed ^ 0x5EED ^ i):
             hits.append((i, fun.tt))
-    lo, hi = wilson_interval(len(hits), trials)
-    return SearchReport(trials, tuple(hits), len(hits) / trials, lo, hi)
+    return tuple(hits)

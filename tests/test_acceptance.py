@@ -58,8 +58,8 @@ class _Timer:
 
 def test_criterion_1_theorem_reproduction(wiring, zref, invariant_deg7):
     with _Timer(1, "theorem reproduction", 10):
-        chain = lab.verify_attack(wiring, zref)
-        assert chain.passed
+        steps, _ = lab.verify_attack(wiring, zref)
+        assert all(passed for _, _, passed in steps)
         report = build_fe(PreparedInvariant(*ring.localize(invariant_deg7)),
                           round_system(wiring, "expanded", zref))
         assert report.is_zero
@@ -273,6 +273,18 @@ CORPUS = [
     # a long concrete trajectory, every round bit set
     ("step", "--lzs", LZS, "--boolfun", ZREF, "--state", "123456789", "--f", "1", "--k", "1",
      "--l", "1", "--rounds", "100000"),
+    # every output that cli formats from a library's plain values: the wiring
+    # report, the search record, the summary line, the supplied-invariant
+    # branch (exit 1) and the linear coefficient system as JSON
+    ("validate", "--lzs", LZS),
+    ("--format", "json-lines", "validate", "--lzs", LZS),
+    ("--format", "json-lines", "search", "--lzs", LZS, "--invariant", INV827, "--trials", "5",
+     "--seed", "3"),
+    ("verify-thm", "--lzs", LZS, "--boolfun", ZREF, "--report", "summary"),
+    ("verify-thm", "--lzs", LZS, "--boolfun", ZREF, "--invariant", INV827),
+    ("--format", "json-lines", "verify-thm", "--lzs", LZS, "--boolfun", ZREF,
+     "--invariant", INV827),
+    ("--format", "json-lines", "fe", "--lzs", LZS, "--invariant", INV827, "--symbolic"),
 ]
 
 # sha256 of each CORPUS command's stdout, pinned so that a change to the
@@ -300,6 +312,13 @@ CORPUS_STDOUT_SHA256 = [
     "5d39324acb71107a7337749574bf2ef21ee54fa5007a9c2e256355ee4b65b1ed",
     "f0f7ddee6cbfd83774db386886db3bca2e56af61957c4fb8e5991a1f83b3cae7",
     "3d78035d4cc9b04a8e3bac108c204cf95aa4a3b6a4d579487401ef706e16b338",
+    "a1611dc39dab0bfcc94b27854da0d9ef2ca4ed067f6f5e66b873bab3cd170a68",
+    "8d4298d40883f47cc7fae9a53c32123b906915bb27be7937b7c521ab451e4139",
+    "e409dad1c2554741b0768101ffa86871fcbc205ff41f8edcd71eabe701749a45",
+    "ec08e8b2cbf2ea7f9a88be4a1387e87848d1e35d5e34884487bf535a0d019505",
+    "3c9f3f6452fa28dd9f167bdc45618dbeaf8fbdcfc4d5a00e97669674a70fd212",
+    "be01ee9f8adbfd60e02e7ece381496ee281ec6a518f81d7eef570dcec9a73020",
+    "164243f5cfca39052388f21b457bb2c77aa139474f2abda8c13eb471c697b561",
 ]
 
 

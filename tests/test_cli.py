@@ -443,6 +443,7 @@ def _stdin(data: bytes):
 
 FE_ZREF = ["fe", "--lzs", LZS, "--invariant", INV7, "--boolfun", ZREF]
 STEP = ["step", "--lzs", LZS, "--boolfun", ZREF]
+FULL_P = ",".join(map(str, range(1, 28))).encode()
 
 
 class TestErrorContract:
@@ -507,6 +508,13 @@ class TestErrorContract:
                                "line 1: unknown key 'Q'"),
         "wiring-p-length": (["validate", "--lzs", "-"], b"D = 1 2 3 4 5 6 7 8 9\nP = 1 2\n",
                             "P must have 27 entries, got 2"),
+        # a second full list was read in place of the first
+        "wiring-repeated-d": (["validate", "--lzs", "-"],
+                              b"D = 1 2 3 4 5 6 7 8 9\nP = %s\nd = 9 8 7 6 5 4 3 2 1\n" % FULL_P,
+                              "line 3: repeated key 'D'"),
+        "wiring-repeated-p": (["validate", "--lzs", "-"],
+                              b"P = %s\n# again\nP = %s\n" % (FULL_P, FULL_P),
+                              "line 3: repeated key 'P'"),
         "missing-file": (["validate", "--lzs", "missing.cfg"], b"", "No such file"),
         "non-utf8-file": (["factor", "--poly", "NONUTF8"], b"",
                           "NONUTF8: 'utf-8' codec can't decode byte 0xff"),

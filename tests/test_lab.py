@@ -27,6 +27,11 @@ from reference import (
 ONE_FUN = BoolFun6((1 << 64) - 1)
 
 
+def _verdicts(w, fun):
+    """verify_attack's steps as {key: passed}."""
+    return {key: passed for key, _, passed in verify_attack(w, fun)[0]}
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("must not be called")
 
@@ -102,10 +107,13 @@ class TestInvariants:
 
 class TestVerifyAttack:
     def test_all_steps_pass(self, wiring, zref):
-        report = verify_attack(wiring, zref)
-        assert report.passed
-        assert report.lines()[-1] == "ALL STEPS PASS"
-        assert report.fe_report.is_zero
+        steps, report = verify_attack(wiring, zref)
+        assert [key for key, _, _ in steps] == [
+            "output-differences", "regrouped-difference", "absorption",
+            "complement-absorption", "core-factorizations", "core-absorption",
+            "final-bracket", "fundamental-equation"]
+        assert all(passed for _, _, passed in steps)
+        assert report.is_zero and report.mode == "expanded"
 
     def test_hypothesis_violation(self, zref):
         bad = Wiring((4, 24, 28, 16, 20, 8, 13, 32, 36),
@@ -118,14 +126,13 @@ class TestVerifyAttack:
         failures = 0
         for seed in range(12):
             fun = random_boolfun(seed + 900)
-            report = verify_attack(wiring, fun)
-            by_key = {s.key: s.passed for s in report.steps}
+            by_key = _verdicts(wiring, fun)
             # wiring-only identities never depend on the function
             assert by_key["output-differences"]
             assert by_key["regrouped-difference"]
             assert by_key["core-factorizations"]
             assert by_key["final-bracket"]
-            if not report.passed:
+            if not all(by_key.values()):
                 failures += 1
                 assert not (by_key["absorption"] and by_key["complement-absorption"])
                 assert not by_key["fundamental-equation"]
@@ -134,15 +141,14 @@ class TestVerifyAttack:
     def test_chain_equivalent_to_fe_verdict(self, wiring):
         for seed in (0, 1, 2, 77):
             fun = random_boolfun(seed)
-            report = verify_attack(wiring, fun)
             fe = build_fe(PreparedInvariant(*ring.localize(lab.product_invariant())),
                           round_system(wiring, "expanded", fun))
-            assert report.passed == (fe.is_zero and not fe.depends_on)
+            assert all(_verdicts(wiring, fun).values()) == (fe.is_zero and not fe.depends_on)
 
     def test_conforming_random_wirings(self, zref):
         for seed in range(3):
             w = random_wiring(seed, conforming=True)
-            assert verify_attack(w, zref).passed
+            assert all(_verdicts(w, zref).values())
 
     def test_steps_match_reference(self, wiring, zref):
         forced = []
@@ -158,7 +164,7 @@ class TestVerifyAttack:
             assert all(w.hypotheses().values())
             wiring_steps = reference_wiring_steps(w)
             for fun in funs:
-                got = {s.key: s.passed for s in verify_attack(w, fun).steps}
+                got = _verdicts(w, fun)
                 assert got == {**wiring_steps, **reference_function_steps(w, fun)}
 
     def test_regrouped_difference_fails_without_the_yw_term(self, wiring, zref,
@@ -167,7 +173,7 @@ class TestVerifyAttack:
         yw = mul(ring.var(ring.PLACEHOLDER_Y), ring.var(ring.PLACEHOLDER_W))
         monkeypatch.setattr(lab, "bracket_with_instances", lambda: add(real(), yw))
         for w in (wiring, random_wiring(21, conforming=True)):
-            got = {s.key: s.passed for s in verify_attack(w, zref).steps}
+            got = _verdicts(w, zref)
             assert got == {**reference_wiring_steps(w), **reference_function_steps(w, zref)}
             assert not got["regrouped-difference"] and not got["final-bracket"]
             assert got["output-differences"] and got["core-absorption"]
@@ -180,7 +186,7 @@ class TestVerifyAttack:
         seen = {k: set() for k in keys}
         for w in (wiring, random_wiring(22, conforming=True)):
             for fun in funs:
-                got = {s.key: s.passed for s in verify_attack(w, fun).steps}
+                got = _verdicts(w, fun)
                 want = reference_function_steps(w, fun)
                 assert {k: got[k] for k in want} == want
                 for k in keys:
@@ -204,8 +210,7 @@ class TestVerifyAttack:
         monkeypatch.setattr(fe_mod.FeReport, "fe", property(_forbidden))
         for w in [wiring] + [random_wiring(s, conforming=True) for s in range(16)]:
             del reports[:]
-            report = verify_attack(w, zref)
-            assert report.passed and reports[0].mode == "placeholder"
+            assert all(_verdicts(w, zref).values()) and reports[0].mode == "placeholder"
             assert reports[0].variables == V
 
     def test_both_fe_steps_call_build_fe(self, wiring, zref, monkeypatch):
@@ -213,7 +218,7 @@ class TestVerifyAttack:
         real = fe_mod.build_fe
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda P, rs, *a: modes.append(rs.mode) or real(P, rs, *a))
-        assert verify_attack(wiring, zref).passed
+        assert all(_verdicts(wiring, zref).values())
         assert modes == ["placeholder", "expanded"]
 
     def test_both_fe_steps_share_one_split(self, wiring, zref, monkeypatch):
@@ -223,7 +228,7 @@ class TestVerifyAttack:
         monkeypatch.setattr(fe_mod, "affine_split", lambda p: splits.append(p) or real(p))
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda P, rs, *a: prepared.append(P) or real_build(P, rs, *a))
-        assert verify_attack(wiring, zref).passed
+        assert all(_verdicts(wiring, zref).values())
         assert splits == []
         factors = [expand_forms(parse(f, "forms"))
                    for f in ("A+B", "C+D", "D+F", "B+F", "E+F", "G+F", "G+H")]
@@ -249,8 +254,9 @@ class TestVerifyAttack:
         for w in [wiring] + [random_wiring(s, conforming=True) for s in range(16)]:
             for fun in funs:
                 del reports[:]
-                chain = verify_attack(w, fun)
-                verdicts.add(chain.steps[-1].passed)
+                steps, report = verify_attack(w, fun)
+                verdicts.add(steps[-1][2])
+                assert report is reports[-1][1]
                 assert [rs.mode for rs, _ in reports] == ["placeholder", "expanded"]
                 for rs, got in reports:
                     want = real(split, rs)
@@ -498,8 +504,8 @@ class TestSearch:
         real_build = fe_mod.build_fe
         monkeypatch.setattr(fe_mod, "build_fe",
                             lambda *args: exact.append(1) or real_build(*args))
-        report = search_random_functions(wiring, ring.localize(invariant_deg7), 400, 0)
-        assert (len(exact), report.hits) == (16, ())
+        hits = search_random_functions(wiring, ring.localize(invariant_deg7), 400, 0)
+        assert (len(exact), hits) == (16, ())
 
     @pytest.mark.parametrize("trials,seed,survivors,splits", [(5, 5, 2, 1), (3, 6, 0, 0)])
     def test_search_splits_the_invariant_once(self, wiring, invariant_deg7, monkeypatch,
@@ -518,7 +524,6 @@ class TestSearch:
         a = search_random_functions(wiring, ring.localize(invariant_deg7), trials=12, seed=5)
         b = search_random_functions(wiring, ring.localize(invariant_deg7), trials=12, seed=5)
         assert a == b
-        assert a.trials == 12
 
     def test_zero_function_verdict_computed(self, wiring, invariant_deg7):
         from invforge.boolfun import ZERO_FUN
@@ -539,8 +544,8 @@ class TestSearch:
         for w in (wiring, random_wiring(1, conforming=True)):
             for trials, seed, survivors in ((5, 5, 2), (100, 3, 5), (200, 1000, 14)):
                 del exact[:]
-                report = search_random_functions(w, ring.localize(invariant_deg7), trials, seed)
-                assert (len(exact), report.hits) == (survivors, ())
+                hits = search_random_functions(w, ring.localize(invariant_deg7), trials, seed)
+                assert (len(exact), hits) == (survivors, ())
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)

@@ -7,6 +7,8 @@ name does not count, since neither serves a command.  The exceptions are
 KEEP, one reason each.  A test-only reference implementation belongs in
 tests/reference.py instead, and there every module-level function must be
 named by some tests/test_*.py, directly or through another such function.
+Output text has one owner: no module but cli defines a lines function or
+imports json.
 """
 
 import ast
@@ -104,6 +106,22 @@ def test_keep_list_holds_only_unreferenced_names():
     # a kept name that a command starts to use leaves the list
     assert set(KEEP) <= _unreferenced(), sorted(set(KEEP) - _unreferenced())
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def test_only_cli_formats_output():
+    # the library returns plain values; cli alone writes text and JSON
+    found = []
+    for module, tree in _modules():
+        if module == "cli":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "lines":
+                found.append("%s defines lines (line %d)" % (module, node.lineno))
+            elif isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+                found.append("%s imports json (line %d)" % (module, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append("%s imports from json (line %d)" % (module, node.lineno))
+    assert not found, found
 
 
 def test_every_reference_helper_serves_a_test():
